@@ -46,7 +46,6 @@ from .hyperfields import (
     Hyperfield,
     SymbolicSet,
     check_stringent,
-    krasner_quotient,
     symset,
     validate_axioms,
 )

@@ -390,7 +390,7 @@ def run(argv=None) -> int:
         if args.command == "suite":
             return cmd_suite(args)
         raise SpecError(f"unknown command {args.command!r}")
-    except (SpecError, ResourceLimitError, InvalidSubgroupError) as exc:
+    except (SpecError, ResourceLimitError, InvalidSubgroupError, InvalidHyperfieldError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,14 +53,36 @@ class HElement:
         return f"u({self.residue},{','.join(map(str, self.grade))})"
 
 
+# The first 12 primes: a Miller-Rabin test with these bases is exact below
+# 3.3 * 10**24, which covers every modulus below 2**64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test of a modulus.
+
+    Raises InvalidHyperfieldError unless n is an int below 2**64.
+    """
+    if type(n) is not int or n >= 2**64:
+        raise InvalidHyperfieldError(f"modulus must be an integer below 2**64, got {n!r}")
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -81,9 +103,14 @@ class Hyperfield:
         "p",
         "rank",
         "subgroup",
+        "residue_kind",
+        "_units",
+        "_unit_index",
         "_elements",
         "_add",
         "_mul",
+        "_add_table",
+        "_mul_table",
         "_neg",
         "_inv",
         "_stringent",
@@ -99,6 +126,9 @@ class Hyperfield:
             kind = "field" if p is not None else "sign"
         if kind == "tropical" and rank == 0:
             kind = "krasner"
+        for name, value in (("p", p), ("rank", rank)):
+            if value is not None and type(value) is not int:
+                raise InvalidHyperfieldError(f"{name} must be an integer, got {value!r}")
         self.kind = kind
         self.p = p
         self.rank = rank
@@ -124,6 +154,7 @@ class Hyperfield:
             raise InvalidHyperfieldError(f"unknown hyperfield kind {kind!r}")
         if kind == "field" and rank != 0:
             raise InvalidHyperfieldError("plain field has rank 0; use stringent")
+        self._init_units()
         self._descriptor = (self.kind, self.p, self.rank, self.subgroup, self._elements, self._add, self._mul)
         self._hash = hash(self._descriptor)
         if kind == "quotient" and validate:
@@ -166,9 +197,9 @@ class Hyperfield:
     @classmethod
     def quotient(cls, p: int, subgroup) -> "Hyperfield":
         """Krasner quotient of GF(p) by a multiplicative subgroup G: rG+sG coset sums."""
-        G = sorted(set(int(g) % p for g in subgroup))
         if not is_prime(p):
             raise InvalidSubgroupError(f"{p} is not prime")
+        G = sorted(set(int(g) % p for g in subgroup))
         if 0 in G or not G or 1 not in G:
             raise InvalidSubgroupError("subgroup must consist of units and contain 1")
         for a, b in itertools.product(G, G):
@@ -210,6 +241,8 @@ class Hyperfield:
         self._elements = tuple(sorted(elements))
         self._add = tuple(sorted((a, b, tuple(sorted(v))) for (a, b), v in add.items()))
         self._mul = tuple(sorted((a, b, v) for (a, b), v in mul.items()))
+        self._add_table = {(a, b): frozenset(v) for a, b, v in self._add}
+        self._mul_table = {(a, b): v for a, b, v in self._mul}
         self._neg = {}
         self._inv = {}
         for a in self._elements:
@@ -220,16 +253,41 @@ class Hyperfield:
                 self._inv[a] = invs[0] if len(invs) == 1 else None
 
     def _table_add(self, a, b):
-        for x, y, v in self._add:
-            if x == a and y == b:
-                return frozenset(v)
-        raise DomainMismatchError(f"no table entry for {a} + {b}")
+        try:
+            return self._add_table[a, b]
+        except KeyError:
+            raise DomainMismatchError(f"no table entry for {a} + {b}") from None
 
     def _table_mul(self, a, b):
-        for x, y, v in self._mul:
-            if x == a and y == b:
-                return v
-        raise DomainMismatchError(f"no table entry for {a} * {b}")
+        try:
+            return self._mul_table[a, b]
+        except KeyError:
+            raise DomainMismatchError(f"no table entry for {a} * {b}") from None
+
+    def _init_units(self):
+        """Residue classification and unit collection, fixed per hyperfield.
+
+        GF(p) keeps its units as ``range(1, p)``: membership of an int and
+        its index are O(1) without materializing p - 1 residues.
+        """
+        kind = self.kind
+        if kind in ("krasner", "tropical"):
+            self.residue_kind = "krasner"
+            self._units = (1,)
+        elif kind == "sign" or (kind == "stringent" and not self.p):
+            self.residue_kind = "sign"
+            self._units = (1, -1)
+        elif kind in ("field", "stringent"):
+            self.residue_kind = "field"
+            self._units = range(1, self.p)
+        else:
+            self.residue_kind = None
+            self._units = tuple(e for e in self._elements if e != 0)
+        # A GF(p) residue r sorts at r - 1 (residue_sort_index); the other
+        # unit sets are small enough to index outright.
+        self._unit_index = None
+        if self.residue_kind != "field":
+            self._unit_index = {r: i for i, r in enumerate(self._units)}
 
     # -- identity -----------------------------------------------------
 
@@ -254,19 +312,6 @@ class Hyperfield:
         return f"Hyperfield.{self.kind}()"
 
     # -- structure ----------------------------------------------------
-
-    @property
-    def residue_kind(self) -> str | None:
-        """Residue classification per the stringent-hyperfield structure theorem."""
-        if self.kind in ("krasner", "tropical"):
-            return "krasner"
-        if self.kind == "sign":
-            return "sign"
-        if self.kind == "field":
-            return "field"
-        if self.kind == "stringent":
-            return "field" if self.p else "sign"
-        return None
 
     @property
     def is_graded(self) -> bool:
@@ -299,27 +344,24 @@ class Hyperfield:
     def one(self) -> HElement:
         return HElement(self.residue_units()[0], (0,) * self.rank)
 
-    def residue_units(self) -> tuple:
-        kind = self.residue_kind
-        if kind == "krasner":
-            return (1,)
-        if kind == "sign":
-            return (1, -1)
-        if kind == "field":
-            return tuple(range(1, self.p))
-        return tuple(e for e in self._elements if e != 0)
+    def residue_units(self) -> tuple | range:
+        """The residue labels of grade-zero units, in sort order."""
+        return self._units
 
     def residue_sort_index(self, r) -> int:
-        return self.residue_units().index(r)
+        if self._unit_index is None:
+            return r - 1
+        return self._unit_index[r]
 
     def is_element(self, x: HElement) -> bool:
         if not isinstance(x, HElement):
             return False
-        if x.is_zero:
+        r = x.residue
+        if r is None:
             return x.grade == ()
-        if len(x.grade) != self.rank:
-            return False
-        return x.residue in self.residue_units()
+        # Exact ints only: a bool would pass as 1, and a float would turn
+        # range membership into a linear scan.
+        return len(x.grade) == self.rank and type(r) is int and r in self._units
 
     def require(self, x: HElement) -> HElement:
         if not self.is_element(x):
@@ -460,6 +502,10 @@ class Hyperfield:
         if self.kind == "quotient":
             return [self.zero()] + [HElement(e, ()) for e in self._elements if e != 0]
         return [self.zero()] + self.units_box(window)
+
+    def elements_box_size(self, window: int) -> int:
+        """``len(self.elements_box(window))``, computed without building the box."""
+        return 1 + len(self._units) * (2 * window + 1) ** self.rank
 
     def sort_key(self, x: HElement):
         if x.is_zero:
@@ -712,8 +758,3 @@ def check_stringent(H: Hyperfield, window: int = 4):
             if not H.hyperadd(a, b).is_singleton():
                 return False, (a, b)
     return True, None
-
-
-def krasner_quotient(p: int, subgroup) -> Hyperfield:
-    """Quotient hyperfield GF(p)/G; validated at construction."""
-    return Hyperfield.quotient(p, subgroup)

@@ -47,16 +47,33 @@ def hyperfield_from_json(d, path="$.hyperfield") -> Hyperfield:
         if kind == "sign":
             return Hyperfield.sign()
         if kind == "field":
-            return Hyperfield.field(int(d["p"]))
+            return Hyperfield.field(_int_of(d["p"], f"{path}.p"))
         if kind == "tropical":
-            return Hyperfield.tropical(int(d.get("rank", 1)))
+            return Hyperfield.tropical(_int_of(d.get("rank", 1), f"{path}.rank"))
         if kind == "stringent":
-            return Hyperfield.stringent(d["residue"], int(d.get("rank", 1)), d.get("p"))
+            p = d.get("p")
+            if p is not None:
+                p = _int_of(p, f"{path}.p")
+            return Hyperfield.stringent(d["residue"], _int_of(d.get("rank", 1), f"{path}.rank"), p)
         if kind == "quotient":
-            return Hyperfield.quotient(int(d["p"]), d["subgroup"])
+            subgroup = _ints_of(d["subgroup"], f"{path}.subgroup")
+            return Hyperfield.quotient(_int_of(d["p"], f"{path}.p"), subgroup)
     except KeyError as exc:
         raise SpecError(f"{path}: missing key {exc}") from exc
     raise SpecError(f"{path}.kind: unknown hyperfield kind {kind!r}")
+
+
+def _int_of(value, path) -> int:
+    """``value`` itself if it is an exact integer; bools and floats are refused."""
+    if type(value) is not int:
+        raise SpecError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _ints_of(values, path) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise SpecError(f"{path}: expected a list of integers, got {values!r}")
+    return tuple(_int_of(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def element_to_json(H: Hyperfield, x: HElement):
@@ -77,12 +94,12 @@ def element_from_json(H: Hyperfield, d, path="$") -> HElement:
         return H.zero()
     if not isinstance(d, dict):
         raise SpecError(f'{path}: expected "0" or an object')
-    grade = tuple(d.get("g", ()))
+    grade = _ints_of(d.get("g", []), f"{path}.g")
     if len(grade) != H.rank:
         raise SpecError(f"{path}.g: expected {H.rank} grade coordinates")
     r = d.get("r")
     if H.residue_kind == "krasner":
-        if r not in (None, 1):
+        if r is not None and _int_of(r, f"{path}.r") != 1:
             raise SpecError(f"{path}.r: Krasner residues carry no unit label")
         residue = 1
     elif H.residue_kind == "sign":
@@ -93,7 +110,7 @@ def element_from_json(H: Hyperfield, d, path="$") -> HElement:
         else:
             raise SpecError(f'{path}.r: expected "+" or "-", got {r!r}')
     else:
-        residue = r
+        residue = _int_of(r, f"{path}.r")
     x = HElement(residue, grade)
     if not H.is_element(x):
         raise SpecError(f"{path}: {d!r} is not an element of the hyperfield")

@@ -31,12 +31,8 @@ from .hyperfields import HElement, Hyperfield
 CANDIDATE_BUDGET = 10**8
 
 
-def entry_candidates(field: Hyperfield, window: int) -> list[HElement]:
-    return field.elements_box(window)
-
-
 def check_budget(field: Hyperfield, ground, window: int, budget: int = CANDIDATE_BUDGET):
-    n = len(entry_candidates(field, window))
+    n = field.elements_box_size(window)
     total = n ** len(tuple(ground))
     if total > budget:
         raise ResourceLimitError(
@@ -48,7 +44,7 @@ def check_budget(field: Hyperfield, ground, window: int, budget: int = CANDIDATE
 def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     """All windowed vectors: orthogonal to every cocircuit representative."""
     check_budget(M.field, M.ground, window)
-    cands = entry_candidates(M.field, window)
+    cands = M.field.elements_box(window)
     cocircs = M.cocircuits.reps
     out = []
     for combo in itertools.product(cands, repeat=len(M.ground)):
@@ -61,7 +57,7 @@ def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
 def covectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     """All windowed covectors: every circuit representative is orthogonal to them."""
     check_budget(M.field, M.ground, window)
-    cands = entry_candidates(M.field, window)
+    cands = M.field.elements_box(window)
     circs = M.circuits.reps
     out = []
     for combo in itertools.product(cands, repeat=len(M.ground)):

@@ -148,6 +148,44 @@ def test_exit_code_2_on_malformed_input(tmp_path, capsys):
     assert "broken.json:1" in err
 
 
+@pytest.mark.parametrize("doc", [
+    '{"kind": "field", "p": "x"}',
+    '{"kind": "field", "p": 7.5}',
+    '{"kind": "field", "p": 7.0}',
+    '{"kind": "field", "p": true}',
+    '{"kind": "tropical", "rank": 1.5}',
+])
+def test_exit_code_2_on_non_integer_parameters(tmp_path, capsys, doc):
+    path = tmp_path / "field.json"
+    path.write_text(doc)
+    code = run(["check-hyperfield", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: $.") and err.count("\n") == 1
+
+
+def test_exit_code_2_on_bool_residue(tmp_path, capsys):
+    doc = {"hyperfield": {"kind": "field", "p": 5}, "ground": ["1", "2"],
+           "circuits": [[{"r": 1}, {"r": True}]]}
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    code = run(["matroid", "dual", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: $.circuits[0][1].r") and err.count("\n") == 1
+
+
+def test_exit_code_2_on_modulus_beyond_2_64(tmp_path, capsys):
+    doc = {"hyperfield": {"kind": "field", "p": 2**64 + 13}, "ground": ["1"],
+           "circuits": [[{"r": 1}]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = run(["matroid", "dual", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "below 2**64" in err and err.count("\n") == 1
+
+
 def test_exit_code_2_on_missing_flag(capsys, u23_sign_file):
     code = run(["matroid", "minor", u23_sign_file])
     assert code == 2

@@ -1,20 +1,22 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermat import (
+    DomainMismatchError,
     HElement,
     Hyperfield,
     InvalidHyperfieldError,
     InvalidSubgroupError,
     UnsupportedOperationError,
     check_stringent,
-    krasner_quotient,
     symset,
     validate_axioms,
 )
+from hypermat.hyperfields import is_prime
 
 K = Hyperfield.krasner()
 S = Hyperfield.sign()
@@ -53,8 +55,6 @@ def test_zero_absorbs():
 
 
 def test_domain_mismatch_rejected():
-    from hypermat import DomainMismatchError
-
     with pytest.raises(DomainMismatchError):
         S.mul(S.one(), F3.unit(2))
 
@@ -167,7 +167,7 @@ def test_compose_distributes_over_scaling():
 
 
 def test_compose_requires_stringency():
-    Q = krasner_quotient(7, [1, 2, 4])
+    Q = Hyperfield.quotient(7, [1, 2, 4])
     with pytest.raises(UnsupportedOperationError):
         Q.compose(Q.unit(1), Q.unit(1))
 
@@ -209,7 +209,7 @@ def test_catalog_passes_axioms():
 
 
 def test_quotient_gf7_passes_axioms():
-    Q = krasner_quotient(7, [1, 2, 4])
+    Q = Hyperfield.quotient(7, [1, 2, 4])
     assert validate_axioms(Q) == []
 
 
@@ -234,7 +234,7 @@ def test_check_stringent_catalog():
 
 
 def test_check_stringent_quotient_witness():
-    Q = krasner_quotient(7, [1, 2, 4])
+    Q = Hyperfield.quotient(7, [1, 2, 4])
     ok, witness = check_stringent(Q)
     assert not ok
     assert witness == (Q.unit(1), Q.unit(1))
@@ -245,7 +245,7 @@ def test_check_stringent_quotient_witness():
 
 
 def test_quotient_trivial_subgroup_is_field():
-    Q = krasner_quotient(3, [1])
+    Q = Hyperfield.quotient(3, [1])
     for a, b in itertools.product(Q.elements_box(0), repeat=2):
         assert Q.hyperadd(a, b).is_singleton()
     # the table is GF(3) itself: 1+1=2, 1+2=0
@@ -254,16 +254,101 @@ def test_quotient_trivial_subgroup_is_field():
 
 
 def test_quotient_full_group_is_krasner():
-    Q = krasner_quotient(3, [1, 2])
+    Q = Hyperfield.quotient(3, [1, 2])
     one = Q.unit(1)
     assert members(Q.hyperadd(one, one)) == {Q.zero(), one}
 
 
 def test_quotient_rejects_non_subgroup():
     with pytest.raises(InvalidSubgroupError):
-        krasner_quotient(7, [1, 2])
+        Hyperfield.quotient(7, [1, 2])
     with pytest.raises(InvalidSubgroupError):
-        krasner_quotient(7, [2, 4])
+        Hyperfield.quotient(7, [2, 4])
+
+
+# -- moduli and parameters ---------------------------------------------------
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if _trial_division(n)]
+
+
+def test_is_prime_on_pseudoprimes_and_large_primes():
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**12 + 39)
+    assert not is_prime(2**64 - 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Hyperfield.field(2**64 + 13),
+    lambda: Hyperfield.stringent("field", 1, p=2**64 + 13),
+    lambda: Hyperfield.quotient(2**64 + 13, [1]),
+    lambda: Hyperfield.field(7.0),
+    lambda: Hyperfield.field(True),
+    lambda: Hyperfield.stringent("field", 1, p=7.0),
+    lambda: Hyperfield.quotient(7.0, [1, 2, 4]),
+    lambda: Hyperfield.tropical(1.5),
+    lambda: Hyperfield.tropical(True),
+    lambda: Hyperfield.stringent("sign", rank=1.0),
+])
+def test_modulus_and_rank_must_be_small_exact_integers(build):
+    with pytest.raises(InvalidHyperfieldError):
+        build()
+
+
+def test_bool_and_float_residues_are_not_elements():
+    for H in STRINGENT_CATALOG + [Hyperfield.quotient(7, [1, 2, 4])]:
+        grade = (0,) * H.rank
+        assert H.is_element(HElement(1, grade))
+        assert not H.is_element(HElement(True, grade))
+        assert not H.is_element(HElement(1.0, grade))
+
+
+# -- large moduli ------------------------------------------------------------
+
+BIG = 2**31 - 1  # a Mersenne prime
+
+
+def test_large_modulus_ops_do_not_scale_with_p():
+    F = Hyperfield.field(BIG)
+    a, b = F.unit(3), F.unit(BIG - 3)
+    t0 = time.perf_counter()
+    for _ in range(100):
+        assert F.mul(a, a) == F.unit(9)
+        assert F.mul(a, b) == F.unit(BIG - 9)
+        assert F.mul(a, F.inv(a)) == F.one()
+        assert F.neg(a) == b
+        assert F.hyperadd(a, a).the_singleton() == F.unit(6)
+        assert F.hyperadd(a, b).the_singleton() == F.zero()
+        assert F.compose(a, F.unit(BIG - 1)) == F.unit(2)
+        assert F.compose(a, b) == F.zero()
+        assert F.sort_key(b) == (1, (), BIG - 4)
+        for r in (0, BIG, -1, True, 1.5):
+            assert not F.is_element(HElement(r))
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(DomainMismatchError):
+        F.unit(BIG)
+
+
+def test_sort_indices_and_tables_match_linear_scans():
+    Q = Hyperfield.quotient(7, [1, 2, 4])
+    old_units = {S: (1, -1), F3: (1, 2), Q: (1, 3), T1: (1,)}
+    for H, units in old_units.items():
+        assert tuple(H.residue_units()) == units
+        for r in units:
+            assert H.residue_sort_index(r) == units.index(r)
+    for a, b, v in Q._add:
+        assert Q._table_add(a, b) == frozenset(v)
+    for a, b, v in Q._mul:
+        assert Q._table_mul(a, b) == v
+    with pytest.raises(DomainMismatchError):
+        Q._table_add(1, 2)
 
 
 # -- symbolic sets -----------------------------------------------------------

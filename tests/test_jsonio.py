@@ -52,6 +52,40 @@ def test_element_errors_carry_location():
         jsonio.element_from_json(S, {"r": "+", "g": [1]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "field", "p": "x"},
+    {"kind": "field", "p": 7.5},
+    {"kind": "field", "p": 7.0},
+    {"kind": "field", "p": True},
+    {"kind": "tropical", "rank": 1.5},
+    {"kind": "stringent", "residue": "sign", "rank": True},
+    {"kind": "stringent", "residue": "field", "rank": 1, "p": 7.0},
+    {"kind": "quotient", "p": "7", "subgroup": [1, 2, 4]},
+    {"kind": "quotient", "p": 7, "subgroup": [1, "2", 4]},
+    {"kind": "quotient", "p": 7, "subgroup": "1,2,4"},
+])
+def test_non_integer_hyperfield_parameters_rejected(doc):
+    with pytest.raises(SpecError, match=r"^\$\.hyperfield\.(p|rank|subgroup)\S*: expected a.* integer"):
+        jsonio.hyperfield_from_json(doc)
+
+
+@pytest.mark.parametrize("H, doc", [
+    (Hyperfield.field(5), {"r": True}),
+    (Hyperfield.field(5), {"r": 1.5}),
+    (Hyperfield.field(5), {"r": 2.0}),
+    (Hyperfield.field(5), {}),
+    (Hyperfield.krasner(), {"r": True}),
+    (Hyperfield.quotient(7, [1, 2, 4]), {"r": True}),
+    (Hyperfield.tropical(1), {"g": [1.5]}),
+    (Hyperfield.tropical(1), {"g": [True]}),
+    (Hyperfield.tropical(1), {"g": 1}),
+    (Hyperfield.stringent("sign", 1), {"r": "+", "g": [0.0]}),
+])
+def test_inexact_element_numbers_rejected(H, doc):
+    with pytest.raises(SpecError, match=r"^\$\.here\.(r|g)\S*: expected a.* integer"):
+        jsonio.element_from_json(H, doc, "$.here")
+
+
 def test_matroid_round_trip():
     M = uniform_matroid(2, ("1", "2", "3"))
     doc = jsonio.matroid_to_json(M)

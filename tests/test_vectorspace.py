@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -77,6 +78,32 @@ def test_budget_estimator_refuses_large_runs():
     ground = tuple(str(i) for i in range(8))
     with pytest.raises(ResourceLimitError):
         check_budget(H, ground, 6)
+
+
+def test_budget_counts_the_candidate_box():
+    catalog = [
+        Hyperfield.krasner(), Hyperfield.sign(), Hyperfield.field(2), Hyperfield.field(7),
+        Hyperfield.tropical(1), Hyperfield.tropical(2), Hyperfield.stringent("sign", 1),
+        Hyperfield.stringent("sign", 2), Hyperfield.stringent("field", 1, p=3),
+        Hyperfield.quotient(7, [1, 2, 4]),
+    ]
+    for H in catalog:
+        for w in range(3):
+            n = len(H.elements_box(w))
+            assert H.elements_box_size(w) == n
+            assert check_budget(H, G3, w) == n**3
+
+
+def test_budget_refuses_large_modulus_without_allocating():
+    H = Hyperfield.field(2**31 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            check_budget(H, ("1", "2"), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- generation ----------------------------------------------------------------

@@ -49,6 +49,7 @@ from .hyperfields import (
     symset,
     validate_axioms,
 )
+from .jsonio import VERSION as __version__
 from .matroids import (
     ClassicalMatroid,
     enumerate_matroids,
@@ -71,5 +72,3 @@ from .vectorspace import (
     vectors_enumerate,
     vectors_generate,
 )
-
-__version__ = "0.1.0"

@@ -17,13 +17,16 @@ from . import acceptance, jsonio
 from .acceptance import CheckRecord, _jsonable
 from .errors import (
     HypermatError,
+    InvalidCircuitsError,
     InvalidHyperfieldError,
     InvalidInputError,
+    InvalidSignatureError,
     InvalidSubgroupError,
+    NotAnHMatroidError,
     ResourceLimitError,
     SpecError,
 )
-from .hmatroid import check_c3prime, check_circuit_axioms, perp_k
+from .hmatroid import check_circuit_axioms, perp_k
 from .homs import coset_map, sign_map, valuation_map, validate_homomorphism
 from .hyperfields import Hyperfield, check_stringent, validate_axioms
 from .jsonio import SCHEMA, VERSION
@@ -52,8 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=None,
                        help="grade window bound (default: HYPERMAT_WINDOW or 4)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallelism degree (recorded; results are identical)")
         p.add_argument("--max-ground", type=int, default=DEFAULT_MAX_GROUND,
                        help="refuse enumerations over larger ground sets")
 
@@ -107,7 +108,10 @@ def _window_of(args) -> int:
         window = args.window
     else:
         env = os.environ.get("HYPERMAT_WINDOW")
-        window = int(env) if env else DEFAULT_WINDOW
+        try:
+            window = int(env) if env else DEFAULT_WINDOW
+        except ValueError as exc:
+            raise SpecError(f"HYPERMAT_WINDOW: expected an integer, got {env!r}") from exc
     if window < 0:
         raise SpecError(f"window must be >= 0, got {window}")
     return window
@@ -134,6 +138,10 @@ def _emit(report, out_path) -> int:
     return 0 if all(c["status"] == "pass" for c in report["checks"]) else 1
 
 
+def _ms_since(t0) -> int:
+    return int((time.perf_counter() - t0) * 1000)
+
+
 def _timed(check, window, fn):
     t0 = time.perf_counter()
     try:
@@ -141,9 +149,17 @@ def _timed(check, window, fn):
         status, payload = "pass", witness
     except HypermatError as exc:
         status, payload = "fail", {"error": str(exc), "witness": _jsonable(getattr(exc, "witness", None))}
-    rec = CheckRecord(check, status, payload, window=window)
-    rec.elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return rec
+    return CheckRecord(check, status, payload, window=window, elapsed_ms=_ms_since(t0))
+
+
+def _json_object(flag, text) -> dict:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{flag}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise SpecError(f"{flag}: expected a JSON object")
+    return doc
 
 
 def _load_hmatroid(path, max_ground):
@@ -154,7 +170,10 @@ def _load_hmatroid(path, max_ground):
         raise ResourceLimitError(
             f"{path}: ground set exceeds --max-ground {max_ground}"
         )
-    return jsonio.hmatroid_from_json(doc, "$")
+    try:
+        return jsonio.hmatroid_from_json(doc, "$")
+    except (NotAnHMatroidError, InvalidSignatureError, InvalidCircuitsError) as exc:
+        raise SpecError(f"{path}: not a matroid over the hyperfield ({exc})") from exc
 
 
 def cmd_check_hyperfield(args) -> int:
@@ -190,8 +209,9 @@ def cmd_quotient(args) -> int:
         subgroup = [int(s) for s in args.subgroup.split(",") if s]
     except ValueError as exc:
         raise SpecError(f"--subgroup: expected comma-separated integers ({exc})") from exc
-    H = Hyperfield.quotient(args.p, subgroup)
-    checks = [_timed("axioms", window, lambda: None)]  # construction validates
+    t0 = time.perf_counter()
+    H = Hyperfield.quotient(args.p, subgroup)  # construction validates the axioms
+    checks = [CheckRecord("axioms", "pass", window=window, elapsed_ms=_ms_since(t0))]
     f = coset_map(args.p, subgroup)
     def run_hom():
         violations = validate_homomorphism(f, window)
@@ -282,13 +302,9 @@ def cmd_matroid(args) -> int:
         checks.append(CheckRecord("minor", "pass", None, window=window))
     elif verb == "rescale":
         M = _load_hmatroid(args.file, args.max_ground)
-        try:
-            rho_doc = json.loads(args.rho)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"--rho: invalid JSON ({exc.msg})") from exc
         rho = {
             e: jsonio.element_from_json(M.field, v, f"--rho[{e}]")
-            for e, v in rho_doc.items()
+            for e, v in _json_object("--rho", args.rho).items()
         }
         try:
             result = jsonio.hmatroid_to_json(M.rescale(rho))
@@ -297,9 +313,11 @@ def cmd_matroid(args) -> int:
         checks.append(CheckRecord("rescale", "pass", None, window=window))
     elif verb == "residue":
         M = _load_hmatroid(args.file, args.max_ground)
-        checks.append(_timed("residue construction", window, lambda: None))
-        M0 = M.residue_matroid()
-        result = jsonio.hmatroid_to_json(M0)
+        def run():
+            nonlocal result
+            result = jsonio.hmatroid_to_json(M.residue_matroid())
+            return None
+        checks.append(_timed("residue construction", window, run))
     elif verb == "vectors":
         if args.enumerate == args.generate:
             raise SpecError("vectors needs exactly one of --enumerate or --generate")
@@ -340,10 +358,9 @@ def cmd_matroid(args) -> int:
         checks.append(_timed("pushforward", window, run))
     elif verb == "farkas":
         M = _load_hmatroid(args.file, args.max_ground)
-        try:
-            parts = json.loads(args.partition)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"--partition: invalid JSON ({exc.msg})") from exc
+        parts = _json_object("--partition", args.partition)
+        if not all(isinstance(v, list) and all(isinstance(e, str) for e in v) for v in parts.values()):
+            raise SpecError("--partition: expected lists of element labels")
         for key in ("R", "G", "B"):
             parts.setdefault(key, [])
         def run():

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .homs import Homomorphism, valuation_map
-from .hyperfields import Grade, HElement, Hyperfield, SymbolicSet, symset
+from .hyperfields import Grade, HElement, Hyperfield, SymbolicSet
 from .matroids import ClassicalMatroid, from_circuits
 
 
@@ -271,10 +271,11 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
                     if entries[e] is not None and entries[f] is None:
                         entries[f] = _forced_entry(H, sig.side, rep[e], rep[f], entries[e])
                         pending = True
-        unassigned = [e for e in d_elems if entries[e] is None]
-        if unassigned:
-            entries = _seed_components(H, sig, D, entries, d_elems)
-        vec = hvector(H, ground, {e: v for e, v in entries.items() if v is not None})
+        if any(v is None for v in entries.values()):
+            raise NotAnHMatroidError(
+                "cocircuit propagation leaves entries unassigned", witness=sorted(D)
+            )
+        vec = hvector(H, ground, entries)
         duals.append(normalize_vector(vec, out_side))
     dual_sig = signature_from_vectors(H, ground, duals, out_side)
     ok, witness = perp_k(sig, dual_sig, 3)
@@ -288,73 +289,6 @@ def _forced_entry(H, side, x_e, x_f, y_e):
     if side == "left":
         return H.mul(H.inv(x_f), H.neg(H.mul(x_e, y_e)))
     return H.mul(H.neg(H.mul(y_e, x_e)), H.inv(x_f))
-
-
-def _seed_components(H, sig, D, entries, d_elems):
-    """Disconnected propagation: try grade-0 units for one seed per component.
-
-    Cannot occur for genuine matroid cocircuits (two elements of a cocircuit
-    always lie on a circuit meeting it twice); kept for totality.
-    """
-    comps = []
-    seen = set(e for e in d_elems if entries[e] is not None)
-    for e in d_elems:
-        if e in seen:
-            continue
-        comp = {e}
-        grown = True
-        while grown:
-            grown = False
-            for rep in sig.reps:
-                meet = rep.support & D
-                if len(meet) == 2 and meet & comp and not meet <= comp | seen:
-                    comp |= meet
-                    grown = True
-        seen |= comp
-        comps.append(sorted(comp, key=d_elems.index))
-    zero_grade = (0,) * H.rank
-    candidates = [dict(entries)]
-    for comp in comps:
-        seeded = []
-        for cand in candidates:
-            for r in H.residue_units():
-                trial = dict(cand)
-                trial[comp[0]] = HElement(r, zero_grade)
-                pending = True
-                while pending:
-                    pending = False
-                    for rep in sig.reps:
-                        meet = rep.support & D
-                        if len(meet) != 2:
-                            continue
-                        a, b = sorted(meet)
-                        for e, f in ((a, b), (b, a)):
-                            if e in trial and trial[e] is not None and trial.get(f) is None:
-                                trial[f] = _forced_entry(H, sig.side, rep[e], rep[f], trial[e])
-                                pending = True
-                seeded.append(trial)
-        candidates = seeded
-    survivors = []
-    ground = sig.ground
-    for cand in candidates:
-        if any(v is None for v in cand.values()):
-            continue
-        vec = hvector(H, ground, cand)
-        ok = True
-        for rep in sig.reps:
-            if len(rep.support & D) <= 2:
-                good = perp(rep, vec) if sig.side == "left" else perp(vec, rep)
-                if not good:
-                    ok = False
-                    break
-        if ok:
-            survivors.append(cand)
-    if len(survivors) != 1:
-        raise NotAnHMatroidError(
-            "disconnected cocircuit propagation is inconsistent or ambiguous",
-            witness=sorted(D),
-        )
-    return survivors[0]
 
 
 def perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
@@ -405,9 +339,6 @@ class HMatroid:
     def vector_perp(self, V: HVector, Y: HVector) -> bool:
         """Orthogonality with the circuit-side vector as left factor."""
         return perp(V, Y) if self.side == "left" else perp(Y, V)
-
-    def covector_perp(self, X: HVector, U: HVector) -> bool:
-        return perp(X, U) if self.side == "left" else perp(U, X)
 
     def delete(self, e: str) -> "HMatroid":
         keep = tuple(g for g in self.ground if g != e)

@@ -314,10 +314,6 @@ class Hyperfield:
     # -- structure ----------------------------------------------------
 
     @property
-    def is_graded(self) -> bool:
-        return self.rank > 0
-
-    @property
     def is_stringent(self) -> bool:
         if self.kind != "quotient":
             return True
@@ -535,10 +531,6 @@ class SymbolicSet:
     def contains_zero(self) -> bool:
         return self.field.zero() in self.explicit
 
-    @property
-    def is_finite(self) -> bool:
-        return self.below is None
-
     def is_singleton(self) -> bool:
         return self.below is None and len(self.explicit) == 1
 
@@ -631,13 +623,6 @@ class SymbolicSet:
         below = grade_add(self.below, a.grade) if self.below is not None else None
         return symset(H, exp, below)
 
-    def negate(self) -> "SymbolicSet":
-        H = self.field
-        return symset(H, {H.neg(x) for x in self.explicit}, self.below)
-
-    def nonzero_part(self) -> "SymbolicSet":
-        return symset(self.field, [x for x in self.explicit if not x.is_zero], self.below)
-
     def elements_within(self, window: int) -> list[HElement]:
         """All members whose grades lie in the window box (exact on that box)."""
         H = self.field
@@ -649,9 +634,6 @@ class SymbolicSet:
                     out.extend(HElement(r, g) for r in H.residue_units())
         seen = sorted(set(out), key=H.sort_key)
         return seen
-
-    def size(self):
-        return len(self.explicit) if self.below is None else float("inf")
 
     def sorted_explicit(self) -> list[HElement]:
         return sorted(self.explicit, key=self.field.sort_key)

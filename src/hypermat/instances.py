@@ -123,15 +123,6 @@ def windowed_instances() -> list[tuple[str, HMatroid]]:
     return inst
 
 
-def tropical_generation_instances() -> list[tuple[str, HMatroid]]:
-    T = Hyperfield.tropical(1)
-    return [
-        ("T-U23(2,2,1)", graded_rescaled(T, u23(), {"1": 2, "2": 2, "3": 1})),
-        ("T-U24(0,0,0,0)", graded_rescaled(T, u24(), {e: 0 for e in GROUND4})),
-        ("T-U24(1,0,0,1)", graded_rescaled(T, u24(), {"1": 1, "2": 0, "3": 0, "4": 1})),
-    ]
-
-
 def corrupted_signatures(count: int = 20):
     """Deterministically corrupted graded signatures for the (C3)' agreement check.
 

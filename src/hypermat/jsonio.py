@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import SpecError
-from .hmatroid import HMatroid, HVector, hmatroid_from_circuits, hvector
+from .hmatroid import HMatroid, HVector, hmatroid_from_circuits
 from .hyperfields import HElement, Hyperfield
 from .matroids import ClassicalMatroid, from_circuits
 

@@ -162,6 +162,25 @@ def enumerate_matroids(ground) -> list[ClassicalMatroid]:
     return out
 
 
+def _painting_violation(ground, C, D):
+    """The first (M1) or (M2) violation of the pair, or None."""
+    for c in C:
+        for d in D:
+            if len(c & d) == 1:
+                return {"axiom": "M1", "pair": (sorted(c), sorted(d))}
+    for g in ground:
+        rest = [e for e in ground if e != g]
+        for bits in range(2 ** len(rest)):
+            red = {e for i, e in enumerate(rest) if bits >> i & 1}
+            blue = set(rest) - red
+            if any(g in c and c <= red | {g} for c in C):
+                continue
+            if any(g in d and d <= blue | {g} for d in D):
+                continue
+            return {"axiom": "M2", "green": g, "red": sorted(red), "blue": sorted(blue)}
+    return None
+
+
 def minty_check(ground, circuits, cocircuits):
     """Painting validator: (M0) incomparability, (M1) no single-point meets,
     (M2) every one-green painting is covered by a circuit or a cocircuit.
@@ -175,26 +194,8 @@ def minty_check(ground, circuits, cocircuits):
         for a, b in itertools.combinations(fam, 2):
             if a <= b or b <= a:
                 return False, {"axiom": "M0", "family": name, "pair": (sorted(a), sorted(b))}
-    for c in C:
-        for d in D:
-            if len(c & d) == 1:
-                return False, {"axiom": "M1", "pair": (sorted(c), sorted(d))}
-    for g in ground:
-        rest = [e for e in ground if e != g]
-        for bits in range(2 ** len(rest)):
-            red = {e for i, e in enumerate(rest) if bits >> i & 1}
-            blue = set(rest) - red
-            if any(g in c and c <= red | {g} for c in C):
-                continue
-            if any(g in d and d <= blue | {g} for d in D):
-                continue
-            return False, {
-                "axiom": "M2",
-                "green": g,
-                "red": sorted(red),
-                "blue": sorted(blue),
-            }
-    return True, None
+    witness = _painting_violation(ground, C, D)
+    return witness is None, witness
 
 
 def _minimal_nonempty(family):
@@ -210,22 +211,9 @@ def minty_minimalize(ground, circuits, cocircuits) -> ClassicalMatroid:
     ground = tuple(ground)
     C = [frozenset(c) for c in circuits]
     D = [frozenset(d) for d in cocircuits]
-    for c in C:
-        for d in D:
-            if len(c & d) == 1:
-                raise InvalidPairError("(M1) fails", witness=(sorted(c), sorted(d)))
-    for g in ground:
-        rest = [e for e in ground if e != g]
-        for bits in range(2 ** len(rest)):
-            red = {e for i, e in enumerate(rest) if bits >> i & 1}
-            blue = set(rest) - red
-            if any(g in c and c <= red | {g} for c in C):
-                continue
-            if any(g in d and d <= blue | {g} for d in D):
-                continue
-            raise InvalidPairError(
-                "(M2) fails", witness={"green": g, "red": sorted(red), "blue": sorted(blue)}
-            )
+    witness = _painting_violation(ground, C, D)
+    if witness is not None:
+        raise InvalidPairError(f"({witness['axiom']}) fails", witness=witness)
     c_min = _minimal_nonempty(C)
     d_min = _minimal_nonempty(D)
     matroid = from_circuits(ground, c_min)

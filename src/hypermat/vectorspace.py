@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    HypermatError,
     InvalidInputError,
     InvalidSignatureError,
     ResourceLimitError,
@@ -55,16 +56,8 @@ def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
 
 
 def covectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
-    """All windowed covectors: every circuit representative is orthogonal to them."""
-    check_budget(M.field, M.ground, window)
-    cands = M.field.elements_box(window)
-    circs = M.circuits.reps
-    out = []
-    for combo in itertools.product(cands, repeat=len(M.ground)):
-        U = HVector(M.field, M.ground, combo)
-        if all(M.covector_perp(X, U) for X in circs):
-            out.append(U)
-    return frozenset(out)
+    """All windowed covectors: the vectors of the dual."""
+    return vectors_enumerate(M.dual(), window)
 
 
 def compose_vectors(V: HVector, W: HVector) -> HVector:
@@ -151,7 +144,7 @@ def _vector_hypersum(vectors) -> HVector | None:
 def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
     """Check every windowed vector against every windowed covector."""
     vs = vectors_enumerate(M, window) if vectors is None else vectors
-    us = covectors_enumerate(M, window) if covectors is None else covectors
+    us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
     for V in sorted(vs, key=lambda v: v.sort_key()):
         for U in sorted(us, key=lambda u: u.sort_key()):
             if not M.vector_perp(V, U):

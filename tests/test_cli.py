@@ -54,20 +54,23 @@ def test_matroid_check_passes(capsys, u23_sign_file):
     assert "cocircuit synthesis (Theorem 2)" in names
 
 
+# U_{2,4} with every circuit all-plus: (C0)-(C2) hold, but it is no matroid over Sign
+NOT_A_MATROID = {
+    "hyperfield": {"kind": "sign"},
+    "ground": ["1", "2", "3", "4"],
+    "side": "left",
+    "circuits": [
+        [{"r": "+"}, {"r": "+"}, {"r": "+"}, "0"],
+        [{"r": "+"}, {"r": "+"}, "0", {"r": "+"}],
+        [{"r": "+"}, "0", {"r": "+"}, {"r": "+"}],
+        ["0", {"r": "+"}, {"r": "+"}, {"r": "+"}],
+    ],
+}
+
+
 def test_matroid_check_fails_on_bad_signature(tmp_path, capsys):
-    bad = {
-        "hyperfield": {"kind": "sign"},
-        "ground": ["1", "2", "3", "4"],
-        "side": "left",
-        "circuits": [
-            [{"r": "+"}, {"r": "+"}, {"r": "+"}, "0"],
-            [{"r": "+"}, {"r": "+"}, "0", {"r": "+"}],
-            [{"r": "+"}, "0", {"r": "+"}, {"r": "+"}],
-            ["0", {"r": "+"}, {"r": "+"}, {"r": "+"}],
-        ],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(NOT_A_MATROID))
     code, doc = run_json(capsys, ["matroid", "check", str(path)])
     assert code == 1
     status = {c["check"]: c["status"] for c in doc["checks"]}
@@ -191,6 +194,55 @@ def test_exit_code_2_on_missing_flag(capsys, u23_sign_file):
     assert code == 2
 
 
+def _one_line_error(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", [["dual"], ["minor", "--delete", "1"], ["minor", "--contract", "1"]])
+def test_exit_code_2_on_non_matroid_signature(tmp_path, capsys, verb):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(NOT_A_MATROID))
+    assert run(["matroid", *verb, str(path)]) == 2
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flag", [
+    ["rescale", "--rho", "[1]"],
+    ["farkas", "--partition", "[1]"],
+    ["farkas", "--partition", '{"G": 1}'],
+])
+def test_exit_code_2_on_json_flag_that_is_no_object(capsys, u23_sign_file, flag):
+    assert run(["matroid", *flag, u23_sign_file]) == 2
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("p, subgroup", [("8", "1"), ("7", "1,3")])
+def test_quotient_bad_inputs_exit_2(capsys, p, subgroup):
+    assert run(["quotient", "--p", p, "--subgroup", subgroup]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_residue_refusal_is_a_failing_record(tmp_path, capsys):
+    Q = Hyperfield.quotient(7, [1, 2, 4])
+    one = Q.one()
+    M = hmatroid_from_circuits(Q, G3, [hvector(Q, G3, {e: one for e in G3})])
+    path = tmp_path / "quot.json"
+    path.write_text(dumps(hmatroid_to_json(M)))
+    code, doc = run_json(capsys, ["matroid", "residue", str(path)])
+    assert code == 1
+    [check] = doc["checks"]
+    assert check["check"] == "residue construction" and check["status"] == "fail"
+    assert "graded" in check["witness"]["error"]
+    assert doc["result"] is None
+
+
+def test_jobs_flag_is_gone(u23_sign_file):
+    with pytest.raises(SystemExit) as exc:
+        run(["matroid", "dual", "--jobs", "2", u23_sign_file])
+    assert exc.value.code == 2
+
+
 def test_suite_criteria_validation(capsys):
     assert run(["suite", "--criteria", "x"]) == 2
     assert run(["suite", "--criteria", "99"]) == 2
@@ -223,6 +275,9 @@ def test_window_env_override(capsys, u23_sign_file, monkeypatch):
     monkeypatch.setenv("HYPERMAT_WINDOW", "2")
     code, doc = run_json(capsys, ["matroid", "perfect", u23_sign_file])
     assert doc["window"] == 2
+    monkeypatch.setenv("HYPERMAT_WINDOW", "two")
+    assert run(["matroid", "perfect", u23_sign_file]) == 2
+    assert _one_line_error(capsys)
 
 
 def _strip_elapsed(doc):

@@ -195,6 +195,19 @@ def test_vector_axioms_trivial_set(sign):
     assert report == []
 
 
+def test_vector_axioms_report_when_reconstruction_fails(sign):
+    # (+,+,0) and (+,-,0) share a support, so reconstruction refuses the set;
+    # the checker must still return its report instead of raising
+    one, m = sign.one(), sign.neg(sign.one())
+    vs = [
+        zero_vector(sign, G3),
+        hvector(sign, G3, {"1": one, "2": one}),
+        hvector(sign, G3, {"1": one, "2": m}),
+    ]
+    report = check_vector_axioms(vs, 0)
+    assert report
+
+
 def test_reconstruct_recovers_circuits(u23_sign, u24_sign, trop_u23):
     for M, w in ((u23_sign, 0), (u24_sign, 0), (trop_u23, 3)):
         rec = reconstruct_from_vectors(vectors_enumerate(M, w), window=w)

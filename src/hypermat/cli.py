@@ -170,10 +170,7 @@ def _load_hmatroid(path, max_ground):
         raise ResourceLimitError(
             f"{path}: ground set exceeds --max-ground {max_ground}"
         )
-    try:
-        return jsonio.hmatroid_from_json(doc, "$")
-    except (NotAnHMatroidError, InvalidSignatureError, InvalidCircuitsError) as exc:
-        raise SpecError(f"{path}: not a matroid over the hyperfield ({exc})") from exc
+    return jsonio.hmatroid_from_json(doc, "$")
 
 
 def cmd_check_hyperfield(args) -> int:
@@ -412,8 +409,15 @@ def run(argv=None) -> int:
         return 2
 
 
-def main():
-    sys.exit(run())
+def main(argv=None):
+    # run() lets a document that is no matroid over its hyperfield raise its
+    # typed error; the command line reports it in one line
+    try:
+        code = run(argv)
+    except (NotAnHMatroidError, InvalidSignatureError, InvalidCircuitsError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

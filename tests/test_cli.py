@@ -3,7 +3,8 @@ import json
 import pytest
 
 from hypermat import Hyperfield, hmatroid_from_circuits, hvector
-from hypermat.cli import run
+from hypermat.cli import main, run
+from hypermat.errors import NotAnHMatroidError
 from hypermat.jsonio import dumps, hmatroid_to_json
 
 G3 = ("1", "2", "3")
@@ -203,7 +204,12 @@ def _one_line_error(capsys) -> bool:
 def test_exit_code_2_on_non_matroid_signature(tmp_path, capsys, verb):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(NOT_A_MATROID))
-    assert run(["matroid", *verb, str(path)]) == 2
+    with pytest.raises(NotAnHMatroidError):
+        run(["matroid", *verb, str(path)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["matroid", *verb, str(path)])
+    assert exit_info.value.code == 2
     assert _one_line_error(capsys)
 
 

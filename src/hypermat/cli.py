@@ -358,8 +358,14 @@ def cmd_matroid(args) -> int:
         parts = _json_object("--partition", args.partition)
         if not all(isinstance(v, list) and all(isinstance(e, str) for e in v) for v in parts.values()):
             raise SpecError("--partition: expected lists of element labels")
+        unknown = set(parts) - {"R", "G", "B"}
+        if unknown:
+            raise SpecError(f"--partition: unknown keys {sorted(unknown)}; expected R, G and B")
         for key in ("R", "G", "B"):
             parts.setdefault(key, [])
+        R, G, B = (set(parts[key]) for key in ("R", "G", "B"))
+        if R & G or R & B or G & B or R | G | B != set(M.ground):
+            raise SpecError("--partition: R, G and B must partition the ground set")
         def run():
             nonlocal result
             w = farkas_witness(M, parts, window, weak=args.weak)

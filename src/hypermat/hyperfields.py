@@ -53,6 +53,12 @@ class HElement:
         return f"u({self.residue},{','.join(map(str, self.grade))})"
 
 
+# Most cosets a quotient hyperfield may have.  Its tables have one entry per
+# pair of elements and construction checks the axioms on every triple, so
+# the index sets the cost: at this bound construction takes under ten seconds.
+MAX_QUOTIENT_INDEX = 32
+
+
 # The first 12 primes: a Miller-Rabin test with these bases is exact below
 # 3.3 * 10**24, which covers every modulus below 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -205,6 +211,12 @@ class Hyperfield:
         for a, b in itertools.product(G, G):
             if (a * b) % p not in G:
                 raise InvalidSubgroupError(f"subgroup not closed: {a}*{b} mod {p} = {(a * b) % p}")
+        index = (p - 1) // len(G)
+        if index > MAX_QUOTIENT_INDEX:
+            raise InvalidSubgroupError(
+                f"quotient of GF({p}) by a subgroup of order {len(G)} has {index} cosets; "
+                f"at most {MAX_QUOTIENT_INDEX} are supported"
+            )
         cosets = {}
         for r in range(1, p):
             cosets.setdefault(frozenset((r * g) % p for g in G), None)
@@ -471,12 +483,7 @@ class Hyperfield:
         """Single-valued surrogate for hyperaddition on a stringent hyperfield."""
         if not self.is_stringent:
             raise UnsupportedOperationError(f"{self!r} is not stringent; compose undefined")
-        s = self.hyperadd(a, b)
-        elt = s.the_singleton()
-        if elt is not None:
-            return elt
-        # a = -b: keep a for Krasner/sign residues, collapse to 0 over a field.
-        return a if a in s else self.zero()
+        return composition(a, self.hyperadd(a, b))
 
     # -- valuation and enumeration ---------------------------------------
 
@@ -643,6 +650,15 @@ class SymbolicSet:
         if self.below is None:
             return "{" + items + "}"
         return "{" + items + f"}}∪(<{self.below})"
+
+
+def composition(a: HElement, s: SymbolicSet) -> HElement:
+    """``compose(a, b)`` read off the hypersum ``s = a + b``."""
+    elt = s.the_singleton()
+    if elt is not None:
+        return elt
+    # a = -b: keep a for Krasner/sign residues, collapse to 0 over a field.
+    return a if a in s else s.field.zero()
 
 
 def _max_below(a: Grade | None, b: Grade | None) -> Grade | None:

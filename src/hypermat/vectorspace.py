@@ -9,10 +9,12 @@ partition dichotomy, vector elimination, and circuit decompositions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    DomainMismatchError,
     HypermatError,
     InvalidInputError,
     InvalidSignatureError,
@@ -27,7 +29,7 @@ from .hmatroid import (
     normalize_vector,
     zero_vector,
 )
-from .hyperfields import HElement, Hyperfield
+from .hyperfields import HElement, Hyperfield, SymbolicSet, composition
 
 CANDIDATE_BUDGET = 10**8
 
@@ -65,10 +67,12 @@ def compose_vectors(V: HVector, W: HVector) -> HVector:
     return HVector(H, V.ground, tuple(H.compose(a, b) for a, b in zip(V.entries, W.entries)))
 
 
+def _in_box(x: HElement, window: int) -> bool:
+    return x.is_zero or all(abs(c) <= window for c in x.grade)
+
+
 def _within_box(V: HVector, window: int) -> bool:
-    return all(
-        x.is_zero or all(abs(c) <= window for c in x.grade) for x in V.entries
-    )
+    return all(_in_box(x, window) for x in V.entries)
 
 
 def _grade_spread(sig) -> int:
@@ -104,8 +108,9 @@ def vectors_generate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
         new = set()
         for V in layer:
             for W in pool:
-                if closed_supports or compose_vectors(V, W).support == V.support | W.support:
-                    new.add(compose_vectors(V, W))
+                VW = compose_vectors(V, W)
+                if closed_supports or VW.support == V.support | W.support:
+                    new.add(VW)
         layer = new - results
         results |= layer
     if residue in ("sign", "field"):
@@ -145,8 +150,9 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
     """Check every windowed vector against every windowed covector."""
     vs = vectors_enumerate(M, window) if vectors is None else vectors
     us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
+    us = sorted(us, key=lambda u: u.sort_key())
     for V in sorted(vs, key=lambda v: v.sort_key()):
-        for U in sorted(us, key=lambda u: u.sort_key()):
+        for U in us:
             if not M.vector_perp(V, U):
                 return False, (V, U)
     return True, None
@@ -163,12 +169,17 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left") -> list[di
     fits the box; eliminants whose entries dip below the box are verified
     directly against the cocircuits of the reconstructed matroid, so that
     box truncation never produces spurious failures.
+
+    Hypersums are computed once per pair of entries (see ``_EntryTable``),
+    and (V3) only visits pairs of vectors with opposite entries somewhere.
     """
     vectors = frozenset(vectors)
     if not vectors:
         return [{"check": "V0", "witness": None}]
     some = next(iter(vectors))
     H, ground = some.field, some.ground
+    if any(V.field != H or V.ground != ground for V in vectors):
+        raise DomainMismatchError("vectors live over different hyperfields or grounds")
     report = []
     if zero_vector(H, ground) not in vectors:
         report.append({"check": "V0", "witness": None})
@@ -179,85 +190,174 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left") -> list[di
         except HypermatError:
             recon = None
     scalars = H.units_box(2 * window) if H.rank else H.units_box(0)
-    for V in sorted(vectors, key=lambda v: v.sort_key()):
-        for a in scalars:
-            aV = V.scale_left(a) if side == "left" else V.scale_right(a)
-            if _within_box(aV, window) and aV not in vectors:
-                report.append({"check": "V1", "witness": {"a": a, "V": V}})
-    residue = H.residue_kind
     ordered = sorted(vectors, key=lambda v: v.sort_key())
-    for V, W in itertools.product(ordered, ordered):
-        VW = compose_vectors(V, W)
-        support_ok = VW.support == V.support | W.support
-        if residue in ("krasner", "sign") or support_ok:
-            if _within_box(VW, window) and VW not in vectors:
+    table = _EntryTable(ordered, window)
+    rows, present = table.rows, table.present
+    scaled = table.scalings(scalars, side)
+    for V, v in zip(ordered, rows):
+        for a, products in zip(scalars, scaled):
+            aV = tuple([products[c] for c in v])
+            if None not in aV and aV not in present:
+                report.append({"check": "V1", "witness": {"a": a, "V": V}})
+    table.add_pairs()
+    field = H.residue_kind == "field"
+    for V, v in zip(ordered, rows):
+        composed = [table.composed[a] for a in v]
+        singles = [table.single_in_box[a] for a in v]
+        for W, w in zip(ordered, rows):
+            VW = tuple([c[b] for c, b in zip(composed, w)])
+            if None not in VW and VW not in present:
                 report.append({"check": "V2'", "witness": {"V": V, "W": W}})
-        if residue == "field":
-            total = _vector_hypersum((V, W))
-            if total is not None and _within_box(total, window) and total not in vectors:
-                report.append({"check": "V2''", "witness": {"V": V, "W": W}})
+            if field:
+                total = tuple([s[b] for s, b in zip(singles, w)])
+                if None not in total and total not in present:
+                    report.append({"check": "V2''", "witness": {"V": V, "W": W}})
     slack = window + _grade_spread(recon.circuits) + 1 if recon is not None else window
-    for i, V in enumerate(ordered):
-        for W in ordered[i:]:
-            for e in ground:
-                ve, we = V[e], W[e]
-                if ve.is_zero or H.neg(ve) != we:
-                    continue
-                if not _v3_eliminant_exists(vectors, V, W, e, window, recon, slack):
-                    report.append({"check": "V3", "witness": {"V": V, "W": W, "e": e}})
+    zero = table.zero
+    negated = {a: table.code(H.neg(table.elements[a])) for a in set().union(*rows) if a != zero}
+    # holders[k][a]: ascending positions of the vectors with entry a at coordinate k
+    holders = [{} for _ in ground]
+    for j, row in enumerate(rows):
+        for k, a in enumerate(row):
+            holders[k].setdefault(a, []).append(j)
+    for i, (V, v) in enumerate(zip(ordered, rows)):
+        hits = []
+        for k, a in enumerate(v):
+            if a != zero:
+                js = holders[k].get(negated[a], ())
+                hits.extend((j, k) for j in js[bisect.bisect_left(js, i):])
+        for j, k in sorted(hits):
+            if not _v3_eliminant_exists(table, v, rows[j], k, recon, slack):
+                report.append({"check": "V3", "witness": {"V": V, "W": ordered[j], "e": ground[k]}})
     return report
 
 
-def _v3_eliminant_exists(vectors, V, W, e, window, recon, slack) -> bool:
-    H = V.field
-    ground = V.ground
-    sums = [H.hyperadd(a, b) for a, b in zip(V.entries, W.entries)]
-    fixed = {}
-    free = []
-    for i, s in enumerate(sums):
-        elt = s.the_singleton()
-        if elt is not None:
-            fixed[i] = elt
-        elif ground[i] == e:
-            fixed[i] = H.zero()
-        else:
-            free.append(i)
-    ei = ground.index(e)
-    if ei in fixed and not fixed[ei].is_zero:
+class _EntryTable:
+    """One vector set with its entries coded as small ints, plus entry-pair sums.
+
+    Lives for one ``check_vector_axioms`` call.  ``rows`` holds the coded
+    entries of each vector and ``present`` their set.  ``add_pairs`` computes
+    the hypersum of every pair of entries that meets at some coordinate once;
+    those are exactly the pairs that composing every two vectors computes.
+    Per pair ``a, b`` (codes), ``composed[a][b]`` is the code of the
+    composition when (V2') asks for it at that coordinate, that is when it is
+    inside the window box and, over a field residue, keeps the union support;
+    else None.  ``single_in_box[a][b]`` is the code of a singleton hypersum
+    inside the box, else None, for (V2'').
+    """
+
+    def __init__(self, ordered, window: int):
+        some = ordered[0]
+        self.field = some.field
+        self.ground = some.ground
+        self.window = window
+        self.elements: list[HElement] = []
+        self.in_box: list[bool] = []
+        self._codes: dict[HElement, int] = {}
+        self.zero = self.code(self.field.zero())
+        self.rows = [tuple(map(self.code, V.entries)) for V in ordered]
+        self.present = set(self.rows)
+        self.sums: dict[int, dict[int, SymbolicSet]] = {}
+        self.single: dict[int, dict[int, int | None]] = {}
+        self.single_in_box: dict[int, dict[int, int | None]] = {}
+        self.composed: dict[int, dict[int, int | None]] = {}
+        self._within: dict[tuple[int, int, int], list[int]] = {}
+
+    def scalings(self, scalars, side: str) -> list[list[int | None]]:
+        """Per scalar a, the code of a·x (x·a on the right side) for every entry
+        code x of the vectors, or None where the product leaves the window box."""
+        H = self.field
+        entries = list(self.elements)
+        out = []
+        for a in scalars:
+            products = [self.code(H.mul(a, x) if side == "left" else H.mul(x, a)) for x in entries]
+            out.append([c if self.in_box[c] else None for c in products])
+        return out
+
+    def add_pairs(self):
+        H = self.field
+        closed_supports = H.residue_kind in ("krasner", "sign")
+        checked = False
+        for column in zip(*self.rows):
+            met = sorted(set(column))
+            for a in met:
+                sums = self.sums.setdefault(a, {})
+                single = self.single.setdefault(a, {})
+                single_in_box = self.single_in_box.setdefault(a, {})
+                composed = self.composed.setdefault(a, {})
+                x = self.elements[a]
+                for b in met:
+                    if b in sums:
+                        continue
+                    y = self.elements[b]
+                    s = sums[b] = H.hyperadd(x, y)
+                    elt = s.the_singleton()
+                    single[b] = c = None if elt is None else self.code(elt)
+                    single_in_box[b] = c if c is not None and self.in_box[c] else None
+                    # the first pair goes through H.compose, which refuses a
+                    # hyperfield that is not stringent
+                    xy = composition(x, s) if checked else H.compose(x, y)
+                    checked = True
+                    keeps = not xy.is_zero or (x.is_zero and y.is_zero)
+                    c = self.code(xy)
+                    composed[b] = c if (closed_supports or keeps) and self.in_box[c] else None
+
+    def code(self, x: HElement) -> int:
+        c = self._codes.get(x)
+        if c is None:
+            c = self._codes[x] = len(self.elements)
+            self.elements.append(x)
+            self.in_box.append(_in_box(x, self.window))
+        return c
+
+    def within(self, a: int, b: int, radius: int) -> list[int]:
+        """Codes of the members of the sum of a and b inside the radius box, sorted."""
+        key = (a, b, radius)
+        if key not in self._within:
+            self._within[key] = [self.code(x) for x in self.sums[a][b].elements_within(radius)]
+        return self._within[key]
+
+
+def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
+    zero = table.zero
+    pairs = list(zip(v, w))
+    fixed = [table.single[a][b] for a, b in pairs]
+    if fixed[ei] is not None and fixed[ei] != zero:
         return False
+    free = [i for i, c in enumerate(fixed) if c is None and i != ei]
+    base = [zero if c is None else c for c in fixed]
     # cheapest first: all-zero choice on the cancelling coordinates
-    base = [fixed.get(i, H.zero()) for i in range(len(ground))]
-    candidate = HVector(H, ground, tuple(base))
-    if all(b in s for b, s in zip(candidate.entries, sums)) and candidate in vectors:
+    if tuple(base) in table.present and all(
+        table.sums[a][b].contains_zero for (a, b), c in zip(pairs, fixed) if c is None
+    ):
         return True
-    choices = [sums[i].elements_within(window) for i in free]
+    choices = [table.within(*pairs[i], table.window) for i in free]
     total = 1
     for c in choices:
         total *= len(c)
-    if total <= max(len(vectors), 1):
+    if total <= max(len(table.rows), 1):
         for picks in itertools.product(*choices):
-            entries = list(base)
-            for i, val in zip(free, picks):
-                entries[i] = val
-            Z = HVector(H, ground, tuple(entries))
-            if Z in vectors:
+            for i, c in zip(free, picks):
+                base[i] = c
+            if tuple(base) in table.present:
                 return True
     else:
-        for Z in vectors:
-            if Z[e].is_zero and all(z in s for z, s in zip(Z.entries, sums)):
+        elements = table.elements
+        sums = [table.sums[a][b] for a, b in pairs]
+        for z in table.rows:
+            if z[ei] == zero and all(elements[c] in s for c, s in zip(z, sums)):
                 return True
-    if recon is None or H.rank == 0:
+    if recon is None or table.field.rank == 0:
         return False
     # no in-box member: look for an eliminant whose entries escape the box
-    deep = [sums[i].elements_within(slack) for i in free]
+    deep = [table.within(*pairs[i], slack) for i in free]
     for picks in itertools.product(*deep):
-        entries = list(base)
-        for i, val in zip(free, picks):
-            entries[i] = val
-        Z = HVector(H, ground, tuple(entries))
+        for i, c in zip(free, picks):
+            base[i] = c
+        Z = HVector(table.field, table.ground, tuple(table.elements[c] for c in base))
         if not all(recon.vector_perp(Z, Y) for Y in recon.cocircuits.reps):
             continue
-        return not _within_box(Z, window)
+        return not all(table.in_box[c] for c in base)
     return False
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -223,9 +224,29 @@ def test_exit_code_2_on_json_flag_that_is_no_object(capsys, u23_sign_file, flag)
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("partition", [
+    '{"X": ["1"]}',
+    '{"G": ["1", "2"]}',
+    '{"G": ["1", "2", "3"], "R": ["1"]}',
+    '{"G": ["1", "2", "3", "9"]}',
+    '{"G": ["1", "2", "3"], "X": []}',
+])
+def test_farkas_partition_that_is_no_partition_exits_2(capsys, u23_sign_file, partition):
+    # checked before the timed search, so it is a usage error, not a failing record
+    assert run(["matroid", "farkas", "--partition", partition, u23_sign_file]) == 2
+    assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("p, subgroup", [("8", "1"), ("7", "1,3")])
 def test_quotient_bad_inputs_exit_2(capsys, p, subgroup):
     assert run(["quotient", "--p", p, "--subgroup", subgroup]) == 2
+    assert _one_line_error(capsys)
+
+
+def test_quotient_of_large_index_exits_2(capsys):
+    t0 = time.perf_counter()
+    assert run(["quotient", "--p", str(10**12 + 39), "--subgroup", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert _one_line_error(capsys)
 
 

@@ -16,7 +16,7 @@ from hypermat import (
     symset,
     validate_axioms,
 )
-from hypermat.hyperfields import is_prime
+from hypermat.hyperfields import MAX_QUOTIENT_INDEX, is_prime
 
 K = Hyperfield.krasner()
 S = Hyperfield.sign()
@@ -257,6 +257,17 @@ def test_quotient_full_group_is_krasner():
     Q = Hyperfield.quotient(3, [1, 2])
     one = Q.unit(1)
     assert members(Q.hyperadd(one, one)) == {Q.zero(), one}
+
+
+def test_quotient_refuses_large_index_before_building_cosets():
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidSubgroupError):
+        Hyperfield.quotient(10**12 + 39, [1])
+    assert time.perf_counter() - t0 < 1.0
+    # GF(67) by {1, -1}: one coset more than the bound
+    assert (67 - 1) // 2 == MAX_QUOTIENT_INDEX + 1
+    with pytest.raises(InvalidSubgroupError):
+        Hyperfield.quotient(67, [1, 66])
 
 
 def test_quotient_rejects_non_subgroup():

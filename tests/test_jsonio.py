@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from hypermat import Hyperfield, SpecError, uniform_matroid
+from hypermat import Hyperfield, SpecError, __version__, uniform_matroid
 from hypermat import jsonio
 
 
@@ -109,3 +111,14 @@ def test_hmatroid_requires_hyperfield_key():
 def test_unknown_kind_rejected():
     with pytest.raises(SpecError, match="unknown hyperfield kind"):
         jsonio.hyperfield_from_json({"kind": "phase"})
+
+
+def test_package_version_is_read_from_jsonio():
+    # pyproject.toml keeps no copy of its own: setuptools reads jsonio.VERSION
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hypermat.jsonio.VERSION"}
+    assert __version__ == jsonio.VERSION

@@ -210,14 +210,20 @@ def normalize_vector(vec: HVector, side: str) -> HVector:
 
 
 def signature_from_vectors(field, ground, vectors, side="left") -> CircuitSignature:
-    """Validate (C0) and (C2) and store normalized class representatives."""
+    """Validate (C0) and (C2) and store normalized class representatives.
+
+    This is where circuit vectors enter a matroid, so every entry is checked
+    for membership in the hyperfield here and nowhere downstream.
+    """
     ground = tuple(ground)
     by_support: dict[frozenset, HVector] = {}
     for v in vectors:
-        if v.is_zero:
-            raise InvalidSignatureError("(C0) fails: zero vector in signature", witness=v)
         if v.ground != ground or v.field != field:
             raise DomainMismatchError("signature vector over the wrong ground or hyperfield")
+        if not all(map(field.is_element, v.entries)):
+            raise DomainMismatchError(f"signature vector {v!r} has an entry outside {field!r}")
+        if v.is_zero:
+            raise InvalidSignatureError("(C0) fails: zero vector in signature", witness=v)
         rep = normalize_vector(v, side)
         old = by_support.get(rep.support)
         if old is not None and old != rep:
@@ -357,7 +363,7 @@ class HMatroid:
         """Circuits pick up rho^{-1} on the circuit side, cocircuits pick up rho."""
         H = self.field
         for e in self.ground:
-            if e not in rho or rho[e].is_zero:
+            if e not in rho or H.require(rho[e]).is_zero:
                 raise InvalidInputError("scaling vector must be nonzero everywhere")
         inv = {e: H.inv(rho[e]) for e in self.ground}
 

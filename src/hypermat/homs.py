@@ -23,7 +23,6 @@ class Homomorphism:
     table: tuple | None = None
 
     def apply(self, x: HElement) -> HElement:
-        self.domain.require(x)
         if x.is_zero:
             return self.codomain.zero()
         if self.kind == "identity":
@@ -72,8 +71,8 @@ def table_map(domain: Hyperfield, codomain: Hyperfield, mapping) -> Homomorphism
 
 def coset_map(p: int, subgroup) -> Homomorphism:
     """The canonical map GF(p) -> GF(p)/G sending r to its coset label."""
-    dom = Hyperfield.field(p)
     cod = Hyperfield.quotient(p, subgroup)
+    dom = Hyperfield.field(p)
     label_of = {}
     for lab in cod.residue_units():
         for g in cod.subgroup:

@@ -9,6 +9,13 @@ exact; only full enumeration needs a caller-supplied grade window.
 The catalog covers the Krasner hyperfield, the sign hyperfield, prime fields
 GF(p), the tropical hyperfield over Z^k, stringent extensions of sign or
 field residues by Z^k, and finite quotient hyperfields given by tables.
+
+Membership is checked once, where elements enter: ``Hyperfield.unit``,
+``hvector``, the JSON reader, and matroid construction and rescaling all
+call ``Hyperfield.require`` (or ``is_element``).  The operations (``mul``,
+``inv``, ``neg``, ``hyperadd``, ``SymbolicSet.add_element``) assume their
+arguments are elements of the hyperfield and do not check them again; the
+raw ``HElement(...)`` and ``HVector(...)`` constructors are unchecked too.
 """
 
 from __future__ import annotations
@@ -125,7 +132,7 @@ class Hyperfield:
         "_hash",
     )
 
-    def __init__(self, kind, p=None, rank=0, subgroup=None, tables=None, validate=True):
+    def __init__(self, kind, p=None, rank=0, subgroup=None, tables=None):
         # Canonicalize: stringent with Krasner residue is the tropical hyperfield,
         # and any rank-0 graded kind collapses to its residue.
         if kind == "stringent" and rank == 0:
@@ -163,7 +170,7 @@ class Hyperfield:
         self._init_units()
         self._descriptor = (self.kind, self.p, self.rank, self.subgroup, self._elements, self._add, self._mul)
         self._hash = hash(self._descriptor)
-        if kind == "quotient" and validate:
+        if kind == "quotient":
             report = validate_axioms(self)
             if report:
                 raise InvalidHyperfieldError(
@@ -239,12 +246,12 @@ class Hyperfield:
         return cls("quotient", p=p, subgroup=G, tables=tables)
 
     @classmethod
-    def from_tables(cls, elements, add, mul, validate=True) -> "Hyperfield":
+    def from_tables(cls, elements, add, mul) -> "Hyperfield":
         """Finite hyperfield from explicit tables; element 0 is zero, 1 is the unit."""
         elements = tuple(elements)
         add = {(a, b): frozenset(v) for (a, b), v in add.items()}
         mul = dict(mul)
-        return cls("quotient", tables=(elements, add, mul), validate=validate)
+        return cls("quotient", tables=(elements, add, mul))
 
     def _init_tables(self, tables):
         elements, add, mul = tables
@@ -369,7 +376,8 @@ class Hyperfield:
             return x.grade == ()
         # Exact ints only: a bool would pass as 1, and a float would turn
         # range membership into a linear scan.
-        return len(x.grade) == self.rank and type(r) is int and r in self._units
+        grade_ok = len(x.grade) == self.rank and all(type(g) is int for g in x.grade)
+        return grade_ok and type(r) is int and r in self._units
 
     def require(self, x: HElement) -> HElement:
         if not self.is_element(x):
@@ -434,27 +442,21 @@ class Hyperfield:
     # -- element operations --------------------------------------------
 
     def mul(self, a: HElement, b: HElement) -> HElement:
-        self.require(a)
-        self.require(b)
         if a.is_zero or b.is_zero:
             return self.zero()
         return HElement(self.residue_mul(a.residue, b.residue), grade_add(a.grade, b.grade))
 
     def inv(self, a: HElement) -> HElement:
-        self.require(a)
         if a.is_zero:
             raise DomainMismatchError("zero has no inverse")
         return HElement(self.residue_inv(a.residue), grade_neg(a.grade))
 
     def neg(self, a: HElement) -> HElement:
-        self.require(a)
         if a.is_zero:
             return a
         return HElement(self.residue_neg(a.residue), a.grade)
 
     def hyperadd(self, a: HElement, b: HElement) -> "SymbolicSet":
-        self.require(a)
-        self.require(b)
         if a.is_zero:
             return symset(self, [b])
         if b.is_zero:
@@ -485,11 +487,7 @@ class Hyperfield:
             raise UnsupportedOperationError(f"{self!r} is not stringent; compose undefined")
         return composition(a, self.hyperadd(a, b))
 
-    # -- valuation and enumeration ---------------------------------------
-
-    def valuation(self, a: HElement) -> Grade | None:
-        """Grade of a unit; None is the bottom element attached to zero."""
-        return None if a.is_zero else a.grade
+    # -- enumeration -----------------------------------------------------
 
     def grades_box(self, window: int):
         return itertools.product(range(-window, window + 1), repeat=self.rank)
@@ -577,7 +575,6 @@ class SymbolicSet:
     def add_element(self, x: HElement) -> "SymbolicSet":
         """Lifted hyperaddition with the singleton {x}."""
         H = self.field
-        H.require(x)
         if x.is_zero:
             return self
         parts = [H.hyperadd(s, x) for s in self.explicit]

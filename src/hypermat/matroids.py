@@ -33,10 +33,6 @@ class ClassicalMatroid:
     def corank(self) -> int:
         return len(self.ground) - self.rank
 
-    def is_independent(self, subset) -> bool:
-        s = frozenset(subset)
-        return not any(c <= s for c in self.circuits)
-
     def is_spanning(self, subset) -> bool:
         s = frozenset(subset)
         return any(b <= s for b in self.bases)

@@ -321,10 +321,9 @@ class _EntryTable:
 def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
     zero = table.zero
     pairs = list(zip(v, w))
+    # w[ei] = -v[ei], so by (H1) a singleton sum at ei is {0}
     fixed = [table.single[a][b] for a, b in pairs]
-    if fixed[ei] is not None and fixed[ei] != zero:
-        return False
-    free = [i for i, c in enumerate(fixed) if c is None and i != ei]
+    free =[i for i, c in enumerate(fixed) if c is None and i != ei]
     base = [zero if c is None else c for c in fixed]
     # cheapest first: all-zero choice on the cancelling coordinates
     if tuple(base) in table.present and all(
@@ -497,8 +496,6 @@ def decompose_vector(M: HMatroid, V: HVector, window: int = 2) -> list[HVector]:
     if not all(M.vector_perp(V, Y) for Y in M.cocircuits.reps):
         raise InvalidInputError("input is not a vector of the matroid")
     if V.is_zero:
-        return []
-    if not V.support:
         return []
     norm = normalize_vector(V, M.circuits.side)
     if norm in M.circuits.reps:

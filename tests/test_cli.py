@@ -169,6 +169,22 @@ def test_exit_code_2_on_non_integer_parameters(tmp_path, capsys, doc):
     assert err.startswith("error: $.") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc", [
+    '{"kind": "field", "p": 4}',
+    '{"kind": "stringent", "residue": "field", "p": 9, "rank": 1}',
+    '{"kind": "tropical", "rank": -1}',
+])
+def test_check_hyperfield_exits_2_on_invalid_hyperfield(tmp_path, capsys, doc):
+    # the same one-line refusal the matroid verbs give for this hyperfield
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert run(["check-hyperfield", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    path.write_text(json.dumps({"hyperfield": json.loads(doc), "ground": ["1"], "circuits": [["0"]]}))
+    assert run(["matroid", "dual", str(path)]) == 2
+    assert _one_line_error(capsys)
+
+
 def test_exit_code_2_on_bool_residue(tmp_path, capsys):
     doc = {"hyperfield": {"kind": "field", "p": 5}, "ground": ["1", "2"],
            "circuits": [[{"r": 1}, {"r": True}]]}
@@ -262,6 +278,20 @@ def test_residue_refusal_is_a_failing_record(tmp_path, capsys):
     assert check["check"] == "residue construction" and check["status"] == "fail"
     assert "graded" in check["witness"]["error"]
     assert doc["result"] is None
+
+
+def test_vectors_generate_over_non_stringent_hyperfield_exits_2(tmp_path, capsys):
+    doc = {"hyperfield": {"kind": "quotient", "p": 7, "subgroup": [1, 2, 4]},
+           "ground": list(G3),
+           "circuits": [[{"r": 1}, {"r": 3}, "0"], [{"r": 1}, "0", {"r": 3}], ["0", {"r": 1}, {"r": 3}]]}
+    path = tmp_path / "quot-u13.json"
+    path.write_text(json.dumps(doc))
+    assert run(["matroid", "vectors", "--generate", str(path)]) == 2
+    assert _one_line_error(capsys)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["matroid", "vectors", "--generate", str(path)])
+    assert exit_info.value.code == 2
+    assert _one_line_error(capsys)
 
 
 def test_jobs_flag_is_gone(u23_sign_file):

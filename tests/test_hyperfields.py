@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from hypermat import (
     DomainMismatchError,
     HElement,
+    HVector,
     Hyperfield,
     InvalidHyperfieldError,
     InvalidSubgroupError,
     UnsupportedOperationError,
     check_stringent,
+    hmatroid_from_circuits,
+    hvector,
     symset,
     validate_axioms,
 )
@@ -55,8 +58,18 @@ def test_zero_absorbs():
 
 
 def test_domain_mismatch_rejected():
+    # membership is checked where elements enter, not by the operations
+    foreign = F3.unit(2)
+    G = ("a", "b")
     with pytest.raises(DomainMismatchError):
-        S.mul(S.one(), F3.unit(2))
+        S.unit(2)
+    with pytest.raises(DomainMismatchError):
+        hvector(S, G, {"a": S.one(), "b": foreign})
+    with pytest.raises(DomainMismatchError):
+        hmatroid_from_circuits(S, G, [HVector(S, G, (S.one(), foreign))])
+    M = hmatroid_from_circuits(S, G, [hvector(S, G, {"a": S.one(), "b": S.one()})])
+    with pytest.raises(DomainMismatchError):
+        M.rescale({"a": S.one(), "b": foreign})
 
 
 # -- hyperaddition -----------------------------------------------------------
@@ -220,11 +233,9 @@ def test_corrupted_table_reports_empty_hypersum():
         (1, 1): frozenset(),
     }
     mul = {(a, b): a * b for a in elements for b in elements}
-    H = Hyperfield.from_tables(elements, add, mul, validate=False)
-    report = validate_axioms(H)
-    assert any(r["check"] == "hypersum-nonempty" for r in report)
-    with pytest.raises(InvalidHyperfieldError):
+    with pytest.raises(InvalidHyperfieldError) as exc:
         Hyperfield.from_tables(elements, add, mul)
+    assert any(r["check"] == "hypersum-nonempty" for r in exc.value.violations)
 
 
 def test_check_stringent_catalog():
@@ -319,6 +330,14 @@ def test_bool_and_float_residues_are_not_elements():
         assert H.is_element(HElement(1, grade))
         assert not H.is_element(HElement(True, grade))
         assert not H.is_element(HElement(1.0, grade))
+
+
+def test_bool_and_float_grades_are_not_elements():
+    for H in (T1, SS1, SF31):
+        assert not H.is_element(HElement(1, (0.5,)))
+        assert not H.is_element(HElement(1, (True,)))
+        with pytest.raises(DomainMismatchError):
+            H.unit(1, (1.0,))
 
 
 # -- large moduli ------------------------------------------------------------

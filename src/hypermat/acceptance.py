@@ -333,7 +333,6 @@ def criterion_10(ctx) -> CheckRecord:
     count = 0
     for name, M in ctx.family() + ctx.windowed():
         w = ctx.instance_window(M)
-        pool = ctx.vectors(M, w)
         for colors in itertools.product("RGB", repeat=len(M.ground)):
             parts = {"R": [], "G": [], "B": []}
             for e, c in zip(M.ground, colors):

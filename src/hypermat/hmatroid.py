@@ -94,8 +94,16 @@ class HVector:
 
 
 def hvector(field: Hyperfield, ground, mapping) -> HVector:
-    """Vector from a dict element -> HElement; missing entries are zero."""
+    """Vector from a dict element -> HElement; missing entries are zero.
+
+    Keys outside the ground set are refused, not dropped.
+    """
     ground = tuple(ground)
+    stray = set(mapping).difference(ground)
+    if stray:
+        raise DomainMismatchError(
+            "entries for elements outside the ground set: " + ", ".join(sorted(map(repr, stray)))
+        )
     z = field.zero()
     return HVector(field, ground, tuple(field.require(mapping.get(e, z)) for e in ground))
 

@@ -1,10 +1,13 @@
 """Vectors and covectors of matroids over hyperfields.
 
-Enumeration is windowed and budget-checked; generation follows the stringent
-fast paths (composition closure and singleton hypersums of scaled circuits,
-capped at corank many factors) and must agree with enumeration on the same
-window.  Also: perfection, the vector axioms with reconstruction, the
-partition dichotomy, vector elimination, and circuit decompositions.
+Enumeration is windowed and budget-checked, and prunes on cocircuit
+supports: coordinates are assigned depth first, and each cocircuit is
+tested as soon as its support is assigned.  Generation follows the
+stringent fast paths (composition closure and singleton hypersums of scaled
+circuits, capped at corank many factors) and must agree with enumeration
+on the same window.  Also: perfection (checked on scaling classes), the
+vector axioms with reconstruction, the partition dichotomy, vector
+elimination, and circuit decompositions.
 """
 
 from __future__ import annotations
@@ -45,16 +48,68 @@ def check_budget(field: Hyperfield, ground, window: int, budget: int = CANDIDATE
 
 
 def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
-    """All windowed vectors: orthogonal to every cocircuit representative."""
+    """All windowed vectors: the box points orthogonal to every cocircuit.
+
+    Coordinates are assigned depth first, in the order of ``_closing_order``.
+    ``perp(V, Y)`` reads V only on the support of Y, so each cocircuit
+    representative is tested, on both vectors restricted to its support, as
+    soon as the last coordinate of that support is assigned; a failing test
+    cuts off every completion of the partial assignment.  Coordinates in no
+    cocircuit support (the loops) are never tested and range over the box.
+    The budget bounds the box, not the work done, which is usually far less.
+    """
     check_budget(M.field, M.ground, window)
-    cands = M.field.elements_box(window)
-    cocircs = M.cocircuits.reps
+    H, ground = M.field, M.ground
+    box = H.elements_box(window)
+    order, closing = _closing_order(M)
+    entries = [H.zero()] * len(ground)
     out = []
-    for combo in itertools.product(cands, repeat=len(M.ground)):
-        V = HVector(M.field, M.ground, combo)
-        if all(M.vector_perp(V, Y) for Y in cocircs):
-            out.append(V)
+
+    def assign(depth):
+        if depth == len(order):
+            out.append(HVector(H, ground, tuple(entries)))
+            return
+        i = order[depth]
+        for x in box:
+            entries[i] = x
+            if all(
+                M.vector_perp(HVector(H, sub, tuple([entries[j] for j in at])), Y)
+                for at, sub, Y in closing[depth]
+            ):
+                assign(depth + 1)
+
+    assign(0)
     return frozenset(out)
+
+
+def _closing_order(M: HMatroid):
+    """A coordinate order that closes cocircuit supports early, and the tests
+    due at each depth.
+
+    Greedy and deterministic: the next coordinate is the least unassigned
+    index of the support with the fewest unassigned indices (ties go to the
+    lexicographically least index list).  Loops come last, in index order.
+    ``closing[d]`` lists ``(indices, ground, Y)`` for each cocircuit
+    representative whose support closes at depth d, with Y restricted to it.
+    """
+    ground = M.ground
+    supports = [
+        [i for i, x in enumerate(Y.entries) if not x.is_zero] for Y in M.cocircuits.reps
+    ]
+    order: list[int] = []
+    while True:
+        open_ = [[i for i in s if i not in order] for s in supports]
+        open_ = [s for s in open_ if s]
+        if not open_:
+            break
+        order.append(min(open_, key=lambda s: (len(s), s))[0])
+    order += [i for i in range(len(ground)) if i not in order]
+    depth = {i: d for d, i in enumerate(order)}
+    closing = [[] for _ in order]
+    for at, Y in zip(supports, M.cocircuits.reps):
+        sub = tuple(ground[i] for i in at)
+        closing[max(depth[i] for i in at)].append((at, sub, Y.restrict(sub)))
+    return order, closing
 
 
 def covectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
@@ -147,9 +202,22 @@ def _vector_hypersum(vectors) -> HVector | None:
 
 
 def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
-    """Check every windowed vector against every windowed covector."""
+    """Is every windowed vector orthogonal to every windowed covector?
+
+    Checked on scaling classes.  Scaling the left factor of a pairing by a
+    and the right factor by b turns its value S into a·S·b, and 0 ∈ S iff
+    0 ∈ a·S·b.  So the normalized classes of the nonzero vectors (on the
+    matroid's side) are tested against those of the nonzero covectors (on
+    the dual's side); zero is orthogonal to everything.  Only when a class
+    pair fails are the vectors and covectors scanned pairwise in sort order,
+    so the witness is the least failing pair.
+    """
     vs = vectors_enumerate(M, window) if vectors is None else vectors
     us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
+    v_classes = {normalize_vector(V, M.side) for V in vs if not V.is_zero}
+    u_classes = {normalize_vector(U, M.cocircuits.side) for U in us if not U.is_zero}
+    if all(M.vector_perp(V, U) for V in v_classes for U in u_classes):
+        return True, None
     us = sorted(us, key=lambda u: u.sort_key())
     for V in sorted(vs, key=lambda v: v.sort_key()):
         for U in us:
@@ -323,7 +391,7 @@ def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
     pairs = list(zip(v, w))
     # w[ei] = -v[ei], so by (H1) a singleton sum at ei is {0}
     fixed = [table.single[a][b] for a, b in pairs]
-    free =[i for i, c in enumerate(fixed) if c is None and i != ei]
+    free = [i for i, c in enumerate(fixed) if c is None and i != ei]
     base = [zero if c is None else c for c in fixed]
     # cheapest first: all-zero choice on the cancelling coordinates
     if tuple(base) in table.present and all(

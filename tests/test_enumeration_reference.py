@@ -1,0 +1,170 @@
+"""The pruned enumerator and class-level perfection against brute force.
+
+``reference_vectors_enumerate`` and ``reference_is_perfect`` are the earlier
+``vectors_enumerate`` and ``is_perfect``, kept verbatim as a test-only
+oracle: the first builds an ``HVector`` for every point of the window box
+and tests it against every cocircuit, the second tests every vector against
+every covector in sort order.  The new code must return the same vector
+sets, and the same verdicts and witnesses, on the battery's instances and
+their duals, on the family's single-element minors, on hand-made edge cases
+and on sets with a foreign vector or covector added.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from hypermat import (
+    HVector,
+    Hyperfield,
+    coset_map,
+    hmatroid_from_circuits,
+    hvector,
+    is_perfect,
+    vectors_enumerate,
+)
+from hypermat.acceptance import AcceptanceContext
+from hypermat.hmatroid import HMatroid
+from hypermat.vectorspace import check_budget
+
+
+def reference_vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
+    """All windowed vectors: orthogonal to every cocircuit representative."""
+    check_budget(M.field, M.ground, window)
+    cands = M.field.elements_box(window)
+    cocircs = M.cocircuits.reps
+    out = []
+    for combo in itertools.product(cands, repeat=len(M.ground)):
+        V = HVector(M.field, M.ground, combo)
+        if all(M.vector_perp(V, Y) for Y in cocircs):
+            out.append(V)
+    return frozenset(out)
+
+
+def reference_is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
+    """Check every windowed vector against every windowed covector."""
+    vs = reference_vectors_enumerate(M, window) if vectors is None else vectors
+    us = reference_vectors_enumerate(M.dual(), window) if covectors is None else covectors
+    us = sorted(us, key=lambda u: u.sort_key())
+    for V in sorted(vs, key=lambda v: v.sort_key()):
+        for U in us:
+            if not M.vector_perp(V, U):
+                return False, (V, U)
+    return True, None
+
+
+def _assert_same_vectors(M, window):
+    want = reference_vectors_enumerate(M, window)
+    assert vectors_enumerate(M, window) == want
+    return want
+
+
+@pytest.fixture(scope="module")
+def battery():
+    """(name, M, window, vectors, covectors) for every battery instance."""
+    ctx = AcceptanceContext()
+    out = []
+    for name, M in ctx.family() + ctx.windowed():
+        w = ctx.instance_window(M)
+        vs = _assert_same_vectors(M, w)
+        us = _assert_same_vectors(M.dual(), w)
+        out.append((name, M, w, vs, us))
+    return out
+
+
+def test_same_vectors_and_verdicts_on_battery_instances_and_duals(battery):
+    assert len(battery) == 90
+    for name, M, w, vs, us in battery:
+        assert is_perfect(M, w, vs, us) == reference_is_perfect(M, w, vs, us) == (True, None), name
+        assert is_perfect(M.dual(), w, us, vs) == (True, None), name
+
+
+def test_same_vectors_on_single_element_minors():
+    for name, M in AcceptanceContext().family():
+        for e in M.ground:
+            _assert_same_vectors(M.contract(e), 0)
+            _assert_same_vectors(M.delete(e), 0)
+
+
+def _foreign(rng, M, window, vs):
+    """A seeded box point of M that is not one of its vectors."""
+    box = M.field.elements_box(window)
+    while True:
+        V = HVector(M.field, M.ground, tuple(rng.choice(box) for _ in M.ground))
+        if V not in vs:
+            return V
+
+
+def test_same_witness_with_a_foreign_vector_or_covector(battery):
+    rng = random.Random(6)
+    failing = 0
+    for name, M, w, vs, us in battery:
+        cases = [
+            (vs | {_foreign(rng, M, w, vs)}, us),
+            (vs, us | {_foreign(rng, M.dual(), w, us)}),
+        ]
+        for vectors, covectors in cases:
+            got = is_perfect(M, w, vectors, covectors)
+            assert got == reference_is_perfect(M, w, vectors, covectors), name
+            failing += not got[0]
+    # the witness path is exercised, not only the verdict
+    assert failing > len(battery)
+
+
+def _loop_and_coloop(H):
+    # "1" is a loop, "4" a coloop, and "2", "3" are parallel
+    G4 = ("1", "2", "3", "4")
+    one = H.one()
+    vecs = [
+        hvector(H, G4, {"1": one}),
+        hvector(H, G4, {"2": one, "3": H.neg(one)}),
+    ]
+    return hmatroid_from_circuits(H, G4, vecs)
+
+
+def _right_side():
+    SS = Hyperfield.stringent("sign", 1)
+    G3 = ("1", "2", "3")
+    u = SS.unit
+    vecs = [hvector(SS, G3, {"1": u(1, (1,)), "2": u(-1, (0,)), "3": u(1, (1,))})]
+    return hmatroid_from_circuits(SS, G3, vecs, "right")
+
+
+def _quotient_u23():
+    F7 = Hyperfield.field(7)
+    G3 = ("1", "2", "3")
+    u = F7.unit
+    M = hmatroid_from_circuits(F7, G3, [hvector(F7, G3, {"1": u(1), "2": u(1), "3": u(6)})])
+    return M.push_forward(coset_map(7, [1, 2, 4]))
+
+
+@pytest.mark.parametrize(
+    "make, window",
+    [
+        (lambda: _loop_and_coloop(Hyperfield.sign()), 0),
+        (lambda: _loop_and_coloop(Hyperfield.tropical(1)), 1),
+        (_right_side, 1),
+        (_quotient_u23, 0),
+    ],
+    ids=["loop-coloop-sign", "loop-coloop-tropical", "right-side", "quotient"],
+)
+def test_same_results_on_edge_cases(make, window):
+    M = make()
+    for N in (M, M.dual()):
+        vs = _assert_same_vectors(N, window)
+        assert any(not V.is_zero for V in vs)
+        assert is_perfect(N, window) == reference_is_perfect(N, window)
+
+
+def test_single_element_and_empty_ground():
+    S = Hyperfield.sign()
+    loop = hmatroid_from_circuits(S, ("1",), [hvector(S, ("1",), {"1": S.one()})])
+    coloop = hmatroid_from_circuits(S, ("1",), [])
+    for M in (loop, coloop):
+        for N in (M, M.dual()):
+            _assert_same_vectors(N, 0)
+            assert is_perfect(N, 0) == reference_is_perfect(N, 0) == (True, None)
+    empty = hmatroid_from_circuits(S, (), [])
+    assert vectors_enumerate(empty, 0) == reference_vectors_enumerate(empty, 0)
+    assert vectors_enumerate(empty, 0) == frozenset({HVector(S, (), ())})

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermat import (
+    DomainMismatchError,
     HElement,
     Hyperfield,
     HVector,
@@ -29,6 +30,16 @@ from hypermat import (
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
+
+
+# -- vectors -----------------------------------------------------------------
+
+
+def test_hvector_refuses_keys_outside_the_ground_set(sign):
+    one = sign.one()
+    with pytest.raises(DomainMismatchError, match="'c'"):
+        hvector(sign, ("a", "b"), {"c": one, "a": one})
+    assert hvector(sign, ("a", "b"), {"a": one}).entries == (one, sign.zero())
 
 
 # -- pairing and orthogonality ----------------------------------------------

@@ -291,7 +291,7 @@ def criterion_8(ctx) -> CheckRecord:
     for name, M in ctx.family() + ctx.windowed():
         w = ctx.instance_window(M)
         vs = ctx.vectors(M, w)
-        report = check_vector_axioms(vs, w, M.side)
+        report = check_vector_axioms(vs, w, M.side, M)
         if report:
             failures.append({"instance": name, "axioms": report[:2]})
             continue

@@ -8,6 +8,7 @@ inputs, apart from the elapsed-ms fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--window", type=int, default=None,
                        help="grade window bound (default: HYPERMAT_WINDOW or 4)")
         p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--max-ground", type=int, default=DEFAULT_MAX_GROUND,
-                       help="refuse enumerations over larger ground sets")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -77,6 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         q = msub.add_parser(name, **kwargs)
         q.add_argument("file")
         common(q)
+        if name != "check":  # check reads its document without the limit
+            q.add_argument("--max-ground", type=int, default=DEFAULT_MAX_GROUND,
+                           help="refuse enumerations over larger ground sets")
         return q
 
     mverb("check", help="validate a circuit signature as an H-matroid")
@@ -327,7 +329,7 @@ def cmd_matroid(args) -> int:
         M = _load_hmatroid(args.file, args.max_ground)
         check_budget(M.field, M.ground, window)
         def run():
-            report = check_vector_axioms(vectors_enumerate(M, window), window, M.side)
+            report = check_vector_axioms(vectors_enumerate(M, window), window, M.side, M)
             if report:
                 raise HypermatError(f"vector axioms fail: {len(report)} violations")
             return None
@@ -384,9 +386,14 @@ def cmd_suite(args) -> int:
     return _emit(_report("suite", window, records), args.out)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "check-hyperfield":
             return cmd_check_hyperfield(args)

@@ -129,45 +129,54 @@ def pairing(X: HVector, Y: HVector) -> SymbolicSet:
 
 
 def perp(X: HVector, Y: HVector) -> bool:
-    """True iff 0 lies in the pairing; exact fast path on the graded catalog.
+    """True iff 0 lies in the pairing of X (left factor) and Y.
 
-    Zero is in a hypersum of units iff the residue-level sum of the
-    top-grade terms contains zero, which reduces to a count, a sign scan,
-    or a modular sum depending on the residue.
+    Computes the ``product_term`` of each nonzero product inline and decides
+    with ``zero_in_sum``, the rule that the enumerator and the perfection
+    check apply to their per-call term tables.
     """
     _check_compatible(X, Y)
     H = X.field
+    pairs = zip(X.entries, Y.entries)
     if H.kind == "quotient":
-        return pairing(X, Y).contains_zero
+        return zero_in_sum(H, [H.mul(x, y) for x, y in pairs if not (x.is_zero or y.is_zero)])
+    return zero_in_sum(H, [
+        (tuple([a + b for a, b in zip(x.grade, y.grade)]), x.residue * y.residue)
+        for x, y in pairs
+        if x.residue is not None and y.residue is not None  # both nonzero
+    ])
+
+
+def product_term(H: Hyperfield, x: HElement, y: HElement):
+    """What x·y adds to a pairing: None if it is zero, the product itself over
+    a quotient, else its grade and the product of the residue labels."""
+    if x.is_zero or y.is_zero:
+        return None
+    if H.kind == "quotient":
+        return H.mul(x, y)
+    return tuple([a + b for a, b in zip(x.grade, y.grade)]), x.residue * y.residue
+
+
+def zero_in_sum(H: Hyperfield, terms) -> bool:
+    """True iff 0 lies in the hypersum of the nonzero ``product_term`` values.
+
+    Over a quotient the hypersum is computed.  On the graded catalog, zero
+    is in a hypersum of units iff the residue-level sum of the top-grade
+    terms contains zero: at least two of them (Krasner), both signs (sign),
+    or a sum divisible by p (field).  No terms means the empty sum {0}.
+    """
+    if len(terms) < 2:
+        return not terms  # a single unit is not zero
+    if H.kind == "quotient":
+        return H.hyperadd_multi(terms).contains_zero
+    top = max(terms)[0]
+    residues = [r for g, r in terms if g == top]
     kind = H.residue_kind
-    top: Grade | None = None
-    count = 0
-    signs = 0
-    total = 0
-    any_product = False
-    for x, y in zip(X.entries, Y.entries):
-        if x.is_zero or y.is_zero:
-            continue
-        any_product = True
-        g = tuple(a + b for a, b in zip(x.grade, y.grade))
-        if top is None or g > top:
-            top = g
-            count, signs, total = 0, 0, 0
-        elif g < top:
-            continue
-        if kind == "krasner":
-            count += 1
-        elif kind == "sign":
-            signs |= 1 if x.residue * y.residue > 0 else 2
-        else:
-            total += x.residue * y.residue
-    if not any_product:
-        return True
     if kind == "krasner":
-        return count >= 2
+        return len(residues) >= 2
     if kind == "sign":
-        return signs == 3
-    return total % H.p == 0
+        return 1 in residues and -1 in residues
+    return sum(residues) % H.p == 0
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 Enumeration is windowed and budget-checked, and prunes on cocircuit
 supports: coordinates are assigned depth first, and each cocircuit is
-tested as soon as its support is assigned.  Generation follows the
-stringent fast paths (composition closure and singleton hypersums of scaled
-circuits, capped at corank many factors) and must agree with enumeration
-on the same window.  Also: perfection (checked on scaling classes), the
-vector axioms with reconstruction, the partition dichotomy, vector
-elimination, and circuit decompositions.
+tested, from product tables built for the call, as soon as its support is
+assigned.  Generation follows the stringent fast paths (composition
+closure and singleton hypersums of scaled circuits, capped at corank many
+factors) and must agree with enumeration on the same window.  Also:
+perfection (checked on scaling classes), the vector axioms with
+reconstruction, the partition dichotomy, vector elimination, and circuit
+decompositions.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .hmatroid import (
     hmatroid_from_circuits,
     hvector,
     normalize_vector,
+    product_term,
+    zero_in_sum,
     zero_vector,
 )
 from .hyperfields import HElement, Hyperfield, SymbolicSet, composition
@@ -50,36 +53,53 @@ def check_budget(field: Hyperfield, ground, window: int, budget: int = CANDIDATE
 def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     """All windowed vectors: the box points orthogonal to every cocircuit.
 
-    Coordinates are assigned depth first, in the order of ``_closing_order``.
-    ``perp(V, Y)`` reads V only on the support of Y, so each cocircuit
-    representative is tested, on both vectors restricted to its support, as
-    soon as the last coordinate of that support is assigned; a failing test
-    cuts off every completion of the partial assignment.  Coordinates in no
-    cocircuit support (the loops) are never tested and range over the box.
-    The budget bounds the box, not the work done, which is usually far less.
+    Coordinates are assigned depth first, in the order of ``_closing_order``,
+    as indices into the window box.  A cocircuit's pairing reads a vector
+    only on the cocircuit's support, so each cocircuit representative is
+    tested as soon as the last coordinate of its support is assigned; a
+    failing test cuts off every completion of the partial assignment.  The
+    test is a lookup: per support coordinate, a table built once per call
+    holds the ``product_term`` of every box element against the cocircuit's
+    entry, and ``zero_in_sum`` decides, as ``perp`` would.  An ``HVector`` is
+    built only for each vector found.  Coordinates in no cocircuit support
+    (the loops) are never tested and range over the box.  The budget bounds
+    the box, not the work done, which is usually far less.
     """
     check_budget(M.field, M.ground, window)
     H, ground = M.field, M.ground
     box = H.elements_box(window)
     order, closing = _closing_order(M)
-    entries = [H.zero()] * len(ground)
+    tests = [
+        [[(j, _terms(H, box, Y.entries[j], M.side)) for j in at] for at, Y in due]
+        for due in closing
+    ]
+    codes = [0] * len(ground)
     out = []
 
     def assign(depth):
         if depth == len(order):
-            out.append(HVector(H, ground, tuple(entries)))
+            out.append(HVector(H, ground, tuple([box[c] for c in codes])))
             return
         i = order[depth]
-        for x in box:
-            entries[i] = x
-            if all(
-                M.vector_perp(HVector(H, sub, tuple([entries[j] for j in at])), Y)
-                for at, sub, Y in closing[depth]
-            ):
+        due = tests[depth]
+        for c in range(len(box)):
+            codes[i] = c
+            for test in due:
+                if not zero_in_sum(H, [t for j, terms in test if (t := terms[codes[j]]) is not None]):
+                    break
+            else:
                 assign(depth + 1)
 
     assign(0)
     return frozenset(out)
+
+
+def _terms(H: Hyperfield, xs, y: HElement, side: str) -> list:
+    """The ``product_term`` of each vector entry x in xs against y, with x as
+    the left factor on the left side and as the right factor on the right."""
+    if side == "left":
+        return [product_term(H, x, y) for x in xs]
+    return [product_term(H, y, x) for x in xs]
 
 
 def _closing_order(M: HMatroid):
@@ -89,10 +109,9 @@ def _closing_order(M: HMatroid):
     Greedy and deterministic: the next coordinate is the least unassigned
     index of the support with the fewest unassigned indices (ties go to the
     lexicographically least index list).  Loops come last, in index order.
-    ``closing[d]`` lists ``(indices, ground, Y)`` for each cocircuit
-    representative whose support closes at depth d, with Y restricted to it.
+    ``closing[d]`` lists ``(indices, Y)`` for each cocircuit representative
+    Y whose support, at those indices, closes at depth d.
     """
-    ground = M.ground
     supports = [
         [i for i, x in enumerate(Y.entries) if not x.is_zero] for Y in M.cocircuits.reps
     ]
@@ -103,12 +122,11 @@ def _closing_order(M: HMatroid):
         if not open_:
             break
         order.append(min(open_, key=lambda s: (len(s), s))[0])
-    order += [i for i in range(len(ground)) if i not in order]
+    order += [i for i in range(len(M.ground)) if i not in order]
     depth = {i: d for d, i in enumerate(order)}
     closing = [[] for _ in order]
     for at, Y in zip(supports, M.cocircuits.reps):
-        sub = tuple(ground[i] for i in at)
-        closing[max(depth[i] for i in at)].append((at, sub, Y.restrict(sub)))
+        closing[max(depth[i] for i in at)].append((at, Y))
     return order, closing
 
 
@@ -208,15 +226,19 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
     and the right factor by b turns its value S into a·S·b, and 0 ∈ S iff
     0 ∈ a·S·b.  So the normalized classes of the nonzero vectors (on the
     matroid's side) are tested against those of the nonzero covectors (on
-    the dual's side); zero is orthogonal to everything.  Only when a class
-    pair fails are the vectors and covectors scanned pairwise in sort order,
-    so the witness is the least failing pair.
+    the dual's side); zero is orthogonal to everything.  The class test
+    codes the entries of each side and tables the ``product_term`` of every
+    pair of entry codes once (see ``_classes_orthogonal``).  Only when a
+    class pair fails are the vectors and covectors scanned pairwise with
+    ``perp`` in sort order, so the witness is the least failing pair.
     """
     vs = vectors_enumerate(M, window) if vectors is None else vectors
     us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
+    if any(V.field != M.field or V.ground != M.ground for V in itertools.chain(vs, us)):
+        raise DomainMismatchError("vectors live over different hyperfields or grounds")
     v_classes = {normalize_vector(V, M.side) for V in vs if not V.is_zero}
     u_classes = {normalize_vector(U, M.cocircuits.side) for U in us if not U.is_zero}
-    if all(M.vector_perp(V, U) for V in v_classes for U in u_classes):
+    if _classes_orthogonal(M.field, M.side, v_classes, u_classes):
         return True, None
     us = sorted(us, key=lambda u: u.sort_key())
     for V in sorted(vs, key=lambda v: v.sort_key()):
@@ -226,17 +248,46 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
     return True, None
 
 
+def _classes_orthogonal(H: Hyperfield, side: str, vectors, covectors) -> bool:
+    """Is every vector orthogonal to every covector?
+
+    The vector is the left factor of the pairing on the left side and the
+    right factor on the right side.  Each side's entries are coded as small
+    ints, the ``product_term`` of every vector entry against every covector
+    entry is tabled once, and ``zero_in_sum`` decides each pair from it.
+    """
+    v_elements, v_rows = _coded(vectors)
+    u_elements, u_rows = _coded(covectors)
+    table = [_terms(H, v_elements, y, side) for y in u_elements]
+    for u in u_rows:
+        columns = [table[b] for b in u]
+        for v in v_rows:
+            if not zero_in_sum(H, [t for col, a in zip(columns, v) if (t := col[a]) is not None]):
+                return False
+    return True
+
+
+def _coded(vectors):
+    """The distinct entries of the vectors, and each vector as their indices."""
+    codes: dict[HElement, int] = {}
+    rows = [tuple([codes.setdefault(x, len(codes)) for x in V.entries]) for V in vectors]
+    return list(codes), rows
+
+
 # -- vector axioms ----------------------------------------------------------
 
 
-def check_vector_axioms(vectors, window: int = 4, side: str = "left") -> list[dict]:
+def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=None) -> list[dict]:
     """(V0), windowed (V1), (V2)'/(V2)'', and (V3) for a finite vector set.
 
     Scalings and compositions are only required to be present when they stay
     inside the window box.  An eliminant for (V3) must be in the set when it
     fits the box; eliminants whose entries dip below the box are verified
-    directly against the cocircuits of the reconstructed matroid, so that
-    box truncation never produces spurious failures.
+    directly against cocircuits: those of ``matroid`` when the set is known
+    to be its windowed vector set, else those of the matroid reconstructed
+    from the set.  Reconstruction fails when the window is narrower than the
+    circuits' grade spread; with no matroid given, that box truncation can
+    then produce spurious (V3) failures.
 
     Hypersums are computed once per pair of entries (see ``_EntryTable``),
     and (V3) only visits pairs of vectors with opposite entries somewhere.
@@ -251,8 +302,8 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left") -> list[di
     report = []
     if zero_vector(H, ground) not in vectors:
         report.append({"check": "V0", "witness": None})
-    recon = None
-    if any(not v.is_zero for v in vectors):
+    recon = matroid
+    if recon is None and any(not v.is_zero for v in vectors):
         try:
             recon = reconstruct_from_vectors(vectors, window=None, side=side)
         except HypermatError:

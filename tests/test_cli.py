@@ -300,6 +300,18 @@ def test_jobs_flag_is_gone(u23_sign_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["suite"],
+    ["quotient", "--p", "7", "--subgroup", "1,2,4"],
+    ["check-hyperfield", "sign.json"],
+])
+def test_max_ground_only_on_verbs_that_load_a_matroid(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--max-ground", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-ground 3" in capsys.readouterr().err
+
+
 def test_suite_criteria_validation(capsys):
     assert run(["suite", "--criteria", "x"]) == 2
     assert run(["suite", "--criteria", "99"]) == 2

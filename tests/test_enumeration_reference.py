@@ -157,6 +157,53 @@ def test_same_results_on_edge_cases(make, window):
         assert is_perfect(N, window) == reference_is_perfect(N, window)
 
 
+def _det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** k * x * _det([row[:k] + row[k + 1:] for row in rows[1:]])
+        for k, x in enumerate(rows[0])
+    )
+
+
+def _vandermonde_uniform(H, r, n, weights, side="left"):
+    """U_{r,n} oriented by a signed Vandermonde matrix, with grade weights.
+
+    The circuit on an (r+1)-set S has the signed maximal minors of the
+    columns in S as its signs (Cramer's rule); over a graded hyperfield each
+    element then carries its weight as grade.
+    """
+    nodes = (-3, -1, 0, 2, 3, 5, 7)[:n]
+    columns = [[(-1) ** e * x**i for i in range(r)] for e, x in enumerate(nodes)]
+    ground = tuple(str(e + 1) for e in range(n))
+    circuits = []
+    for S in itertools.combinations(range(n), r + 1):
+        mapping = {}
+        for k, e in enumerate(S):
+            minor = _det([list(row) for row in zip(*[columns[f] for f in S if f != e])])
+            residue = 1 if H.residue_kind == "krasner" else (-1) ** k * (1 if minor > 0 else -1)
+            mapping[ground[e]] = H.unit(residue, (weights[e],) * H.rank)
+        circuits.append(hvector(H, ground, mapping))
+    return hmatroid_from_circuits(H, ground, circuits, side)
+
+
+@pytest.mark.parametrize(
+    "make, window",
+    [
+        (lambda: _vandermonde_uniform(Hyperfield.sign(), 4, 7, [0] * 7), 0),
+        (lambda: _vandermonde_uniform(Hyperfield.tropical(1), 3, 6, (-1, 0, 1, 0, 1, -1)), 1),
+        (lambda: _vandermonde_uniform(Hyperfield.stringent("sign", 1), 2, 4, (1, 0, -1, 0), "right"), 2),
+    ],
+    ids=["sign-U47-w0", "tropical-U36-w1", "right-stringent-sign-U24-w2"],
+)
+def test_same_results_on_workload_shapes(make, window):
+    M = make()
+    vs = _assert_same_vectors(M, window)
+    us = _assert_same_vectors(M.dual(), window)
+    # perfect by the main theorem; the all-pairs scan is too slow for U_{4,7}
+    assert is_perfect(M, window, vs, us) == (True, None)
+
+
 def test_single_element_and_empty_ground():
     S = Hyperfield.sign()
     loop = hmatroid_from_circuits(S, ("1",), [hvector(S, ("1",), {"1": S.one()})])

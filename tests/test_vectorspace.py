@@ -2,8 +2,11 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermat import (
+    DomainMismatchError,
     Hyperfield,
     HVector,
     InvalidInputError,
@@ -25,10 +28,14 @@ from hypermat import (
     vectors_generate,
     zero_vector,
 )
-from hypermat.vectorspace import check_budget
+from hypermat.cli import run
+from hypermat.hmatroid import pairing, perp
+from hypermat.jsonio import dumps, hmatroid_to_json
+from hypermat.vectorspace import _classes_orthogonal, check_budget
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
+G5 = ("1", "2", "3", "4", "5")
 
 
 # -- enumeration --------------------------------------------------------------
@@ -174,6 +181,48 @@ def test_imperfect_negative_control(sign):
     assert witness[1] == probe and not M1.vector_perp(witness[0], probe)
 
 
+def test_perfection_refuses_vectors_over_another_ground(u23_sign, sign):
+    stray = hvector(sign, G4, {"1": sign.one()})
+    with pytest.raises(DomainMismatchError):
+        is_perfect(u23_sign, 0, covectors=frozenset({stray}))
+
+
+# the hyperfields of the shared orthogonality rule, each with the box of
+# entry grades up to 2·window at window 2 (normalized classes reach that far)
+RULE_FIELDS = [
+    Hyperfield.sign(),
+    Hyperfield.field(3),
+    Hyperfield.field(5),
+    Hyperfield.tropical(1),
+    Hyperfield.stringent("sign", 1),
+    Hyperfield.stringent("field", 1, p=3),
+    Hyperfield.quotient(7, [1, 2, 4]),
+]
+
+
+@st.composite
+def _rule_case(draw):
+    H = draw(st.sampled_from(RULE_FIELDS))
+    box = H.elements_box(4)
+    n = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.sampled_from(box)] * n).map(lambda e: HVector(H, G5[:n], e))
+    vs = draw(st.lists(vector, min_size=1, max_size=3))
+    us = draw(st.lists(vector, min_size=1, max_size=3))
+    return H, draw(st.sampled_from(["left", "right"])), vs, us
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_rule_case())
+def test_table_decision_and_perp_agree_with_pairing(case):
+    H, side, vs, us = case
+    # the vector is the left factor on the left side, the right on the right
+    oriented = (lambda V, U: (V, U)) if side == "left" else (lambda V, U: (U, V))
+    want = [pairing(*oriented(V, U)).contains_zero for V in vs for U in us]
+    assert [perp(*oriented(V, U)) for V in vs for U in us] == want
+    assert [_classes_orthogonal(H, side, [V], [U]) for V in vs for U in us] == want
+    assert _classes_orthogonal(H, side, vs, us) == all(want)
+
+
 # -- vector axioms and reconstruction ------------------------------------------
 
 
@@ -206,6 +255,40 @@ def test_vector_axioms_report_when_reconstruction_fails(sign):
     ]
     report = check_vector_axioms(vs, 0)
     assert report
+
+
+def _krasner_u24():
+    """U_{2,4} over stringent GF(3)·Z, pushed forward from the kernel of a
+    rational matrix along x -> (leading residue mod 3, -v_3(x)).  Its
+    circuits' grade spread is 3, so reconstruction from the window-1 vector
+    set fails."""
+    A = [[-3, 5, 4, 9], [4, 4, -3, 6]]
+    H = Hyperfield.stringent("field", 1, p=3)
+
+    def image(x):
+        v = 0
+        while x % 3 == 0:
+            x, v = x // 3, v + 1
+        return H.unit(x % 3, (-v,))
+
+    def minor(i, j):
+        return A[0][i] * A[1][j] - A[0][j] * A[1][i]
+
+    circuits = []
+    for i, j, k in itertools.combinations(range(4), 3):
+        kernel = {i: minor(j, k), j: -minor(i, k), k: minor(i, j)}
+        circuits.append(hvector(H, G4, {G4[e]: image(x) for e, x in kernel.items()}))
+    return hmatroid_from_circuits(H, G4, circuits)
+
+
+def test_vector_axioms_use_the_known_matroid_beyond_the_box(tmp_path):
+    M = _krasner_u24()
+    vs = vectors_enumerate(M, 1)
+    assert check_vector_axioms(vs, 1, M.side, M) == []
+    path = tmp_path / "krasner-u24.json"
+    path.write_text(dumps(hmatroid_to_json(M)))
+    out = tmp_path / "report.json"
+    assert run(["matroid", "vector-axioms", "--window", "1", str(path), "--out", str(out)]) == 0
 
 
 def test_reconstruct_recovers_circuits(u23_sign, u24_sign, trop_u23):

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .hmatroid import check_circuit_axioms, perp_k
 from .homs import coset_map, sign_map, valuation_map, validate_homomorphism
-from .hyperfields import check_stringent, validate_axioms
+from .hyperfields import check_axiom_budget, check_stringent, validate_axioms
 from .jsonio import SCHEMA, VERSION
 from .matroids import from_circuits
 from .vectorspace import (
@@ -179,6 +179,7 @@ def _load_hmatroid(path, max_ground):
 def cmd_check_hyperfield(args) -> int:
     window = _window_of(args)
     H = jsonio.hyperfield_from_json(jsonio.load_json(args.file), "$")
+    check_axiom_budget(H, window)
     checks = []
     def run_axioms():
         violations = validate_axioms(H, window)

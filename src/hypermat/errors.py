@@ -72,7 +72,7 @@ class InvalidInputError(HypermatError):
 
 
 class ResourceLimitError(HypermatError):
-    """Requested enumeration exceeds the configured candidate budget."""
+    """A requested enumeration or axiom check exceeds its fixed budget."""
 
 
 class SpecError(HypermatError):

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from hypermat import Hyperfield, hmatroid_from_circuits, hvector, uniform_matroid
@@ -5,6 +8,27 @@ from hypermat.instances import graded_rescaled, u23, u24, u24_orientation_signs
 
 GROUND3 = ("1", "2", "3")
 GROUND4 = ("1", "2", "3", "4")
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(s):`` raises TimeoutError in the block after s seconds,
+    so a check that runs away fails instead of stalling the suite."""
+
+    @contextlib.contextmanager
+    def within(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within
 
 
 @pytest.fixture(scope="session")

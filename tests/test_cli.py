@@ -185,6 +185,20 @@ def test_check_hyperfield_exits_2_on_invalid_hyperfield(tmp_path, capsys, doc):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.axiom_budget
+@pytest.mark.parametrize("doc", ['{"kind": "field", "p": 10007}', '{"kind": "tropical", "rank": 3}'])
+def test_check_hyperfield_refuses_a_box_over_the_axiom_budget(tmp_path, capsys, deadline, doc):
+    path = tmp_path / "big.json"
+    path.write_text(doc)
+    t0 = time.perf_counter()
+    with deadline(10):
+        code = run(["check-hyperfield", str(path)])
+    assert time.perf_counter() - t0 < 0.5
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: axiom check of") and err.count("\n") == 1
+
+
 def test_exit_code_2_on_bool_residue(tmp_path, capsys):
     doc = {"hyperfield": {"kind": "field", "p": 5}, "ground": ["1", "2"],
            "circuits": [[{"r": 1}, {"r": True}]]}

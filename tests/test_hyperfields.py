@@ -12,6 +12,7 @@ from hypermat import (
     Hyperfield,
     InvalidHyperfieldError,
     InvalidSubgroupError,
+    ResourceLimitError,
     UnsupportedOperationError,
     check_stringent,
     hmatroid_from_circuits,
@@ -19,7 +20,7 @@ from hypermat import (
     symset,
     validate_axioms,
 )
-from hypermat.hyperfields import MAX_QUOTIENT_INDEX, is_prime
+from hypermat.hyperfields import MAX_AXIOM_BOX, MAX_QUOTIENT_INDEX, check_axiom_budget, is_prime
 
 K = Hyperfield.krasner()
 S = Hyperfield.sign()
@@ -236,6 +237,22 @@ def test_corrupted_table_reports_empty_hypersum():
     with pytest.raises(InvalidHyperfieldError) as exc:
         Hyperfield.from_tables(elements, add, mul)
     assert any(r["check"] == "hypersum-nonempty" for r in exc.value.violations)
+
+
+@pytest.mark.axiom_budget
+def test_axiom_check_refuses_a_box_over_the_budget(deadline):
+    with deadline(10), pytest.raises(ResourceLimitError):
+        validate_axioms(Hyperfield.field(10007))
+    # the bound sits between two tropical windows: 64 elements pass, 66 do not
+    assert check_axiom_budget(T1, 31) == MAX_AXIOM_BOX
+    with pytest.raises(ResourceLimitError):
+        check_axiom_budget(T1, 32)
+
+
+def test_axiom_budget_admits_the_boxes_in_use():
+    # the 19-element boxes of the battery at window 4, and the largest quotient
+    assert check_axiom_budget(SS1, 4) == check_axiom_budget(SF31, 4) == 19
+    assert MAX_QUOTIENT_INDEX + 1 <= MAX_AXIOM_BOX
 
 
 def test_check_stringent_catalog():

@@ -28,7 +28,7 @@ from .errors import (
     SpecError,
     UnsupportedOperationError,
 )
-from .hmatroid import check_circuit_axioms, perp_k
+from .hmatroid import check_circuit_axioms, hmatroid_from_circuits, perp_k, signature_from_vectors
 from .homs import coset_map, sign_map, valuation_map, validate_homomorphism
 from .hyperfields import check_axiom_budget, check_stringent, validate_axioms
 from .jsonio import SCHEMA, VERSION
@@ -61,24 +61,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-hyperfield", help="validate hyperfield axioms and stringency")
+    p.set_defaults(func=cmd_check_hyperfield)
     p.add_argument("file")
     common(p)
 
     p = sub.add_parser("quotient", help="build a Krasner quotient GF(p)/G")
+    p.set_defaults(func=cmd_quotient)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--subgroup", required=True, help="comma-separated unit labels, e.g. 1,2,4")
     common(p)
 
     m = sub.add_parser("matroid", help="operations on matroids over hyperfields")
+    m.set_defaults(func=cmd_matroid)
     msub = m.add_subparsers(dest="verb", required=True)
 
     def mverb(name, **kwargs):
         q = msub.add_parser(name, **kwargs)
         q.add_argument("file")
         common(q)
-        if name != "check":  # check reads its document without the limit
-            q.add_argument("--max-ground", type=int, default=DEFAULT_MAX_GROUND,
-                           help="refuse enumerations over larger ground sets")
+        q.add_argument("--max-ground", type=int, default=DEFAULT_MAX_GROUND,
+                       help="refuse documents with larger ground sets")
         return q
 
     mverb("check", help="validate a circuit signature as an H-matroid")
@@ -101,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--weak", action="store_true")
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
+    p.set_defaults(func=cmd_suite)
     p.add_argument("--criteria", help="comma-separated criterion numbers (default all)")
     common(p)
     return parser
@@ -145,14 +148,16 @@ def _ms_since(t0) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _timed(check, window, fn):
+def _timed(check, window, fn, *args):
+    """``(record, value)`` of ``fn(*args)``; the value is None when the check fails."""
     t0 = time.perf_counter()
+    value = None
     try:
-        witness = fn()
-        status, payload = "pass", witness
+        value = fn(*args)
+        status, payload = "pass", None
     except HypermatError as exc:
         status, payload = "fail", {"error": str(exc), "witness": _jsonable(getattr(exc, "witness", None))}
-    return CheckRecord(check, status, payload, window=window, elapsed_ms=_ms_since(t0))
+    return CheckRecord(check, status, payload, window=window, elapsed_ms=_ms_since(t0)), value
 
 
 def _json_object(flag, text) -> dict:
@@ -165,15 +170,15 @@ def _json_object(flag, text) -> dict:
     return doc
 
 
-def _load_hmatroid(path, max_ground):
-    doc = jsonio.load_json(path)
-    if not jsonio.is_hmatroid_doc(doc):
-        raise SpecError(f"{path}: expected an H-matroid document with a 'hyperfield' key")
-    if len(doc.get("ground", [])) > max_ground:
+def _load_parts(args):
+    """The parsed document of a matroid verb, refused over ``--max-ground``
+    before any matroid is built from it."""
+    H, ground, vecs, side = jsonio.hmatroid_parts_from_json(jsonio.load_json(args.file), "$")
+    if len(ground) > args.max_ground:
         raise ResourceLimitError(
-            f"{path}: ground set exceeds --max-ground {max_ground}"
+            f"{args.file}: ground set exceeds --max-ground {args.max_ground}"
         )
-    return jsonio.hmatroid_from_json(doc, "$")
+    return H, ground, vecs, side
 
 
 def cmd_check_hyperfield(args) -> int:
@@ -185,8 +190,7 @@ def cmd_check_hyperfield(args) -> int:
         violations = validate_axioms(H, window)
         if violations:
             raise InvalidHyperfieldError("axioms violated", violations=violations[:3])
-        return None
-    checks.append(_timed("axioms", window, run_axioms))
+    checks.append(_timed("axioms", window, run_axioms)[0])
     stringent, witness = check_stringent(H, window)
     result = {
         "hyperfield": jsonio.hyperfield_to_json(H),
@@ -212,8 +216,7 @@ def cmd_quotient(args) -> int:
         violations = validate_homomorphism(f, window)
         if violations:
             raise InvalidHyperfieldError("coset map is not a homomorphism", violations=violations[:3])
-        return None
-    checks.append(_timed("coset-map-homomorphism", window, run_hom))
+    checks.append(_timed("coset-map-homomorphism", window, run_hom)[0])
     stringent, witness = check_stringent(H)
     result = {
         "hyperfield": jsonio.hyperfield_to_json(H),
@@ -227,60 +230,54 @@ def cmd_quotient(args) -> int:
     return _emit(_report("quotient", window, checks, result), args.out)
 
 
+def _modular_elimination(sig):
+    report = check_circuit_axioms(sig)
+    if report:
+        raise HypermatError(f"(C3) fails on {len(report)} pairs")
+
+
+def _strong_duality(M):
+    ok, witness = perp_k(M.circuits, M.cocircuits, None)
+    if not ok:
+        raise HypermatError(f"full orthogonality fails: {witness}")
+
+
+def _check_records(window, H, ground, vecs, side):
+    """The records of ``matroid check``, one per step of the construction,
+    and the matroid's JSON when every step that builds it passes."""
+    record, sig = _timed("signature (C0)-(C2)", window, signature_from_vectors, H, ground, vecs, side)
+    checks = [record]
+    if sig is None:
+        return checks, None
+    checks.append(_timed("underlying matroid", window, from_circuits, ground, sig.supports)[0])
+    record, M = _timed("cocircuit synthesis (Theorem 2)", window,
+                       hmatroid_from_circuits, H, ground, vecs, side)
+    checks.append(record)
+    checks.append(_timed("modular elimination (C3)", window, _modular_elimination, sig)[0])
+    if M is None:
+        return checks, None
+    checks.append(_timed("strong duality", window, _strong_duality, M)[0])
+    return checks, jsonio.hmatroid_to_json(M)
+
+
 def cmd_matroid(args) -> int:
     window = _window_of(args)
     verb = args.verb
+    if verb == "minor" and bool(args.delete) == bool(args.contract):
+        raise SpecError("minor needs exactly one of --delete or --contract")
+    if verb == "vectors" and args.enumerate == args.generate:
+        raise SpecError("vectors needs exactly one of --enumerate or --generate")
+    H, ground, vecs, side = _load_parts(args)
+    if verb == "check":
+        checks, result = _check_records(window, H, ground, vecs, side)
+        return _emit(_report("matroid check", window, checks, result), args.out)
+    M = hmatroid_from_circuits(H, ground, vecs, side)
     checks = []
     result = None
-    if verb == "check":
-        doc = jsonio.load_json(args.file)
-        if not jsonio.is_hmatroid_doc(doc):
-            raise SpecError(f"{args.file}: expected an H-matroid document")
-        H = jsonio.hyperfield_from_json(doc.get("hyperfield"), "$.hyperfield")
-        ground = tuple(map(str, doc.get("ground", [])))
-        from .hmatroid import hmatroid_from_circuits, signature_from_vectors
-        vecs = [
-            jsonio.hvector_from_json(H, ground, entry, f"$.circuits[{i}]")
-            for i, entry in enumerate(doc.get("circuits", []))
-        ]
-        side = doc.get("side", "left")
-        sig = None
-        def run_sig():
-            nonlocal sig
-            sig = signature_from_vectors(H, ground, vecs, side)
-            return None
-        checks.append(_timed("signature (C0)-(C2)", window, run_sig))
-        if sig is not None:
-            checks.append(_timed("underlying matroid", window,
-                                 lambda: from_circuits(ground, sig.supports) and None))
-            M = None
-            def run_dual():
-                nonlocal M
-                M = hmatroid_from_circuits(H, ground, vecs, side)
-                return None
-            checks.append(_timed("cocircuit synthesis (Theorem 2)", window, run_dual))
-            def run_axioms():
-                report = check_circuit_axioms(sig)
-                if report:
-                    raise HypermatError(f"(C3) fails on {len(report)} pairs")
-                return None
-            checks.append(_timed("modular elimination (C3)", window, run_axioms))
-            if M is not None:
-                def run_strong():
-                    ok, witness = perp_k(M.circuits, M.cocircuits, None)
-                    if not ok:
-                        raise HypermatError(f"full orthogonality fails: {witness}")
-                    return None
-                checks.append(_timed("strong duality", window, run_strong))
-                result = jsonio.hmatroid_to_json(M)
-    elif verb == "dual":
-        M = _load_hmatroid(args.file, args.max_ground)
+    if verb == "dual":
         result = jsonio.hmatroid_to_json(M.dual())
         checks.append(CheckRecord("dual", "pass", None, window=window))
     elif verb == "minor":
-        if bool(args.delete) == bool(args.contract):
-            raise SpecError("minor needs exactly one of --delete or --contract")
-        M = _load_hmatroid(args.file, args.max_ground)
         e = args.delete or args.contract
         if e not in M.ground:
             raise SpecError(f"unknown element {e!r}")
@@ -288,7 +285,6 @@ def cmd_matroid(args) -> int:
         result = jsonio.hmatroid_to_json(out)
         checks.append(CheckRecord("minor", "pass", None, window=window))
     elif verb == "rescale":
-        M = _load_hmatroid(args.file, args.max_ground)
         rho = {
             e: jsonio.element_from_json(M.field, v, f"--rho[{e}]")
             for e, v in _json_object("--rho", args.rho).items()
@@ -299,16 +295,10 @@ def cmd_matroid(args) -> int:
             raise SpecError(f"--rho: {exc}") from exc
         checks.append(CheckRecord("rescale", "pass", None, window=window))
     elif verb == "residue":
-        M = _load_hmatroid(args.file, args.max_ground)
-        def run():
-            nonlocal result
-            result = jsonio.hmatroid_to_json(M.residue_matroid())
-            return None
-        checks.append(_timed("residue construction", window, run))
+        record, R = _timed("residue construction", window, M.residue_matroid)
+        checks.append(record)
+        result = None if R is None else jsonio.hmatroid_to_json(R)
     elif verb == "vectors":
-        if args.enumerate == args.generate:
-            raise SpecError("vectors needs exactly one of --enumerate or --generate")
-        M = _load_hmatroid(args.file, args.max_ground)
         check_budget(M.field, M.ground, window)
         vs = vectors_enumerate(M, window) if args.enumerate else vectors_generate(M, window)
         ordered = sorted(vs, key=lambda v: v.sort_key())
@@ -318,33 +308,25 @@ def cmd_matroid(args) -> int:
         }
         checks.append(CheckRecord("vectors", "pass", None, window=window))
     elif verb == "perfect":
-        M = _load_hmatroid(args.file, args.max_ground)
         check_budget(M.field, M.ground, window)
         def run():
             ok, witness = is_perfect(M, window)
             if not ok:
                 raise HypermatError(f"vector not orthogonal to covector: {witness}")
-            return None
-        checks.append(_timed("perfection", window, run))
+        checks.append(_timed("perfection", window, run)[0])
     elif verb == "vector-axioms":
-        M = _load_hmatroid(args.file, args.max_ground)
         check_budget(M.field, M.ground, window)
         def run():
             report = check_vector_axioms(vectors_enumerate(M, window), window, M.side, M)
             if report:
                 raise HypermatError(f"vector axioms fail: {len(report)} violations")
-            return None
-        checks.append(_timed("vector-axioms", window, run))
+        checks.append(_timed("vector-axioms", window, run)[0])
     elif verb == "pushforward":
-        M = _load_hmatroid(args.file, args.max_ground)
         hom = valuation_map(M.field) if args.hom == "valuation" else sign_map(M.field)
-        def run():
-            nonlocal result
-            result = jsonio.hmatroid_to_json(M.push_forward(hom))
-            return None
-        checks.append(_timed("pushforward", window, run))
-    elif verb == "farkas":
-        M = _load_hmatroid(args.file, args.max_ground)
+        record, image = _timed("pushforward", window, M.push_forward, hom)
+        checks.append(record)
+        result = None if image is None else jsonio.hmatroid_to_json(image)
+    else:  # farkas
         parts = _json_object("--partition", args.partition)
         if not all(isinstance(v, list) and all(isinstance(e, str) for e in v) for v in parts.values()):
             raise SpecError("--partition: expected lists of element labels")
@@ -356,14 +338,9 @@ def cmd_matroid(args) -> int:
         R, G, B = (set(parts[key]) for key in ("R", "G", "B"))
         if R & G or R & B or G & B or R | G | B != set(M.ground):
             raise SpecError("--partition: R, G and B must partition the ground set")
-        def run():
-            nonlocal result
-            w = farkas_witness(M, parts, window, weak=args.weak)
-            result = {"kind": w.kind, "witness": jsonio.hvector_to_json(w.vec)}
-            return None
-        checks.append(_timed("farkas", window, run))
-    else:
-        raise SpecError(f"unknown matroid verb {verb!r}")
+        record, w = _timed("farkas", window, farkas_witness, M, parts, window, args.weak)
+        checks.append(record)
+        result = None if w is None else {"kind": w.kind, "witness": jsonio.hvector_to_json(w.vec)}
     return _emit(_report(f"matroid {verb}", window, checks, result), args.out)
 
 
@@ -396,15 +373,7 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "check-hyperfield":
-            return cmd_check_hyperfield(args)
-        if args.command == "quotient":
-            return cmd_quotient(args)
-        if args.command == "matroid":
-            return cmd_matroid(args)
-        if args.command == "suite":
-            return cmd_suite(args)
-        raise SpecError(f"unknown command {args.command!r}")
+        return args.func(args)
     except (SpecError, ResourceLimitError, InvalidSubgroupError, InvalidHyperfieldError,
             UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -209,9 +209,6 @@ class CircuitSignature:
                     out.append(rep.scale_left(a) if self.side == "left" else rep.scale_right(a))
         return out
 
-    def __iter__(self):
-        return iter(self.reps)
-
     def __len__(self):
         return len(self.reps)
 

@@ -40,9 +40,6 @@ class Homomorphism:
         """Image of a symbolic set; exact because the maps are onto each grade's units."""
         return symset(self.codomain, {self.apply(x) for x in s.explicit}, s.below)
 
-    def __call__(self, x: HElement) -> HElement:
-        return self.apply(x)
-
 
 def identity_map(H: Hyperfield) -> Homomorphism:
     return Homomorphism("identity", H, H)

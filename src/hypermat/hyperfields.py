@@ -269,14 +269,16 @@ class Hyperfield:
         self._mul = tuple(sorted((a, b, v) for (a, b), v in mul.items()))
         self._add_table = {(a, b): frozenset(v) for a, b, v in self._add}
         self._mul_table = {(a, b): v for a, b, v in self._mul}
+        # hyperadd never reads an entry with a zero operand, so negatives
+        # are read from the unit pairs alone
+        units = [a for a in self._elements if a != 0]
         self._neg = {}
         self._inv = {}
-        for a in self._elements:
-            negs = [b for b in self._elements if 0 in self._table_add(a, b)]
+        for a in units:
+            negs = [b for b in units if 0 in self._table_add(a, b)]
             self._neg[a] = negs[0] if len(negs) == 1 else None
-            if a != 0:
-                invs = [b for b in self._elements if b != 0 and self._table_mul(a, b) == 1]
-                self._inv[a] = invs[0] if len(invs) == 1 else None
+            invs = [b for b in units if self._table_mul(a, b) == 1]
+            self._inv[a] = invs[0] if len(invs) == 1 else None
 
     def _table_add(self, a, b):
         try:
@@ -428,7 +430,7 @@ class Hyperfield:
         if kind == "field":
             return (self.p - r) % self.p
         neg = self._neg.get(r)
-        if neg is None or neg == 0:
+        if neg is None:
             raise DomainMismatchError(f"{r} has no unique additive inverse")
         return neg
 

@@ -122,8 +122,8 @@ def hvector_to_json(V: HVector) -> list:
 
 
 def hvector_from_json(H: Hyperfield, ground, entries, path="$") -> HVector:
-    if len(entries) != len(ground):
-        raise SpecError(f"{path}: expected {len(ground)} entries")
+    if not isinstance(entries, list) or len(entries) != len(ground):
+        raise SpecError(f"{path}: expected a list of {len(ground)} entries")
     return HVector(
         H,
         tuple(ground),
@@ -160,8 +160,15 @@ def hmatroid_to_json(M: HMatroid) -> dict:
     }
 
 
-def hmatroid_from_json(d, path="$") -> HMatroid:
-    H = hyperfield_from_json(d.get("hyperfield"), f"{path}.hyperfield")
+def hmatroid_parts_from_json(d, path="$"):
+    """``(H, ground, circuit vectors, side)`` of an H-matroid document.
+
+    Every shape check of the document is made here; the circuit axioms are
+    left to ``hmatroid_from_circuits`` or to a step-by-step check.
+    """
+    if not isinstance(d, dict) or "hyperfield" not in d:
+        raise SpecError(f"{path}: expected an H-matroid document with a 'hyperfield' key")
+    H = hyperfield_from_json(d["hyperfield"], f"{path}.hyperfield")
     ground = _ground_of(d, path)
     circuits = d.get("circuits")
     if not isinstance(circuits, list) or not circuits:
@@ -173,7 +180,11 @@ def hmatroid_from_json(d, path="$") -> HMatroid:
         hvector_from_json(H, ground, entry, f"{path}.circuits[{i}]")
         for i, entry in enumerate(circuits)
     ]
-    return hmatroid_from_circuits(H, ground, vecs, side)
+    return H, ground, vecs, side
+
+
+def hmatroid_from_json(d, path="$") -> HMatroid:
+    return hmatroid_from_circuits(*hmatroid_parts_from_json(d, path))
 
 
 def _ground_of(d, path):
@@ -181,10 +192,6 @@ def _ground_of(d, path):
     if not isinstance(ground, list) or not ground:
         raise SpecError(f"{path}.ground: expected a nonempty list of labels")
     return tuple(map(str, ground))
-
-
-def is_hmatroid_doc(d) -> bool:
-    return isinstance(d, dict) and "hyperfield" in d
 
 
 def load_json(path: str):

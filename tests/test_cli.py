@@ -380,3 +380,56 @@ def test_out_flag_writes_file(tmp_path, capsys, u23_sign_file):
     code = run(["matroid", "dual", u23_sign_file, "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["command"] == "matroid dual"
+
+
+def _u23_sign_doc(**changes):
+    doc = {"hyperfield": {"kind": "sign"}, "ground": ["1", "2", "3"], "side": "left",
+           "circuits": [[{"r": "+"}, {"r": "+"}, {"r": "+"}]]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("verb", [["check"], ["dual"], ["vectors", "--enumerate"]])
+@pytest.mark.parametrize("changes", [
+    {"side": "up"},
+    {"ground": "abc"},
+    {"ground": 5},
+    {"circuits": [5]},
+    {"circuits": {}},
+])
+def test_malformed_documents_exit_2_on_every_verb(tmp_path, capsys, verb, changes):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(_u23_sign_doc(**changes)))
+    assert run(["matroid", *verb, str(path)]) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["matroid", *verb, str(path)])
+    assert exit_info.value.code == 2
+    assert _one_line_error(capsys)
+
+
+def test_check_refuses_a_ground_set_over_max_ground(tmp_path, capsys, deadline):
+    # from_circuits scans all 2^24 subsets; the limit must refuse before it
+    ground = [str(i) for i in range(24)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_u23_sign_doc(ground=ground, circuits=[[{"r": "+"}] * 24])))
+    with deadline(10):
+        code = run(["matroid", "check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--max-ground 7" in err and err.count("\n") == 1
+
+
+def test_rescale_matches_the_library(tmp_path, capsys, trop_u23):
+    # the README example, on trop-U23 and on the same circuits as a right matroid
+    rho_json = '{"1":{"g":[1]},"2":{"g":[0]},"3":{"g":[0]}}'
+    T = trop_u23.field
+    rho = {"1": T.unit(1, (1,)), "2": T.one(), "3": T.one()}
+    right = hmatroid_from_circuits(T, trop_u23.ground, trop_u23.circuits.reps, "right")
+    for M in (trop_u23, right):
+        path = tmp_path / f"trop-u23-{M.side}.json"
+        path.write_text(dumps(hmatroid_to_json(M)))
+        code, doc = run_json(capsys, ["matroid", "rescale", "--rho", rho_json, str(path)])
+        assert code == 0
+        assert doc["result"] == hmatroid_to_json(M.rescale(rho))
+        assert doc["result"] != hmatroid_to_json(M)

@@ -239,6 +239,18 @@ def test_corrupted_table_reports_empty_hypersum():
     assert any(r["check"] == "hypersum-nonempty" for r in exc.value.violations)
 
 
+def test_negatives_ignore_table_entries_with_a_zero_operand():
+    # GF(3)'s tables with a stray 0 in 1 + 0, an entry hyperadd never reads
+    elements = (0, 1, 2)
+    add = {(a, b): {(a + b) % 3} for a in elements for b in elements}
+    add[1, 2] = add[2, 1] = {0}
+    add[1, 0] = {0, 1}
+    mul = {(a, b): a * b % 3 for a in elements for b in elements}
+    H = Hyperfield.from_tables(elements, add, mul)
+    assert H.neg(H.unit(1)) == H.unit(2)
+    assert H.neg(H.unit(2)) == H.unit(1)
+
+
 @pytest.mark.axiom_budget
 def test_axiom_check_refuses_a_box_over_the_budget(deadline):
     with deadline(10), pytest.raises(ResourceLimitError):

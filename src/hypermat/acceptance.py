@@ -296,7 +296,7 @@ def criterion_8(ctx) -> CheckRecord:
             failures.append({"instance": name, "axioms": report[:2]})
             continue
         try:
-            rec = reconstruct_from_vectors(vs, window=None, side=M.side)
+            rec = reconstruct_from_vectors(vs, side=M.side)
         except HypermatError as exc:
             failures.append({"instance": name, "error": str(exc)})
             continue

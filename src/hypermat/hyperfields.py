@@ -134,7 +134,6 @@ class Hyperfield:
         "_neg",
         "_inv",
         "_stringent",
-        "_stringent_witness",
         "_descriptor",
         "_hash",
     )
@@ -159,7 +158,6 @@ class Hyperfield:
         self._neg = None
         self._inv = None
         self._stringent = None
-        self._stringent_witness = None
         if rank < 0:
             raise InvalidHyperfieldError("rank must be nonnegative")
         if kind == "quotient":
@@ -346,9 +344,7 @@ class Hyperfield:
         if self.kind != "quotient":
             return True
         if self._stringent is None:
-            ok, witness = check_stringent(self)
-            self._stringent = ok
-            self._stringent_witness = witness
+            self._stringent = check_stringent(self)[0]
         return self._stringent
 
     def residue_field(self) -> "Hyperfield":
@@ -840,13 +836,7 @@ def check_stringent(H: Hyperfield, window: int = 4):
     elems = H.elements_box(window)
     for a in elems:
         for b in elems:
-            if a.is_zero or b.is_zero:
-                continue
-            if H.kind == "quotient":
-                neg_b = H._neg.get(b.residue)
-                if neg_b is not None and a.residue == neg_b:
-                    continue
-            elif a == H.neg(b):
+            if a.is_zero or b.is_zero or a == H.neg(b):
                 continue
             if not H.hyperadd(a, b).is_singleton():
                 return False, (a, b)

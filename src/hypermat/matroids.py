@@ -78,7 +78,8 @@ def from_circuits(ground, circuits) -> ClassicalMatroid:
     ground = tuple(ground)
     if len(set(ground)) != len(ground):
         raise InvalidCircuitsError("ground set labels must be distinct")
-    fam = {frozenset(c) for c in circuits}
+    # scanned in a fixed order, so witnesses do not depend on set hashing
+    fam = sorted({frozenset(c) for c in circuits}, key=sorted)
     eset = frozenset(ground)
     for c in fam:
         if not c:
@@ -91,7 +92,7 @@ def from_circuits(ground, circuits) -> ClassicalMatroid:
                 "incomparability violated", witness=(sorted(c1), sorted(c2))
             )
     for c1, c2 in itertools.permutations(fam, 2):
-        for e in c1 & c2:
+        for e in sorted(c1 & c2):
             union = (c1 | c2) - {e}
             if not any(c3 <= union for c3 in fam):
                 raise InvalidCircuitsError(

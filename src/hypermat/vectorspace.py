@@ -40,12 +40,12 @@ from .hyperfields import HElement, Hyperfield, SymbolicSet, composition
 CANDIDATE_BUDGET = 10**8
 
 
-def check_budget(field: Hyperfield, ground, window: int, budget: int = CANDIDATE_BUDGET):
+def check_budget(field: Hyperfield, ground, window: int):
     n = field.elements_box_size(window)
     total = n ** len(tuple(ground))
-    if total > budget:
+    if total > CANDIDATE_BUDGET:
         raise ResourceLimitError(
-            f"enumeration of {total} candidates exceeds the budget of {budget}"
+            f"enumeration of {total} candidates exceeds the budget of {CANDIDATE_BUDGET}"
         )
     return total
 
@@ -305,7 +305,7 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     recon = matroid
     if recon is None and any(not v.is_zero for v in vectors):
         try:
-            recon = reconstruct_from_vectors(vectors, window=None, side=side)
+            recon = reconstruct_from_vectors(vectors, side=side)
         except HypermatError:
             recon = None
     scalars = H.units_box(2 * window) if H.rank else H.units_box(0)
@@ -479,12 +479,8 @@ def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
     return False
 
 
-def reconstruct_from_vectors(vectors, window: int | None = None, side: str = "left") -> HMatroid:
-    """Matroid whose circuits are the minimal nonzero vectors.
-
-    With a window, cross-checks that the reconstruction's windowed vector
-    set equals the input (raising a theorem violation otherwise).
-    """
+def reconstruct_from_vectors(vectors, side: str = "left") -> HMatroid:
+    """Matroid whose circuits are the minimal nonzero vectors."""
     vectors = frozenset(vectors)
     nonzero = [v for v in vectors if not v.is_zero]
     if not nonzero:
@@ -493,15 +489,7 @@ def reconstruct_from_vectors(vectors, window: int | None = None, side: str = "le
     sups = {v.support for v in nonzero}
     minimal = [v for v in nonzero if not any(s < v.support for s in sups)]
     classes = {normalize_vector(v, side) for v in minimal}
-    M = hmatroid_from_circuits(some.field, some.ground, sorted(classes, key=lambda v: v.sort_key()), side)
-    if window is not None:
-        regenerated = vectors_enumerate(M, window)
-        if regenerated != vectors:
-            raise TheoremViolationError(
-                "reconstructed matroid has a different windowed vector set",
-                witness=(sorted(map(repr, vectors - regenerated)), sorted(map(repr, regenerated - vectors))),
-            )
-    return M
+    return hmatroid_from_circuits(some.field, some.ground, sorted(classes, key=lambda v: v.sort_key()), side)
 
 
 # -- partition dichotomy ----------------------------------------------------

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hypermat
 from hypermat import Hyperfield, hmatroid_from_circuits, hvector
 from hypermat.cli import main, run
 from hypermat.errors import NotAnHMatroidError
@@ -373,6 +378,30 @@ def test_reports_are_deterministic(capsys, trop_u23_file):
     code1, doc1 = run_json(capsys, ["matroid", "vectors", "--enumerate", trop_u23_file])
     code2, doc2 = run_json(capsys, ["matroid", "vectors", "--enumerate", trop_u23_file])
     assert _strip_elapsed(doc1) == _strip_elapsed(doc2)
+
+
+def test_elimination_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    # circuits 12 and 23 of a sign signature: eliminating 2 leaves {1, 3}, no circuit
+    path = tmp_path / "no-elimination.json"
+    path.write_text(json.dumps({
+        "hyperfield": {"kind": "sign"},
+        "ground": ["1", "2", "3"],
+        "side": "left",
+        "circuits": [[{"r": "+"}, {"r": "-"}, "0"], ["0", {"r": "+"}, {"r": "-"}]],
+    }))
+    src = str(Path(hypermat.__file__).resolve().parents[1])
+    docs = []
+    for seed in ("0", "6"):  # seeds on which the witnesses differed when scanned in set order
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypermat.cli", "matroid", "check", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        docs.append(_strip_elapsed(json.loads(proc.stdout)))
+    assert docs[0] == docs[1]
+    record = next(c for c in docs[0]["checks"] if c["check"] == "underlying matroid")
+    assert record["witness"]["witness"] == [["1", "2"], ["2", "3"], "2"]
 
 
 def test_out_flag_writes_file(tmp_path, capsys, u23_sign_file):

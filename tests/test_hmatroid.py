@@ -27,6 +27,7 @@ from hypermat import (
     uniform_matroid,
     valuation_map,
 )
+from hypermat.acceptance import AcceptanceContext
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
@@ -153,6 +154,21 @@ def test_dual_signature_matches_brute_force_oracle(u23_sign, sign):
 def test_dual_is_deterministic(u23_sign):
     again = dual_signature(u23_sign.underlying, u23_sign.circuits)
     assert again == u23_sign.cocircuits
+
+
+def test_synthesized_cocircuits_pass_the_signature_checks():
+    # dual_signature does not pass its output through signature_from_vectors;
+    # the output must be a signature that it accepts unchanged
+    ctx = AcceptanceContext()
+    count = 0
+    for name, M in ctx.family() + ctx.windowed():
+        minors = [M.delete(e) for e in M.ground] + [M.contract(e) for e in M.ground]
+        for N in [M, M.dual()] + minors:
+            coc = N.cocircuits
+            assert signature_from_vectors(N.field, N.ground, coc.reps, coc.side) == coc, name
+            assert {v.support for v in coc.reps} == N.underlying.cocircuits(), name
+            count += 1
+    assert count == 860  # 90 instances: each, its dual, and its 2|E| minors
 
 
 def test_double_dual_roundtrip(u23_sign, u24_sign, trop_u23):

@@ -42,7 +42,7 @@ def reference_check_vector_axioms(vectors, window: int = 4, side: str = "left") 
     recon = None
     if any(not v.is_zero for v in vectors):
         try:
-            recon = reconstruct_from_vectors(vectors, window=None, side=side)
+            recon = reconstruct_from_vectors(vectors, side=side)
         except HypermatError:
             recon = None
     scalars = H.units_box(2 * window) if H.rank else H.units_box(0)

@@ -293,8 +293,10 @@ def test_vector_axioms_use_the_known_matroid_beyond_the_box(tmp_path):
 
 def test_reconstruct_recovers_circuits(u23_sign, u24_sign, trop_u23):
     for M, w in ((u23_sign, 0), (u24_sign, 0), (trop_u23, 3)):
-        rec = reconstruct_from_vectors(vectors_enumerate(M, w), window=w)
+        vs = vectors_enumerate(M, w)
+        rec = reconstruct_from_vectors(vs)
         assert rec.circuits == M.circuits
+        assert vectors_enumerate(rec, w) == vs
 
 
 # -- minor-vector identities ----------------------------------------------------

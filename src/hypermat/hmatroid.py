@@ -578,7 +578,7 @@ def _residue_classes(sig: CircuitSignature, R: Hyperfield):
     flattened = []
     for rep in sig.reps:
         top = rep.max_grade()
-        shift = HElement(H.residue_units()[0], tuple(-t for t in top))
+        shift = HElement(H.one().residue, tuple(-t for t in top))
         scaled = rep.scale_left(shift) if sig.side == "left" else rep.scale_right(shift)
         flattened.append(scaled.uparrow())
     sups = [v.support for v in flattened]

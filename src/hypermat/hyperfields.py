@@ -362,7 +362,7 @@ class Hyperfield:
         return HElement(None, ())
 
     def one(self) -> HElement:
-        return HElement(self.residue_units()[0], (0,) * self.rank)
+        return HElement(1, (0,) * self.rank)
 
     def residue_units(self) -> tuple | range:
         """The residue labels of grade-zero units, in sort order."""
@@ -706,12 +706,13 @@ def validate_axioms(H: Hyperfield, window: int = 4) -> list[dict]:
 
     The loops visit box elements as int codes and read every hypersum,
     product, lifted sum, membership and scaling from tables that live for
-    this call (see ``_AxiomTables``), so each is computed once and the
-    checks compare ints.  Witnesses are the ``HElement``s behind the codes.
+    this call, so each is computed once and the checks compare ints.  The
+    codes come from a ``BoxCode`` seeded with the box.  Witnesses are the
+    ``HElement``s behind the codes.
     """
     check_axiom_budget(H, window)
     elems = H.elements_box(window)
-    T = _AxiomTables(H, elems)
+    T = BoxCode(H, window, elems)
     box = range(len(elems))
     zero, one = T.code(H.zero()), T.code(H.one())
     report = []
@@ -783,30 +784,42 @@ def validate_axioms(H: Hyperfield, window: int = 4) -> list[dict]:
     return report
 
 
-class _AxiomTables:
-    """A window box coded as ints, with memo tables of sums and products.
+def _in_box(x: HElement, window: int) -> bool:
+    """Is x zero or a unit whose grade coordinates all lie in [-window, window]?"""
+    return x.is_zero or all(abs(c) <= window for c in x.grade)
 
-    Lives for one ``validate_axioms`` call.  Codes ``0 .. n-1`` are the box
-    in order; a product that leaves the box gets the next code when it first
-    appears.  Symbolic sets are interned as ids into ``sets``, so two sets
-    are equal exactly when their ids are.  ``sum`` and ``mul`` compute each
-    pair once, on first use.
+
+class BoxCode:
+    """Elements coded as ints for one call, with memo tables of sums and products.
+
+    The given ``elements`` get the codes ``0 .. n-1`` in order; any other
+    element gets the next code when it is first seen.  ``in_box[c]`` tells
+    whether code c lies in the window box.  The coder never builds the box
+    itself, so its size is the number of elements coded, not the size of the
+    box.  Symbolic sets are interned as ids into ``sets``, so two sets are
+    equal exactly when their ids are.  ``sum`` and ``mul`` compute each pair
+    once, on first use.
     """
 
-    def __init__(self, H: Hyperfield, box: list[HElement]):
+    def __init__(self, H: Hyperfield, window: int, elements=()):
         self.field = H
-        self.elements = list(box)
-        self._codes = {x: i for i, x in enumerate(box)}
+        self.window = window
+        self.elements: list[HElement] = []
+        self.in_box: list[bool] = []
+        self._codes: dict[HElement, int] = {}
         self.sets: list[SymbolicSet] = []
         self._set_ids: dict[SymbolicSet, int] = {}
         self._sums: dict[tuple[int, int], int] = {}
         self._products: dict[tuple[int, int], int] = {}
+        for x in elements:
+            self.code(x)
 
     def code(self, x: HElement) -> int:
         c = self._codes.get(x)
         if c is None:
             c = self._codes[x] = len(self.elements)
             self.elements.append(x)
+            self.in_box.append(_in_box(x, self.window))
         return c
 
     def set_id(self, s: SymbolicSet) -> int:

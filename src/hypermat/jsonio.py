@@ -1,4 +1,4 @@
-"""JSON encoding of hyperfields, elements, vectors, matroids, and reports.
+"""JSON encoding of hyperfields, elements, vectors, H-matroids, and reports.
 
 Schema tag: "hypermat/1".  Elements are "0" or {"r": ..., "g": [...]}, with
 "r" omitted for Krasner residues and "g" omitted at rank 0.  Every emitted
@@ -12,7 +12,6 @@ import json
 from .errors import SpecError
 from .hmatroid import HMatroid, HVector, hmatroid_from_circuits
 from .hyperfields import HElement, Hyperfield
-from .matroids import ClassicalMatroid, from_circuits
 
 SCHEMA = "hypermat/1"
 VERSION = "0.1.0"
@@ -129,22 +128,6 @@ def hvector_from_json(H: Hyperfield, ground, entries, path="$") -> HVector:
         tuple(ground),
         tuple(element_from_json(H, e, f"{path}[{i}]") for i, e in enumerate(entries)),
     )
-
-
-def matroid_to_json(M: ClassicalMatroid) -> dict:
-    return {
-        "schema": SCHEMA,
-        "ground": list(M.ground),
-        "circuits": [sorted(c) for c in sorted(M.circuits, key=sorted)],
-    }
-
-
-def matroid_from_json(d, path="$") -> ClassicalMatroid:
-    ground = _ground_of(d, path)
-    circuits = d.get("circuits")
-    if not isinstance(circuits, list):
-        raise SpecError(f"{path}.circuits: expected a list")
-    return from_circuits(ground, [frozenset(map(str, c)) for c in circuits])
 
 
 def hmatroid_to_json(M: HMatroid) -> dict:

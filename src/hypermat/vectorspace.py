@@ -8,7 +8,7 @@ closure and singleton hypersums of scaled circuits, capped at corank many
 factors) and must agree with enumeration on the same window.  Also:
 perfection (checked on scaling classes), the vector axioms with
 reconstruction, the partition dichotomy, vector elimination, and circuit
-decompositions.
+decompositions.  Every per-call table codes elements as a ``BoxCode`` does.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .hmatroid import (
     zero_in_sum,
     zero_vector,
 )
-from .hyperfields import HElement, Hyperfield, SymbolicSet, composition
+from .hyperfields import BoxCode, HElement, Hyperfield, _in_box, composition
 
 CANDIDATE_BUDGET = 10**8
 
@@ -60,7 +60,9 @@ def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     failing test cuts off every completion of the partial assignment.  The
     test is a lookup: per support coordinate, a table built once per call
     holds the ``product_term`` of every box element against the cocircuit's
-    entry, and ``zero_in_sum`` decides, as ``perp`` would.  An ``HVector`` is
+    entry, and ``zero_in_sum`` decides, as ``perp`` would.  The codes are the
+    indices of ``H.elements_box(window)``, exactly what a ``BoxCode`` seeded
+    with the box gives, so no coder object is built.  An ``HVector`` is
     built only for each vector found.  Coordinates in no cocircuit support
     (the loops) are never tested and range over the box.  The budget bounds
     the box, not the work done, which is usually far less.
@@ -138,10 +140,6 @@ def covectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
 def compose_vectors(V: HVector, W: HVector) -> HVector:
     H = V.field
     return HVector(H, V.ground, tuple(H.compose(a, b) for a, b in zip(V.entries, W.entries)))
-
-
-def _in_box(x: HElement, window: int) -> bool:
-    return x.is_zero or all(abs(c) <= window for c in x.grade)
 
 
 def _within_box(V: HVector, window: int) -> bool:
@@ -252,26 +250,21 @@ def _classes_orthogonal(H: Hyperfield, side: str, vectors, covectors) -> bool:
     """Is every vector orthogonal to every covector?
 
     The vector is the left factor of the pairing on the left side and the
-    right factor on the right side.  Each side's entries are coded as small
-    ints, the ``product_term`` of every vector entry against every covector
-    entry is tabled once, and ``zero_in_sum`` decides each pair from it.
+    right factor on the right side.  Each side's entries are coded by its
+    own ``BoxCode`` (whose in-box flags are not read, so its window is 0),
+    the ``product_term`` of every vector entry against every covector entry
+    is tabled once, and ``zero_in_sum`` decides each pair from it.
     """
-    v_elements, v_rows = _coded(vectors)
-    u_elements, u_rows = _coded(covectors)
-    table = [_terms(H, v_elements, y, side) for y in u_elements]
+    v_code, u_code = BoxCode(H, 0), BoxCode(H, 0)
+    v_rows = [tuple(map(v_code.code, V.entries)) for V in vectors]
+    u_rows = [tuple(map(u_code.code, U.entries)) for U in covectors]
+    table = [_terms(H, v_code.elements, y, side) for y in u_code.elements]
     for u in u_rows:
         columns = [table[b] for b in u]
         for v in v_rows:
             if not zero_in_sum(H, [t for col, a in zip(columns, v) if (t := col[a]) is not None]):
                 return False
     return True
-
-
-def _coded(vectors):
-    """The distinct entries of the vectors, and each vector as their indices."""
-    codes: dict[HElement, int] = {}
-    rows = [tuple([codes.setdefault(x, len(codes)) for x in V.entries]) for V in vectors]
-    return list(codes), rows
 
 
 # -- vector axioms ----------------------------------------------------------
@@ -289,8 +282,9 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     circuits' grade spread; with no matroid given, that box truncation can
     then produce spurious (V3) failures.
 
-    Hypersums are computed once per pair of entries (see ``_EntryTable``),
-    and (V3) only visits pairs of vectors with opposite entries somewhere.
+    Entries are coded by a ``BoxCode`` (see ``_EntryTable``), so each
+    hypersum and product of two entries is computed once, and (V3) only
+    visits pairs of vectors with opposite entries somewhere.
     """
     vectors = frozenset(vectors)
     if not vectors:
@@ -351,32 +345,29 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     return report
 
 
-class _EntryTable:
-    """One vector set with its entries coded as small ints, plus entry-pair sums.
+class _EntryTable(BoxCode):
+    """One vector set coded by a ``BoxCode``, plus entry-pair tables.
 
     Lives for one ``check_vector_axioms`` call.  ``rows`` holds the coded
-    entries of each vector and ``present`` their set.  ``add_pairs`` computes
-    the hypersum of every pair of entries that meets at some coordinate once;
-    those are exactly the pairs that composing every two vectors computes.
-    Per pair ``a, b`` (codes), ``composed[a][b]`` is the code of the
-    composition when (V2') asks for it at that coordinate, that is when it is
-    inside the window box and, over a field residue, keeps the union support;
-    else None.  ``single_in_box[a][b]`` is the code of a singleton hypersum
-    inside the box, else None, for (V2'').
+    entries of each vector and ``present`` their set; the hypersum of codes
+    ``a, b`` is ``sets[sum(a, b)]``.  ``add_pairs`` visits every pair of
+    entries that meets at some coordinate once; those are exactly the pairs
+    that composing every two vectors computes.  Per pair ``a, b`` (codes),
+    ``composed[a][b]`` is the code of the composition when (V2') asks for it
+    at that coordinate, that is when it is inside the window box and, over a
+    field residue, keeps the union support; else None.  ``single[a][b]`` is
+    the code of a singleton hypersum, else None, and ``single_in_box[a][b]``
+    the same inside the box, for (V2'').  These stay plain dicts because the
+    quadratic (V2')/(V2'') loops read them.
     """
 
     def __init__(self, ordered, window: int):
         some = ordered[0]
-        self.field = some.field
+        super().__init__(some.field, window, [some.field.zero()])
         self.ground = some.ground
-        self.window = window
-        self.elements: list[HElement] = []
-        self.in_box: list[bool] = []
-        self._codes: dict[HElement, int] = {}
-        self.zero = self.code(self.field.zero())
+        self.zero = 0
         self.rows = [tuple(map(self.code, V.entries)) for V in ordered]
         self.present = set(self.rows)
-        self.sums: dict[int, dict[int, SymbolicSet]] = {}
         self.single: dict[int, dict[int, int | None]] = {}
         self.single_in_box: dict[int, dict[int, int | None]] = {}
         self.composed: dict[int, dict[int, int | None]] = {}
@@ -385,11 +376,10 @@ class _EntryTable:
     def scalings(self, scalars, side: str) -> list[list[int | None]]:
         """Per scalar a, the code of a·x (x·a on the right side) for every entry
         code x of the vectors, or None where the product leaves the window box."""
-        H = self.field
-        entries = list(self.elements)
+        entries = range(len(self.elements))
         out = []
-        for a in scalars:
-            products = [self.code(H.mul(a, x) if side == "left" else H.mul(x, a)) for x in entries]
+        for a in map(self.code, scalars):
+            products = [self.mul(a, x) if side == "left" else self.mul(x, a) for x in entries]
             out.append([c if self.in_box[c] else None for c in products])
         return out
 
@@ -400,40 +390,31 @@ class _EntryTable:
         for column in zip(*self.rows):
             met = sorted(set(column))
             for a in met:
-                sums = self.sums.setdefault(a, {})
                 single = self.single.setdefault(a, {})
                 single_in_box = self.single_in_box.setdefault(a, {})
                 composed = self.composed.setdefault(a, {})
                 x = self.elements[a]
                 for b in met:
-                    if b in sums:
+                    if b in single:
                         continue
-                    y = self.elements[b]
-                    s = sums[b] = H.hyperadd(x, y)
+                    s = self.sets[self.sum(a, b)]
                     elt = s.the_singleton()
                     single[b] = c = None if elt is None else self.code(elt)
                     single_in_box[b] = c if c is not None and self.in_box[c] else None
                     # the first pair goes through H.compose, which refuses a
                     # hyperfield that is not stringent
+                    y = self.elements[b]
                     xy = composition(x, s) if checked else H.compose(x, y)
                     checked = True
                     keeps = not xy.is_zero or (x.is_zero and y.is_zero)
                     c = self.code(xy)
                     composed[b] = c if (closed_supports or keeps) and self.in_box[c] else None
 
-    def code(self, x: HElement) -> int:
-        c = self._codes.get(x)
-        if c is None:
-            c = self._codes[x] = len(self.elements)
-            self.elements.append(x)
-            self.in_box.append(_in_box(x, self.window))
-        return c
-
     def within(self, a: int, b: int, radius: int) -> list[int]:
         """Codes of the members of the sum of a and b inside the radius box, sorted."""
         key = (a, b, radius)
         if key not in self._within:
-            self._within[key] = [self.code(x) for x in self.sums[a][b].elements_within(radius)]
+            self._within[key] = [self.code(x) for x in self.sets[self.sum(a, b)].elements_within(radius)]
         return self._within[key]
 
 
@@ -446,7 +427,7 @@ def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
     base = [zero if c is None else c for c in fixed]
     # cheapest first: all-zero choice on the cancelling coordinates
     if tuple(base) in table.present and all(
-        table.sums[a][b].contains_zero for (a, b), c in zip(pairs, fixed) if c is None
+        table.sets[table.sum(a, b)].contains_zero for (a, b), c in zip(pairs, fixed) if c is None
     ):
         return True
     choices = [table.within(*pairs[i], table.window) for i in free]
@@ -461,7 +442,7 @@ def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
                 return True
     else:
         elements = table.elements
-        sums = [table.sums[a][b] for a, b in pairs]
+        sums = [table.sets[table.sum(a, b)] for a, b in pairs]
         for z in table.rows:
             if z[ei] == zero and all(elements[c] in s for c, s in zip(z, sums)):
                 return True
@@ -542,7 +523,7 @@ def _farkas_cocircuit(M, R, G, weak):
         gsum = H.hyperadd_multi([Y[e] for e in sorted(G)])
         if gsum.contains_zero:
             continue
-        shift = HElement(H.residue_units()[0], tuple(-c for c in m_g))
+        shift = HElement(H.one().residue, tuple(-c for c in m_g))
         scaled = Y.scale_right(shift) if M.cocircuits.side == "right" else Y.scale_left(shift)
         return scaled
     return None

@@ -20,7 +20,13 @@ from hypermat import (
     symset,
     validate_axioms,
 )
-from hypermat.hyperfields import MAX_AXIOM_BOX, MAX_QUOTIENT_INDEX, check_axiom_budget, is_prime
+from hypermat.hyperfields import (
+    MAX_AXIOM_BOX,
+    MAX_QUOTIENT_INDEX,
+    BoxCode,
+    check_axiom_budget,
+    is_prime,
+)
 
 K = Hyperfield.krasner()
 S = Hyperfield.sign()
@@ -251,6 +257,18 @@ def test_negatives_ignore_table_entries_with_a_zero_operand():
     assert H.neg(H.unit(2)) == H.unit(1)
 
 
+def test_tables_whose_least_unit_label_is_not_one():
+    # the sign hyperfield with labels -1, 0, 1: the unit is 1, not the least label -1
+    elements = (-1, 0, 1)
+    add = {(a, b): {a or b} for a in elements for b in elements}
+    add[1, -1] = add[-1, 1] = set(elements)
+    mul = {(a, b): a * b for a in elements for b in elements}
+    H = Hyperfield.from_tables(elements, add, mul)
+    assert validate_axioms(H) == []
+    assert H.one() == HElement(1)
+    assert H.is_stringent
+
+
 @pytest.mark.axiom_budget
 def test_axiom_check_refuses_a_box_over_the_budget(deadline):
     with deadline(10), pytest.raises(ResourceLimitError):
@@ -265,6 +283,38 @@ def test_axiom_budget_admits_the_boxes_in_use():
     # the 19-element boxes of the battery at window 4, and the largest quotient
     assert check_axiom_budget(SS1, 4) == check_axiom_budget(SF31, 4) == 19
     assert MAX_QUOTIENT_INDEX + 1 <= MAX_AXIOM_BOX
+
+
+@pytest.mark.parametrize("H", [
+    T1, Hyperfield.stringent("sign", 2), SF31, Hyperfield.quotient(7, [1, 2, 4]),
+], ids=repr)
+def test_box_code(H):
+    box = H.elements_box(1)
+    T = BoxCode(H, 1, box)
+    assert T.elements == box
+    for x in H.elements_box(2):
+        assert T.in_box[T.code(x)] == (x in box)
+    assert T.elements[:len(box)] == box
+    n = len(T.elements)
+    if H.rank:
+        outside = HElement(1, (7,) * H.rank)
+        assert T.code(outside) == n and T.code(outside) == n
+        assert not T.in_box[n]
+    codes = range(len(box))
+    for x, y in itertools.product(codes, codes):
+        assert T.sets[T.sum(x, y)] == H.hyperadd(box[x], box[y])
+        assert T.elements[T.mul(x, y)] == H.mul(box[x], box[y])
+        assert T.sum(x, y) == T.set_id(H.hyperadd(box[x], box[y]))
+
+
+def test_box_code_holds_only_the_elements_it_meets():
+    H = Hyperfield.stringent("field", 1, p=1_000_003)
+    assert H.elements_box_size(4) == 9_000_019
+    T = BoxCode(H, 4, [H.zero(), H.one()])
+    x = T.code(H.unit(2, (1,)))
+    assert T.mul(1, x) == T.mul(x, 1) == x
+    assert T.sets[T.sum(0, x)] == symset(H, [H.unit(2, (1,))])
+    assert len(T.elements) == len(T.in_box) == 3
 
 
 def test_check_stringent_catalog():

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from hypermat import Hyperfield, SpecError, __version__, uniform_matroid
+from hypermat import Hyperfield, SpecError, __version__
 from hypermat import jsonio
 
 
@@ -86,13 +86,6 @@ def test_non_integer_hyperfield_parameters_rejected(doc):
 def test_inexact_element_numbers_rejected(H, doc):
     with pytest.raises(SpecError, match=r"^\$\.here\.(r|g)\S*: expected a.* integer"):
         jsonio.element_from_json(H, doc, "$.here")
-
-
-def test_matroid_round_trip():
-    M = uniform_matroid(2, ("1", "2", "3"))
-    doc = jsonio.matroid_to_json(M)
-    assert jsonio.matroid_from_json(doc) == M
-    assert doc["circuits"] == [["1", "2", "3"]]
 
 
 def test_hmatroid_round_trip(u23_sign, trop_u23, stringent_sign_u23):

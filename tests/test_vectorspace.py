@@ -30,8 +30,9 @@ from hypermat import (
 )
 from hypermat.cli import run
 from hypermat.hmatroid import pairing, perp
+from hypermat.instances import windowed_instances
 from hypermat.jsonio import dumps, hmatroid_to_json
-from hypermat.vectorspace import _classes_orthogonal, check_budget
+from hypermat.vectorspace import _classes_orthogonal, _vector_hypersum, check_budget
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
@@ -127,6 +128,19 @@ def test_generate_equals_enumerate_tropical(trop_u23):
 
 def test_generate_equals_enumerate_stringent_sign(stringent_sign_u23):
     assert vectors_generate(stringent_sign_u23, 2) == vectors_enumerate(stringent_sign_u23, 2)
+
+
+WINDOWED = [pytest.param(M, id=name) for name, M in windowed_instances()]
+# S-U23, S-U24 and their duals
+GRADED_SIGN = [p for p in WINDOWED if p.id.startswith("S-")]
+
+
+@pytest.mark.parametrize("M", WINDOWED)
+def test_generate_equals_enumerate_on_windowed_instances(M):
+    # at the battery windows; the duals of the left-side instances are
+    # right-side, so their circuits are scaled on the right
+    w = 3 if M.field.residue_kind == "krasner" else 2
+    assert vectors_generate(M, w) == vectors_enumerate(M, w)
 
 
 def test_generate_equals_enumerate_field_residue():
@@ -444,8 +458,25 @@ def test_decompose_composite_sign_vector(u24_sign, sign):
     V = composite[0]
     parts = decompose_vector(u24_sign, V)
     assert len(parts) == 2
-    from hypermat.vectorspace import _vector_hypersum
     assert _vector_hypersum(parts) == V
+
+
+@pytest.mark.parametrize("M", GRADED_SIGN)
+def test_decompose_graded_vectors_back_to_themselves(M):
+    for V in vectors_enumerate(M, 1):
+        if not V.is_zero:
+            assert _vector_hypersum(decompose_vector(M, V)) == V
+
+
+@pytest.mark.parametrize("M", GRADED_SIGN)
+def test_farkas_weak_witness_for_every_graded_partition(M):
+    one = M.field.one()
+    for colours in itertools.product("RGB", repeat=len(M.ground)):
+        parts = {k: [e for e, c in zip(M.ground, colours) if c == k] for k in "RGB"}
+        w = farkas_witness(M, parts, 2, weak=True)
+        if w.kind == "vector":
+            assert all(w.vec[e] == one for e in parts["G"])
+            assert all(w.vec[e].is_zero for e in parts["B"])
 
 
 def test_decompose_rejects_non_vector(u24_sign, sign):

@@ -333,9 +333,7 @@ def cmd_matroid(args) -> int:
         unknown = set(parts) - {"R", "G", "B"}
         if unknown:
             raise SpecError(f"--partition: unknown keys {sorted(unknown)}; expected R, G and B")
-        for key in ("R", "G", "B"):
-            parts.setdefault(key, [])
-        R, G, B = (set(parts[key]) for key in ("R", "G", "B"))
+        R, G, B = (set(parts.get(key, ())) for key in ("R", "G", "B"))
         if R & G or R & B or G & B or R | G | B != set(M.ground):
             raise SpecError("--partition: R, G and B must partition the ground set")
         record, w = _timed("farkas", window, farkas_witness, M, parts, window, args.weak)

@@ -329,10 +329,6 @@ class HMatroid:
     side: str = "left"
 
     @property
-    def rank(self) -> int:
-        return self.underlying.rank
-
-    @property
     def corank(self) -> int:
         return self.underlying.corank
 

@@ -466,9 +466,6 @@ class Hyperfield:
             return symset(self, [b])
         if b.is_zero:
             return symset(self, [a])
-        if self.kind == "quotient":
-            vals = self._table_add(a.residue, b.residue)
-            return symset(self, [HElement(v, ()) if v else self.zero() for v in vals])
         if a.grade > b.grade:
             return symset(self, [a])
         if a.grade < b.grade:

@@ -1,14 +1,17 @@
 """Vectors and covectors of matroids over hyperfields.
 
-Enumeration is windowed and budget-checked, and prunes on cocircuit
-supports: coordinates are assigned depth first, and each cocircuit is
-tested, from product tables built for the call, as soon as its support is
-assigned.  Generation follows the stringent fast paths (composition
-closure and singleton hypersums of scaled circuits, capped at corank many
-factors) and must agree with enumeration on the same window.  Also:
-perfection (checked on scaling classes), the vector axioms with
-reconstruction, the partition dichotomy, vector elimination, and circuit
-decompositions.  Every per-call table codes elements as a ``BoxCode`` does.
+One search, ``_orthogonal_points``, finds the points of a product of
+candidate entries that are orthogonal to every cocircuit: coordinates are
+assigned depth first, and each cocircuit is tested, from product tables
+built for the call, as soon as its support is assigned.  Enumeration runs
+it over the window box (windowed and budget-checked); the partition
+dichotomy, (V3) beyond the window box and vector elimination take its
+first point over their own candidates.  Generation follows the stringent
+fast paths (composition closure and singleton hypersums of scaled
+circuits, capped at corank many factors) and must agree with enumeration
+on the same window.  Also: perfection (checked on scaling classes), the
+vector axioms with reconstruction, and circuit decompositions.  Every
+per-call table codes elements as a ``BoxCode`` does.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .hmatroid import (
     HMatroid,
     HVector,
     hmatroid_from_circuits,
-    hvector,
     normalize_vector,
     product_term,
     zero_in_sum,
@@ -53,47 +55,55 @@ def check_budget(field: Hyperfield, ground, window: int):
 def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     """All windowed vectors: the box points orthogonal to every cocircuit.
 
-    Coordinates are assigned depth first, in the order of ``_closing_order``,
-    as indices into the window box.  A cocircuit's pairing reads a vector
-    only on the cocircuit's support, so each cocircuit representative is
-    tested as soon as the last coordinate of its support is assigned; a
-    failing test cuts off every completion of the partial assignment.  The
-    test is a lookup: per support coordinate, a table built once per call
-    holds the ``product_term`` of every box element against the cocircuit's
-    entry, and ``zero_in_sum`` decides, as ``perp`` would.  The codes are the
-    indices of ``H.elements_box(window)``, exactly what a ``BoxCode`` seeded
-    with the box gives, so no coder object is built.  An ``HVector`` is
-    built only for each vector found.  Coordinates in no cocircuit support
-    (the loops) are never tested and range over the box.  The budget bounds
-    the box, not the work done, which is usually far less.
+    The search is ``_orthogonal_points`` with the window box as every
+    coordinate's domain, in the order of ``_closing_order``.  The budget
+    bounds the box, not the work done, which is usually far less.
     """
     check_budget(M.field, M.ground, window)
-    H, ground = M.field, M.ground
-    box = H.elements_box(window)
-    order, closing = _closing_order(M)
-    tests = [
-        [[(j, _terms(H, box, Y.entries[j], M.side)) for j in at] for at, Y in due]
-        for due in closing
-    ]
-    codes = [0] * len(ground)
-    out = []
+    box = M.field.elements_box(window)
+    return frozenset(_orthogonal_points(M, [box] * len(M.ground), _closing_order(M)))
 
-    def assign(depth):
-        if depth == len(order):
-            out.append(HVector(H, ground, tuple([box[c] for c in codes])))
+
+def _orthogonal_points(M: HMatroid, domains, order):
+    """Each point of the product of ``domains`` (candidate entries per
+    coordinate) that is orthogonal to every cocircuit representative of M.
+
+    Coordinates are assigned depth first in ``order``, as indices into their
+    domains, so points come out in lexicographic order over ``order``.  A
+    cocircuit's pairing reads a point only on the cocircuit's support, so
+    each representative is tested as soon as the last coordinate of its
+    support is assigned; a failing test cuts off every completion of the
+    partial assignment.  The test is a lookup: per support coordinate, a
+    table built once per call holds the ``product_term`` of every domain
+    element against the cocircuit's entry, and ``zero_in_sum`` decides, as
+    ``perp`` would.  An ``HVector`` is built only for each point found.
+    Coordinates in no cocircuit support (the loops) are never tested.
+    """
+    H, ground = M.field, M.ground
+    depth = {i: d for d, i in enumerate(order)}
+    tests = [[] for _ in order]
+    for Y in M.cocircuits.reps:
+        at = [j for j, y in enumerate(Y.entries) if not y.is_zero]
+        tests[max(depth[j] for j in at)].append(
+            [(j, _terms(H, domains[j], Y.entries[j], M.side)) for j in at]
+        )
+    codes = [0] * len(ground)
+
+    def assign(d):
+        if d == len(order):
+            yield HVector(H, ground, tuple([dom[c] for dom, c in zip(domains, codes)]))
             return
-        i = order[depth]
-        due = tests[depth]
-        for c in range(len(box)):
+        i = order[d]
+        due = tests[d]
+        for c in range(len(domains[i])):
             codes[i] = c
             for test in due:
                 if not zero_in_sum(H, [t for j, terms in test if (t := terms[codes[j]]) is not None]):
                     break
             else:
-                assign(depth + 1)
+                yield from assign(d + 1)
 
-    assign(0)
-    return frozenset(out)
+    return assign(0)
 
 
 def _terms(H: Hyperfield, xs, y: HElement, side: str) -> list:
@@ -104,15 +114,12 @@ def _terms(H: Hyperfield, xs, y: HElement, side: str) -> list:
     return [product_term(H, y, x) for x in xs]
 
 
-def _closing_order(M: HMatroid):
-    """A coordinate order that closes cocircuit supports early, and the tests
-    due at each depth.
+def _closing_order(M: HMatroid) -> list[int]:
+    """A coordinate order that closes cocircuit supports early.
 
     Greedy and deterministic: the next coordinate is the least unassigned
     index of the support with the fewest unassigned indices (ties go to the
     lexicographically least index list).  Loops come last, in index order.
-    ``closing[d]`` lists ``(indices, Y)`` for each cocircuit representative
-    Y whose support, at those indices, closes at depth d.
     """
     supports = [
         [i for i, x in enumerate(Y.entries) if not x.is_zero] for Y in M.cocircuits.reps
@@ -124,12 +131,7 @@ def _closing_order(M: HMatroid):
         if not open_:
             break
         order.append(min(open_, key=lambda s: (len(s), s))[0])
-    order += [i for i in range(len(M.ground)) if i not in order]
-    depth = {i: d for d, i in enumerate(order)}
-    closing = [[] for _ in order]
-    for at, Y in zip(supports, M.cocircuits.reps):
-        closing[max(depth[i] for i in at)].append((at, Y))
-    return order, closing
+    return order + [i for i in range(len(M.ground)) if i not in order]
 
 
 def covectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
@@ -275,12 +277,12 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
 
     Scalings and compositions are only required to be present when they stay
     inside the window box.  An eliminant for (V3) must be in the set when it
-    fits the box; eliminants whose entries dip below the box are verified
-    directly against cocircuits: those of ``matroid`` when the set is known
-    to be its windowed vector set, else those of the matroid reconstructed
-    from the set.  Reconstruction fails when the window is narrower than the
-    circuits' grade spread; with no matroid given, that box truncation can
-    then produce spurious (V3) failures.
+    fits the box; eliminants whose entries dip below the box are searched
+    for with ``_orthogonal_points`` against cocircuits: those of ``matroid``
+    when the set is known to be its windowed vector set, else those of the
+    matroid reconstructed from the set.  Reconstruction fails when the
+    window is narrower than the circuits' grade spread; with no matroid
+    given, that box truncation can then produce spurious (V3) failures.
 
     Entries are coded by a ``BoxCode`` (see ``_EntryTable``), so each
     hypersum and product of two entries is computed once, and (V3) only
@@ -364,7 +366,6 @@ class _EntryTable(BoxCode):
     def __init__(self, ordered, window: int):
         some = ordered[0]
         super().__init__(some.field, window, [some.field.zero()])
-        self.ground = some.ground
         self.zero = 0
         self.rows = [tuple(map(self.code, V.entries)) for V in ordered]
         self.present = set(self.rows)
@@ -419,7 +420,14 @@ class _EntryTable(BoxCode):
 
 
 def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
-    zero = table.zero
+    """Does (V3) hold for the coded vectors v, w, which cancel at ei?
+
+    True if the set holds an eliminant (zero at ei, inside the pointwise
+    hypersum), or if the first eliminant of ``recon`` that
+    ``_orthogonal_points`` finds among the hypersum members within
+    ``slack`` leaves the window box, so the set could not hold it.
+    """
+    zero, elements = table.zero, table.elements
     pairs = list(zip(v, w))
     # w[ei] = -v[ei], so by (H1) a singleton sum at ei is {0}
     fixed = [table.single[a][b] for a, b in pairs]
@@ -441,23 +449,20 @@ def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
             if tuple(base) in table.present:
                 return True
     else:
-        elements = table.elements
         sums = [table.sets[table.sum(a, b)] for a, b in pairs]
         for z in table.rows:
             if z[ei] == zero and all(elements[c] in s for c, s in zip(z, sums)):
                 return True
     if recon is None or table.field.rank == 0:
         return False
-    # no in-box member: look for an eliminant whose entries escape the box
-    deep = [table.within(*pairs[i], slack) for i in free]
-    for picks in itertools.product(*deep):
-        for i, c in zip(free, picks):
-            base[i] = c
-        Z = HVector(table.field, table.ground, tuple(table.elements[c] for c in base))
-        if not all(recon.vector_perp(Z, Y) for Y in recon.cocircuits.reps):
-            continue
-        return not all(table.in_box[c] for c in base)
-    return False
+    # no in-box member: the first eliminant of recon, in pick order, whose
+    # entries may escape the box decides
+    domains = [[elements[c]] for c in base]
+    for i in free:
+        domains[i] = [elements[c] for c in table.within(*pairs[i], slack)]
+    order = [i for i in range(len(base)) if i not in free] + free
+    Z = next(_orthogonal_points(recon, domains, order), None)
+    return Z is not None and not _within_box(Z, table.window)
 
 
 def reconstruct_from_vectors(vectors, side: str = "left") -> HMatroid:
@@ -486,18 +491,18 @@ def farkas_witness(M: HMatroid, partition, window: int = 4, weak: bool = False) 
     """Either a vector that is 1 on G, small on R and 0 on B, or a cocircuit
     that is bounded by 1 on R and G, hits 1 on G, and has a zero-free G-sum.
 
-    The strict form bounds the vector strictly below 1 on R; the weak flag
-    swaps the strictness between the two branches.  The two branches are
-    mutually exclusive, so the search order does not matter.
+    ``partition`` maps "R", "G" and "B" to element labels; a missing part is
+    empty.  The strict form bounds the vector strictly below 1 on R; the
+    weak flag swaps the strictness between the two branches.  The two
+    branches are mutually exclusive, so the search order does not matter.
     """
-    H = M.field
-    R, G, B = (frozenset(partition[k]) for k in ("R", "G", "B"))
+    R, G, B = (frozenset(partition.get(k, ())) for k in ("R", "G", "B"))
     if R | G | B != frozenset(M.ground) or R & G or R & B or G & B:
         raise InvalidInputError("not a partition of the ground set")
     found = _farkas_cocircuit(M, R, G, weak)
     if found is not None:
         return FarkasWitness("cocircuit", found)
-    found = _farkas_vector(M, R, G, B, window, weak)
+    found = _farkas_vector(M, R, G, window, weak)
     if found is not None:
         return FarkasWitness("vector", found)
     raise TheoremViolationError(
@@ -529,9 +534,10 @@ def _farkas_cocircuit(M, R, G, weak):
     return None
 
 
-def _farkas_vector(M, R, G, B, window, weak):
+def _farkas_vector(M, R, G, window, weak):
+    """The first vector that is 1 on G, 0 off R and G, and takes values below
+    1 (at most 1 if weak) on R, with R's values picked in label order."""
     H = M.field
-    one = H.one()
     zero = H.zero()
     zero_grade = (0,) * H.rank
     if H.rank == 0:
@@ -540,36 +546,36 @@ def _farkas_vector(M, R, G, B, window, weak):
         r_vals = [zero] + [x for x in H.units_box(window) if x.grade <= zero_grade]
     else:
         r_vals = [zero] + [x for x in H.units_box(window) if x.grade < zero_grade]
-    r_order = sorted(R)
-    cocircs = M.cocircuits.reps
-    for picks in itertools.product(r_vals, repeat=len(r_order)):
-        mapping = {e: one for e in G}
-        mapping.update({e: zero for e in B})
-        mapping.update(dict(zip(r_order, picks)))
-        V = hvector(H, M.ground, mapping)
-        if all(M.vector_perp(V, Y) for Y in cocircs):
-            return V
-    return None
+    ground = M.ground
+    domains = [r_vals if e in R else [H.one()] if e in G else [zero] for e in ground]
+    order = [i for i, e in enumerate(ground) if e not in R] + [ground.index(e) for e in sorted(R)]
+    return next(_orthogonal_points(M, domains, order), None)
 
 
 # -- elimination and decomposition ------------------------------------------
 
 
-def eliminate_vectors(M: HMatroid, vectors, e: str, window: int = 4, pool=None) -> HVector:
-    """A vector of M inside the pointwise hypersum of the inputs, zero at e."""
+def eliminate_vectors(M: HMatroid, vectors, e: str, window: int = 4) -> HVector:
+    """The least vector of M, by ``sort_key``, inside the window box and the
+    pointwise hypersum of the inputs, and zero at e.
+
+    The search is ``_orthogonal_points`` over each coordinate's hypersum
+    members in the box (just zero at e), in ground order.
+    """
     H = M.field
     vectors = list(vectors)
     at_e = H.hyperadd_multi([v[e] for v in vectors])
     if not at_e.contains_zero:
         raise InvalidInputError("the hypersum at e does not contain zero")
-    sums = {
-        f: H.hyperadd_multi([v[f] for v in vectors]) for f in M.ground
-    }
-    candidates = vectors_enumerate(M, window) if pool is None else pool
-    for V in sorted(candidates, key=lambda v: v.sort_key()):
-        if V[e].is_zero and all(V[f] in sums[f] for f in M.ground):
-            return V
-    raise TheoremViolationError(f"no eliminant at {e!r} within window {window}")
+    check_budget(H, M.ground, window)
+    domains = [
+        [H.zero()] if f == e else H.hyperadd_multi([v[f] for v in vectors]).elements_within(window)
+        for f in M.ground
+    ]
+    found = next(_orthogonal_points(M, domains, range(len(M.ground))), None)
+    if found is None:
+        raise TheoremViolationError(f"no eliminant at {e!r} within window {window}")
+    return found
 
 
 def decompose_vector(M: HMatroid, V: HVector, window: int = 2) -> list[HVector]:

@@ -259,6 +259,17 @@ def test_exit_code_2_on_json_flag_that_is_no_object(capsys, u23_sign_file, flag)
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["dual", "--window", "-1"],
+    ["vectors"],
+    ["vectors", "--enumerate", "--generate"],
+    ["minor", "--delete", "9"],
+], ids=["negative-window", "vectors-neither", "vectors-both", "minor-unknown-element"])
+def test_usage_errors_exit_2(capsys, u23_sign_file, argv):
+    assert run(["matroid", *argv, u23_sign_file]) == 2
+    assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("partition", [
     '{"X": ["1"]}',
     '{"G": ["1", "2"]}',

@@ -8,6 +8,14 @@ every covector in sort order.  The new code must return the same vector
 sets, and the same verdicts and witnesses, on the battery's instances and
 their duals, on the family's single-element minors, on hand-made edge cases
 and on sets with a foreign vector or covector added.
+
+``reference_farkas_vector`` and ``reference_eliminate_vectors`` are the
+earlier ``_farkas_vector`` and ``eliminate_vectors``, kept verbatim in the
+same way: they build an ``HVector`` for every candidate and test it with
+``perp``, or sort a given vector pool and filter it.  The search that
+replaced them must find the same vector, or none, for every partition of
+every battery instance, strict and weak, and for every elimination of two
+vectors with opposite entries at window 0 and 1.
 """
 
 import itertools
@@ -16,9 +24,13 @@ import random
 import pytest
 
 from hypermat import (
+    HElement,
     HVector,
     Hyperfield,
+    InvalidInputError,
+    TheoremViolationError,
     coset_map,
+    eliminate_vectors,
     hmatroid_from_circuits,
     hvector,
     is_perfect,
@@ -26,7 +38,7 @@ from hypermat import (
 )
 from hypermat.acceptance import AcceptanceContext
 from hypermat.hmatroid import HMatroid
-from hypermat.vectorspace import check_budget
+from hypermat.vectorspace import _farkas_vector, check_budget
 
 
 def reference_vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
@@ -52,6 +64,46 @@ def reference_is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=N
             if not M.vector_perp(V, U):
                 return False, (V, U)
     return True, None
+
+
+def reference_farkas_vector(M, R, G, B, window, weak):
+    H = M.field
+    one = H.one()
+    zero = H.zero()
+    zero_grade = (0,) * H.rank
+    if H.rank == 0:
+        r_vals = [zero] + ([HElement(r) for r in H.residue_units()] if weak else [])
+    elif weak:
+        r_vals = [zero] + [x for x in H.units_box(window) if x.grade <= zero_grade]
+    else:
+        r_vals = [zero] + [x for x in H.units_box(window) if x.grade < zero_grade]
+    r_order = sorted(R)
+    cocircs = M.cocircuits.reps
+    for picks in itertools.product(r_vals, repeat=len(r_order)):
+        mapping = {e: one for e in G}
+        mapping.update({e: zero for e in B})
+        mapping.update(dict(zip(r_order, picks)))
+        V = hvector(H, M.ground, mapping)
+        if all(M.vector_perp(V, Y) for Y in cocircs):
+            return V
+    return None
+
+
+def reference_eliminate_vectors(M: HMatroid, vectors, e: str, window: int = 4, pool=None) -> HVector:
+    """A vector of M inside the pointwise hypersum of the inputs, zero at e."""
+    H = M.field
+    vectors = list(vectors)
+    at_e = H.hyperadd_multi([v[e] for v in vectors])
+    if not at_e.contains_zero:
+        raise InvalidInputError("the hypersum at e does not contain zero")
+    sums = {
+        f: H.hyperadd_multi([v[f] for v in vectors]) for f in M.ground
+    }
+    candidates = vectors_enumerate(M, window) if pool is None else pool
+    for V in sorted(candidates, key=lambda v: v.sort_key()):
+        if V[e].is_zero and all(V[f] in sums[f] for f in M.ground):
+            return V
+    raise TheoremViolationError(f"no eliminant at {e!r} within window {window}")
 
 
 def _assert_same_vectors(M, window):
@@ -215,3 +267,44 @@ def test_single_element_and_empty_ground():
     empty = hmatroid_from_circuits(S, (), [])
     assert vectors_enumerate(empty, 0) == reference_vectors_enumerate(empty, 0)
     assert vectors_enumerate(empty, 0) == frozenset({HVector(S, (), ())})
+
+
+def test_same_farkas_vectors_on_battery_instances(battery):
+    found = missing = 0
+    for name, M, w, vs, us in battery:
+        for colors in itertools.product("RGB", repeat=len(M.ground)):
+            R, G, B = (frozenset(e for e, c in zip(M.ground, colors) if c == k) for k in "RGB")
+            for weak in (False, True):
+                got = _farkas_vector(M, R, G, w, weak)
+                assert got == reference_farkas_vector(M, R, G, B, w, weak), (name, colors, weak)
+                found += got is not None
+                missing += got is None
+    # both outcomes of the search are compared, not only one
+    assert found and missing
+
+
+def _elimination(eliminate, *args, **kwargs):
+    try:
+        return eliminate(*args, **kwargs)
+    except TheoremViolationError as exc:
+        return str(exc)
+
+
+def test_same_eliminants_on_battery_instances(battery):
+    calls = refused = 0
+    for name, M, w, vs, us in battery:
+        for window in sorted({0, min(w, 1)}):
+            pool = vs if window == w else vectors_enumerate(M, window)
+            ordered = sorted(pool, key=lambda v: v.sort_key())
+            # the hypersum is commutative, so each unordered pair is enough
+            for V, W in itertools.combinations_with_replacement(ordered, 2):
+                for e in M.ground:
+                    if V[e].is_zero or W[e] != M.field.neg(V[e]):
+                        continue
+                    got = _elimination(eliminate_vectors, M, [V, W], e, window)
+                    want = _elimination(reference_eliminate_vectors, M, [V, W], e, window, pool=pool)
+                    assert got == want, (name, V, W, e, window)
+                    calls += 1
+                    refused += isinstance(got, str)
+    # found eliminants and refusals are both compared
+    assert 0 < refused < calls

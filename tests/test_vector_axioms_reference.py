@@ -212,6 +212,23 @@ def test_same_reports_on_right_side_and_hand_made_sets(sign):
     assert check_vector_axioms([], 0) == reference_check_vector_axioms([], 0)
 
 
+@pytest.mark.parametrize("name, window, entries", [
+    ("T-U23(2,2,1)*", 1, [None, (1, -1), (1, 0)]),
+    ("S-U23(2,2,1)*", 0, [(1, 0), (-1, 0), None]),
+])
+def test_same_reports_with_a_circuit_scaling_dropped(name, window, entries):
+    # (V3) then searches beyond the box, and the first eliminant it finds is
+    # the dropped vector, inside the box, so the pair is reported
+    M = dict(AcceptanceContext().windowed())[name]
+    H = M.field
+    X = HVector(H, M.ground, tuple(H.zero() if x is None else H.unit(x[0], (x[1],)) for x in entries))
+    vs = vectors_enumerate(M, window)
+    assert X in vs
+    report = check_vector_axioms(vs - {X}, window, M.side)
+    assert report == reference_check_vector_axioms(vs - {X}, window, M.side)
+    assert any(r["check"] == "V3" for r in report)
+
+
 def test_non_stringent_hyperfield_is_refused_by_both():
     Q = Hyperfield.quotient(7, [1, 2, 4])
     G3 = ("1", "2", "3")

@@ -30,7 +30,7 @@ from hypermat import (
 )
 from hypermat.cli import run
 from hypermat.hmatroid import pairing, perp
-from hypermat.instances import windowed_instances
+from hypermat.instances import u23, windowed_instances
 from hypermat.jsonio import dumps, hmatroid_to_json
 from hypermat.vectorspace import _classes_orthogonal, _vector_hypersum, check_budget
 
@@ -391,6 +391,22 @@ def test_farkas_strictness_flips_the_branch(u23_sign, sign):
     assert all(x == sign.one() for x in weak.vec.entries)
 
 
+@pytest.mark.parametrize("parts", [
+    {"G": ["1", "2", "3"]},
+    {"R": ["1"], "G": ["2", "3"]},
+    {"B": ["1", "2", "3"]},
+    {},
+])
+def test_farkas_reads_a_missing_part_as_empty(parts):
+    M = krasner_matroid(u23())
+    full = {k: parts.get(k, []) for k in ("R", "G", "B")}
+    if not any(full.values()):
+        with pytest.raises(InvalidInputError):
+            farkas_witness(M, parts, 0)
+        return
+    assert farkas_witness(M, parts, 0) == farkas_witness(M, full, 0)
+
+
 def test_singleton_hypersums_of_vectors_are_vectors(u24_sign, stringent_sign_u23):
     from hypermat.vectorspace import _vector_hypersum
 
@@ -420,8 +436,8 @@ def test_eliminate_sign_pair_matches_om_elimination(u24_sign, sign):
         if not V[e].is_zero and sign.neg(V[e]) == W[e]
     ]
     V, W, e = pairs[0]
-    Z = eliminate_vectors(u24_sign, [V, W], e, 0, pool=vs)
-    assert Z[e].is_zero
+    Z = eliminate_vectors(u24_sign, [V, W], e, 0)
+    assert Z in vs and Z[e].is_zero
     for f in G4:
         assert Z[f] in sign.hyperadd(V[f], W[f])
 
@@ -435,8 +451,8 @@ def test_eliminate_requires_cancellation(u23_sign):
 def test_eliminate_tropical_equal_top(trop_u23, tropical1):
     vs = vectors_enumerate(trop_u23, 3)
     V = trop_u23.circuits.reps[0]
-    Z = eliminate_vectors(trop_u23, [V, V], "1", 3, pool=vs)
-    assert Z["1"].is_zero
+    Z = eliminate_vectors(trop_u23, [V, V], "1", 3)
+    assert Z in vs and Z["1"].is_zero
     for f in G3:
         assert Z[f] in tropical1.hyperadd(V[f], V[f])
 

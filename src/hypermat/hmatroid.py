@@ -263,6 +263,7 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
     out_side = _other_side(sig.side)
     cocircuit_supports = sorted(underlying.cocircuits(), key=lambda d: sorted(d))
     zero = H.zero()
+    supports = [rep.support for rep in sig.reps]
     duals = []
     for D in cocircuit_supports:
         d_elems = [e for e in ground if e in D]
@@ -272,8 +273,8 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
         pending = True
         while pending:
             pending = False
-            for rep in sig.reps:
-                meet = rep.support & D
+            for rep, support in zip(sig.reps, supports):
+                meet = support & D
                 if len(meet) != 2:
                     continue
                 a, b = sorted(meet, key=ground.index)
@@ -308,9 +309,11 @@ def perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
     k=None means unrestricted (full orthogonality).
     """
     left, right = (C, D) if C.side == "left" else (D, C)
+    right_supports = [y.support for y in right.reps]
     for x in left.reps:
-        for y in right.reps:
-            if k is not None and len(x.support & y.support) > k:
+        x_support = x.support
+        for y, y_support in zip(right.reps, right_supports):
+            if k is not None and len(x_support & y_support) > k:
                 continue
             if not perp(x, y):
                 return False, (x, y)

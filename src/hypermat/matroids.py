@@ -3,7 +3,8 @@
 Rank and bases come from exhaustive independence testing (a set is
 independent iff it contains no circuit), which is exact for |E| <= 10.
 Includes the painting-style validator and the minimalization construction
-for circuit/cocircuit family pairs.
+for circuit/cocircuit family pairs.  The subset and painting scans run on
+int bitmasks over ground positions; sets go in and come out as frozensets.
 """
 
 from __future__ import annotations
@@ -16,10 +17,21 @@ from .errors import InvalidCircuitsError, InvalidPairError
 GroundSet = tuple[str, ...]
 
 
-def _subsets(items):
-    items = list(items)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
+def _masks(ground, *families) -> list[list[int]]:
+    """Each set of each family as an int bitmask: bit i is ``ground[i]``, and a
+    label outside the ground set gets a bit above them when first seen."""
+    pos = {e: i for i, e in enumerate(ground)}
+    if len(pos) != len(ground):
+        raise InvalidCircuitsError("ground set labels must be distinct")
+    return [[sum(1 << pos.setdefault(e, len(pos)) for e in s) for s in fam] for fam in families]
+
+
+def _labels(ground, mask: int) -> frozenset[str]:
+    return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
+
+
+def _bits(mask: int) -> list[int]:
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -86,33 +98,34 @@ def from_circuits(ground, circuits) -> ClassicalMatroid:
             raise InvalidCircuitsError("circuits must be nonempty", witness=c)
         if not c <= eset:
             raise InvalidCircuitsError(f"circuit {sorted(c)} leaves the ground set", witness=c)
-    for c1, c2 in itertools.combinations(fam, 2):
-        if c1 <= c2 or c2 <= c1:
+    [masks] = _masks(ground, fam)
+    for (c1, x1), (c2, x2) in itertools.combinations(zip(fam, masks), 2):
+        if not x1 & ~x2 or not x2 & ~x1:
             raise InvalidCircuitsError(
                 "incomparability violated", witness=(sorted(c1), sorted(c2))
             )
-    for c1, c2 in itertools.permutations(fam, 2):
-        for e in sorted(c1 & c2):
-            union = (c1 | c2) - {e}
-            if not any(c3 <= union for c3 in fam):
+    by_label = sorted(range(len(ground)), key=ground.__getitem__)
+    for (c1, x1), (c2, x2) in itertools.permutations(zip(fam, masks), 2):
+        for i in by_label:
+            union = (x1 | x2) ^ (1 << i)
+            if (x1 & x2) >> i & 1 and all(x3 & ~union for x3 in masks):
                 raise InvalidCircuitsError(
-                    "circuit elimination violated", witness=(sorted(c1), sorted(c2), e)
+                    "circuit elimination violated", witness=(sorted(c1), sorted(c2), ground[i])
                 )
-    independent = [frozenset(s) for s in _subsets(ground) if not any(c <= set(s) for c in fam)]
-    rank = max(len(s) for s in independent)
-    bases = frozenset(s for s in independent if len(s) == rank)
+    independent = [s for s in range(1 << len(ground)) if all(x & ~s for x in masks)]
+    rank = max(s.bit_count() for s in independent)
+    bases = frozenset(_labels(ground, s) for s in independent if s.bit_count() == rank)
     return ClassicalMatroid(ground, frozenset(fam), bases, rank)
 
 
 def _from_bases(ground, bases) -> ClassicalMatroid:
     bases = frozenset(frozenset(b) for b in bases)
     rank = len(next(iter(bases)))
-    dependent = [
-        frozenset(s)
-        for s in _subsets(ground)
-        if not any(frozenset(s) <= b for b in bases)
-    ]
-    circuits = frozenset(s for s in dependent if not any(t < s for t in dependent))
+    [masks] = _masks(ground, bases)
+    independent = [any(not s & ~b for b in masks) for s in range(1 << len(ground))]
+    # the minimal dependent sets: dependent, with every one-element deletion independent
+    circuits = frozenset(_labels(ground, s) for s, indep in enumerate(independent)
+                         if not indep and all(independent[s ^ x] for x in _bits(s)))
     return ClassicalMatroid(tuple(ground), circuits, bases, rank)
 
 
@@ -130,10 +143,16 @@ def from_bases(ground, bases) -> ClassicalMatroid:
 
 
 def basis_exchange_holds(bases) -> bool:
-    for b1 in bases:
-        for b2 in bases:
-            for x in b1 - b2:
-                if not any((b1 - {x}) | {y} in bases for y in b2 - b1):
+    [masks] = _masks((), bases)
+    return _exchange_holds(set(masks))
+
+
+def _exchange_holds(masks: set[int]) -> bool:
+    for b1 in masks:
+        for b2 in masks:
+            ys = _bits(b2 & ~b1)
+            for x in _bits(b1 & ~b2):
+                if not any((b1 ^ x | y) in masks for y in ys):
                     return False
     return True
 
@@ -149,32 +168,40 @@ def enumerate_matroids(ground) -> list[ClassicalMatroid]:
     ground = tuple(ground)
     out = []
     for r in range(len(ground) + 1):
-        r_subsets = [frozenset(c) for c in itertools.combinations(ground, r)]
-        for picks in range(1, 2 ** len(r_subsets)):
-            bases = frozenset(
-                s for i, s in enumerate(r_subsets) if picks >> i & 1
-            )
-            if basis_exchange_holds(bases):
-                out.append(_from_bases(ground, bases))
+        masks = [sum(1 << i for i in c) for c in itertools.combinations(range(len(ground)), r)]
+        labels = [_labels(ground, m) for m in masks]
+        for picks in range(1, 2 ** len(masks)):
+            chosen = [i for i in range(len(masks)) if picks >> i & 1]
+            if _exchange_holds({masks[i] for i in chosen}):
+                out.append(_from_bases(ground, [labels[i] for i in chosen]))
     return out
 
 
 def _painting_violation(ground, C, D):
-    """The first (M1) or (M2) violation of the pair, or None."""
-    for c in C:
-        for d in D:
-            if len(c & d) == 1:
+    """The first (M1) or (M2) violation of the pair, or None.
+
+    Paintings are scanned as bitmasks over ground positions (``_masks``), the
+    red part counting up through the positions other than the green one.
+    """
+    cm, dm = _masks(ground, C, D)
+    for c, x in zip(C, cm):
+        for d, y in zip(D, dm):
+            meet = x & y
+            if meet and not meet & (meet - 1):
                 return {"axiom": "M1", "pair": (sorted(c), sorted(d))}
-    for g in ground:
-        rest = [e for e in ground if e != g]
-        for bits in range(2 ** len(rest)):
-            red = {e for i, e in enumerate(rest) if bits >> i & 1}
-            blue = set(rest) - red
-            if any(g in c and c <= red | {g} for c in C):
+    # a member outside the ground set has a bit above ``full`` and covers nothing
+    full = (1 << len(ground)) - 1
+    for i, g in enumerate(ground):
+        green = 1 << i
+        cg = [x ^ green for x in cm if x & green and x <= full]
+        dg = [y ^ green for y in dm if y & green and y <= full]
+        for bits in range(1 << (len(ground) - 1)):
+            red = bits & (green - 1) | bits >> i << (i + 1)
+            if any(x & red == x for x in cg) or any(not y & red for y in dg):
                 continue
-            if any(g in d and d <= blue | {g} for d in D):
-                continue
-            return {"axiom": "M2", "green": g, "red": sorted(red), "blue": sorted(blue)}
+            blue = full ^ red ^ green
+            return {"axiom": "M2", "green": g, "red": sorted(_labels(ground, red)),
+                    "blue": sorted(_labels(ground, blue))}
     return None
 
 

@@ -285,8 +285,10 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     given, that box truncation can then produce spurious (V3) failures.
 
     Entries are coded by a ``BoxCode`` (see ``_EntryTable``), so each
-    hypersum and product of two entries is computed once, and (V3) only
-    visits pairs of vectors with opposite entries somewhere.
+    hypersum and product of two entries is computed once.  (V3) only visits
+    pairs of vectors with opposite entries somewhere, and looks their in-box
+    eliminants up by zero pattern: the rows that match the singleton sums
+    off the loose coordinates (``_EntryTable.matching``).
     """
     vectors = frozenset(vectors)
     if not vectors:
@@ -336,14 +338,21 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
         for k, a in enumerate(row):
             holders[k].setdefault(a, []).append(j)
     for i, (V, v) in enumerate(zip(ordered, rows)):
-        hits = []
+        # hits[j]: ascending coordinates where vector j cancels V
+        hits: dict[int, list[int]] = {}
         for k, a in enumerate(v):
             if a != zero:
                 js = holders[k].get(negated[a], ())
-                hits.extend((j, k) for j in js[bisect.bisect_left(js, i):])
-        for j, k in sorted(hits):
-            if not _v3_eliminant_exists(table, v, rows[j], k, recon, slack):
-                report.append({"check": "V3", "witness": {"V": V, "W": ordered[j], "e": ground[k]}})
+                for j in js[bisect.bisect_left(js, i):]:
+                    hits.setdefault(j, []).append(k)
+        for j in sorted(hits):
+            pairs = list(zip(v, rows[j]))
+            fixed = [table.single[a][b] for a, b in pairs]
+            loose = [(k, table.within(*pairs[k], window)) for k, c in enumerate(fixed) if c is None]
+            candidates = table.matching(fixed)
+            for k in hits[j]:
+                if not _v3_eliminant_exists(table, pairs, fixed, loose, candidates, k, recon, slack):
+                    report.append({"check": "V3", "witness": {"V": V, "W": ordered[j], "e": ground[k]}})
     return report
 
 
@@ -360,7 +369,8 @@ class _EntryTable(BoxCode):
     field residue, keeps the union support; else None.  ``single[a][b]`` is
     the code of a singleton hypersum, else None, and ``single_in_box[a][b]``
     the same inside the box, for (V2'').  These stay plain dicts because the
-    quadratic (V2')/(V2'') loops read them.
+    quadratic (V2')/(V2'') loops read them.  ``matching`` indexes the rows
+    by their entries off each tuple of loose coordinates that (V3) meets.
     """
 
     def __init__(self, ordered, window: int):
@@ -373,6 +383,7 @@ class _EntryTable(BoxCode):
         self.single_in_box: dict[int, dict[int, int | None]] = {}
         self.composed: dict[int, dict[int, int | None]] = {}
         self._within: dict[tuple[int, int, int], list[int]] = {}
+        self._indexes: dict[tuple[int, ...], dict] = {}
 
     def scalings(self, scalars, side: str) -> list[list[int | None]]:
         """Per scalar a, the code of a·x (x·a on the right side) for every entry
@@ -411,6 +422,20 @@ class _EntryTable(BoxCode):
                     c = self.code(xy)
                     composed[b] = c if (closed_supports or keeps) and self.in_box[c] else None
 
+    def matching(self, fixed) -> list[tuple[int, ...]]:
+        """The rows with a zero entry (the only possible eliminants) that equal
+        ``fixed`` wherever it is not None, in ascending order.  Looked up in
+        an index built on first use for each tuple of loose (None)
+        coordinates, which keys the rows by their entries off them."""
+        loose = tuple([k for k, c in enumerate(fixed) if c is None])
+        index = self._indexes.get(loose)
+        if index is None:
+            index = self._indexes[loose] = {}
+            for z in self.rows:
+                if self.zero in z:
+                    index.setdefault(tuple([c for k, c in enumerate(z) if k not in loose]), []).append(z)
+        return index.get(tuple([c for c in fixed if c is not None]), [])
+
     def within(self, a: int, b: int, radius: int) -> list[int]:
         """Codes of the members of the sum of a and b inside the radius box, sorted."""
         key = (a, b, radius)
@@ -419,48 +444,32 @@ class _EntryTable(BoxCode):
         return self._within[key]
 
 
-def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
-    """Does (V3) hold for the coded vectors v, w, which cancel at ei?
+def _v3_eliminant_exists(table, pairs, fixed, loose, candidates, ei, recon, slack) -> bool:
+    """Does (V3) hold for the coded entry pairs of two vectors that cancel at ei?
 
-    True if the set holds an eliminant (zero at ei, inside the pointwise
-    hypersum), or if the first eliminant of ``recon`` that
-    ``_orthogonal_points`` finds among the hypersum members within
-    ``slack`` leaves the window box, so the set could not hold it.
+    ``fixed`` holds each coordinate's singleton-sum code, None on the loose
+    coordinates, where the hypersum is not a singleton; ``loose`` pairs each
+    of those with its hypersum members in the window box, and ``candidates``
+    are the rows equal to ``fixed`` off them (``table.matching``).  True if
+    a candidate is zero at ei and a listed member on every loose coordinate.
+    Else true if the first eliminant of ``recon`` that ``_orthogonal_points``
+    finds among the hypersum members within ``slack`` leaves the window box,
+    so the set could not hold it.
     """
     zero, elements = table.zero, table.elements
-    pairs = list(zip(v, w))
-    # w[ei] = -v[ei], so by (H1) a singleton sum at ei is {0}
-    fixed = [table.single[a][b] for a, b in pairs]
-    free = [i for i, c in enumerate(fixed) if c is None and i != ei]
-    base = [zero if c is None else c for c in fixed]
-    # cheapest first: all-zero choice on the cancelling coordinates
-    if tuple(base) in table.present and all(
-        table.sets[table.sum(a, b)].contains_zero for (a, b), c in zip(pairs, fixed) if c is None
-    ):
+    # zero is a member of the sum at ei, so ei need not be skipped
+    if any(z[ei] == zero and all(z[i] in m for i, m in loose) for z in candidates):
         return True
-    choices = [table.within(*pairs[i], table.window) for i in free]
-    total = 1
-    for c in choices:
-        total *= len(c)
-    if total <= max(len(table.rows), 1):
-        for picks in itertools.product(*choices):
-            for i, c in zip(free, picks):
-                base[i] = c
-            if tuple(base) in table.present:
-                return True
-    else:
-        sums = [table.sets[table.sum(a, b)] for a, b in pairs]
-        for z in table.rows:
-            if z[ei] == zero and all(elements[c] in s for c, s in zip(z, sums)):
-                return True
     if recon is None or table.field.rank == 0:
         return False
     # no in-box member: the first eliminant of recon, in pick order, whose
-    # entries may escape the box decides
-    domains = [[elements[c]] for c in base]
+    # entries may escape the box decides; w[ei] = -v[ei], so by (H1) the
+    # singleton sum at ei, if any, is {0}
+    free = [i for i, m in loose if i != ei]
+    domains = [[elements[zero if c is None else c]] for c in fixed]
     for i in free:
         domains[i] = [elements[c] for c in table.within(*pairs[i], slack)]
-    order = [i for i in range(len(base)) if i not in free] + free
+    order = [i for i in range(len(fixed)) if i not in free] + free
     Z = next(_orthogonal_points(recon, domains, order), None)
     return Z is not None and not _within_box(Z, table.window)
 
@@ -512,23 +521,24 @@ def farkas_witness(M: HMatroid, partition, window: int = 4, weak: bool = False) 
 
 
 def _farkas_cocircuit(M, R, G, weak):
-    H = M.field
+    H, ground, one = M.field, M.ground, M.field.one()
+    g_at = [ground.index(e) for e in sorted(G)]
+    r_at = [ground.index(e) for e in sorted(R)]
     for Y in M.cocircuits.reps:
-        on_g = [Y[e] for e in sorted(G) if not Y[e].is_zero]
+        on_g = [x for i in g_at if not (x := Y.entries[i]).is_zero]
         if not on_g:
             continue
         m_g = max(x.grade for x in on_g)
-        on_r = [Y[e].grade for e in sorted(R) if not Y[e].is_zero]
+        on_r = [x.grade for i in r_at if not (x := Y.entries[i]).is_zero]
         if weak:
             if on_r and max(on_r) >= m_g:
                 continue
         else:
             if on_r and max(on_r) > m_g:
                 continue
-        gsum = H.hyperadd_multi([Y[e] for e in sorted(G)])
-        if gsum.contains_zero:
+        if zero_in_sum(H, [product_term(H, x, one) for x in on_g]):
             continue
-        shift = HElement(H.one().residue, tuple(-c for c in m_g))
+        shift = HElement(one.residue, tuple(-c for c in m_g))
         scaled = Y.scale_right(shift) if M.cocircuits.side == "right" else Y.scale_left(shift)
         return scaled
     return None

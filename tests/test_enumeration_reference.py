@@ -16,6 +16,11 @@ same way: they build an ``HVector`` for every candidate and test it with
 replaced them must find the same vector, or none, for every partition of
 every battery instance, strict and weak, and for every elimination of two
 vectors with opposite entries at window 0 and 1.
+
+``reference_farkas_cocircuit`` is the earlier ``_farkas_cocircuit``, kept
+verbatim: it reads entries by label and decides the G-sum with
+``hyperadd_multi``.  The rewrite must return the same cocircuit, or none,
+on every partition of every battery instance, strict and weak.
 """
 
 import itertools
@@ -38,7 +43,7 @@ from hypermat import (
 )
 from hypermat.acceptance import AcceptanceContext
 from hypermat.hmatroid import HMatroid
-from hypermat.vectorspace import _farkas_vector, check_budget
+from hypermat.vectorspace import _farkas_cocircuit, _farkas_vector, check_budget
 
 
 def reference_vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
@@ -86,6 +91,29 @@ def reference_farkas_vector(M, R, G, B, window, weak):
         V = hvector(H, M.ground, mapping)
         if all(M.vector_perp(V, Y) for Y in cocircs):
             return V
+    return None
+
+
+def reference_farkas_cocircuit(M, R, G, weak):
+    H = M.field
+    for Y in M.cocircuits.reps:
+        on_g = [Y[e] for e in sorted(G) if not Y[e].is_zero]
+        if not on_g:
+            continue
+        m_g = max(x.grade for x in on_g)
+        on_r = [Y[e].grade for e in sorted(R) if not Y[e].is_zero]
+        if weak:
+            if on_r and max(on_r) >= m_g:
+                continue
+        else:
+            if on_r and max(on_r) > m_g:
+                continue
+        gsum = H.hyperadd_multi([Y[e] for e in sorted(G)])
+        if gsum.contains_zero:
+            continue
+        shift = HElement(H.one().residue, tuple(-c for c in m_g))
+        scaled = Y.scale_right(shift) if M.cocircuits.side == "right" else Y.scale_left(shift)
+        return scaled
     return None
 
 
@@ -277,6 +305,20 @@ def test_same_farkas_vectors_on_battery_instances(battery):
             for weak in (False, True):
                 got = _farkas_vector(M, R, G, w, weak)
                 assert got == reference_farkas_vector(M, R, G, B, w, weak), (name, colors, weak)
+                found += got is not None
+                missing += got is None
+    # both outcomes of the search are compared, not only one
+    assert found and missing
+
+
+def test_same_farkas_cocircuits_on_battery_instances(battery):
+    found = missing = 0
+    for name, M, w, vs, us in battery:
+        for colors in itertools.product("RGB", repeat=len(M.ground)):
+            R, G = (frozenset(e for e, c in zip(M.ground, colors) if c == k) for k in "RG")
+            for weak in (False, True):
+                got = _farkas_cocircuit(M, R, G, weak)
+                assert got == reference_farkas_cocircuit(M, R, G, weak), (name, colors, weak)
                 found += got is not None
                 missing += got is None
     # both outcomes of the search are compared, not only one

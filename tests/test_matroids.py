@@ -104,3 +104,14 @@ def test_minty_minimalize_fixed_point():
 def test_minty_minimalize_rejects_bad_pairs():
     with pytest.raises(InvalidPairError):
         minty_minimalize(("1", "2", "3"), [{"1", "2"}], [{"2", "3"}])
+
+
+@pytest.mark.parametrize("check", [
+    lambda: minty_check(("1", "2", "1"), [{"2"}], [{"1"}]),
+    lambda: minty_minimalize(("1", "2", "1"), [{"2"}], [{"1"}]),
+    lambda: from_bases(("1", "2", "1"), [{"1"}, {"2"}]),
+])
+def test_repeated_ground_labels_are_refused(check):
+    # positions, not labels, name the elements, so a repeated label is ambiguous
+    with pytest.raises(InvalidCircuitsError, match="distinct"):
+        check()

@@ -6,7 +6,17 @@ kept verbatim as a test-only oracle: they build an ``HVector`` for every
 composition, hypersum and eliminant candidate.  The new checker must return
 the same report list, witnesses and order included, on the battery's sets
 and on seeded perturbed copies of them.
+
+``reference_table_check_vector_axioms`` and
+``_reference_table_v3_eliminant_exists`` are the table-driven checker
+before (V3) looked its eliminants up in ``_EntryTable.index``, kept
+verbatim in the same way: per cancelling coordinate they try the all-zero
+choice, then the product of in-box hypersum members or a scan of every
+row.  The checker must return the same report on every windowed battery
+instance and on seeded perturbed copies, with and without the matroid.
 """
+
+import bisect
 
 import itertools
 import random
@@ -27,7 +37,13 @@ from hypermat import (
 )
 from hypermat.acceptance import AcceptanceContext
 from hypermat.errors import HypermatError
-from hypermat.vectorspace import _grade_spread, _vector_hypersum, _within_box
+from hypermat.vectorspace import (
+    _EntryTable,
+    _grade_spread,
+    _orthogonal_points,
+    _vector_hypersum,
+    _within_box,
+)
 
 
 def reference_check_vector_axioms(vectors, window: int = 4, side: str = "left") -> list[dict]:
@@ -126,6 +142,128 @@ def _reference_v3_eliminant_exists(vectors, V, W, e, window, recon, slack) -> bo
             continue
         return not _within_box(Z, window)
     return False
+
+
+def reference_table_check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=None) -> list[dict]:
+    """(V0), windowed (V1), (V2)'/(V2)'', and (V3) for a finite vector set.
+
+    Scalings and compositions are only required to be present when they stay
+    inside the window box.  An eliminant for (V3) must be in the set when it
+    fits the box; eliminants whose entries dip below the box are searched
+    for with ``_orthogonal_points`` against cocircuits: those of ``matroid``
+    when the set is known to be its windowed vector set, else those of the
+    matroid reconstructed from the set.  Reconstruction fails when the
+    window is narrower than the circuits' grade spread; with no matroid
+    given, that box truncation can then produce spurious (V3) failures.
+
+    Entries are coded by a ``BoxCode`` (see ``_EntryTable``), so each
+    hypersum and product of two entries is computed once, and (V3) only
+    visits pairs of vectors with opposite entries somewhere.
+    """
+    vectors = frozenset(vectors)
+    if not vectors:
+        return [{"check": "V0", "witness": None}]
+    some = next(iter(vectors))
+    H, ground = some.field, some.ground
+    if any(V.field != H or V.ground != ground for V in vectors):
+        raise DomainMismatchError("vectors live over different hyperfields or grounds")
+    report = []
+    if zero_vector(H, ground) not in vectors:
+        report.append({"check": "V0", "witness": None})
+    recon = matroid
+    if recon is None and any(not v.is_zero for v in vectors):
+        try:
+            recon = reconstruct_from_vectors(vectors, side=side)
+        except HypermatError:
+            recon = None
+    scalars = H.units_box(2 * window) if H.rank else H.units_box(0)
+    ordered = sorted(vectors, key=lambda v: v.sort_key())
+    table = _EntryTable(ordered, window)
+    rows, present = table.rows, table.present
+    scaled = table.scalings(scalars, side)
+    for V, v in zip(ordered, rows):
+        for a, products in zip(scalars, scaled):
+            aV = tuple([products[c] for c in v])
+            if None not in aV and aV not in present:
+                report.append({"check": "V1", "witness": {"a": a, "V": V}})
+    table.add_pairs()
+    field = H.residue_kind == "field"
+    for V, v in zip(ordered, rows):
+        composed = [table.composed[a] for a in v]
+        singles = [table.single_in_box[a] for a in v]
+        for W, w in zip(ordered, rows):
+            VW = tuple([c[b] for c, b in zip(composed, w)])
+            if None not in VW and VW not in present:
+                report.append({"check": "V2'", "witness": {"V": V, "W": W}})
+            if field:
+                total = tuple([s[b] for s, b in zip(singles, w)])
+                if None not in total and total not in present:
+                    report.append({"check": "V2''", "witness": {"V": V, "W": W}})
+    slack = window + _grade_spread(recon.circuits) + 1 if recon is not None else window
+    zero = table.zero
+    negated = {a: table.code(H.neg(table.elements[a])) for a in set().union(*rows) if a != zero}
+    # holders[k][a]: ascending positions of the vectors with entry a at coordinate k
+    holders = [{} for _ in ground]
+    for j, row in enumerate(rows):
+        for k, a in enumerate(row):
+            holders[k].setdefault(a, []).append(j)
+    for i, (V, v) in enumerate(zip(ordered, rows)):
+        hits = []
+        for k, a in enumerate(v):
+            if a != zero:
+                js = holders[k].get(negated[a], ())
+                hits.extend((j, k) for j in js[bisect.bisect_left(js, i):])
+        for j, k in sorted(hits):
+            if not _reference_table_v3_eliminant_exists(table, v, rows[j], k, recon, slack):
+                report.append({"check": "V3", "witness": {"V": V, "W": ordered[j], "e": ground[k]}})
+    return report
+
+
+def _reference_table_v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
+    """Does (V3) hold for the coded vectors v, w, which cancel at ei?
+
+    True if the set holds an eliminant (zero at ei, inside the pointwise
+    hypersum), or if the first eliminant of ``recon`` that
+    ``_orthogonal_points`` finds among the hypersum members within
+    ``slack`` leaves the window box, so the set could not hold it.
+    """
+    zero, elements = table.zero, table.elements
+    pairs = list(zip(v, w))
+    # w[ei] = -v[ei], so by (H1) a singleton sum at ei is {0}
+    fixed = [table.single[a][b] for a, b in pairs]
+    free = [i for i, c in enumerate(fixed) if c is None and i != ei]
+    base = [zero if c is None else c for c in fixed]
+    # cheapest first: all-zero choice on the cancelling coordinates
+    if tuple(base) in table.present and all(
+        table.sets[table.sum(a, b)].contains_zero for (a, b), c in zip(pairs, fixed) if c is None
+    ):
+        return True
+    choices = [table.within(*pairs[i], table.window) for i in free]
+    total = 1
+    for c in choices:
+        total *= len(c)
+    if total <= max(len(table.rows), 1):
+        for picks in itertools.product(*choices):
+            for i, c in zip(free, picks):
+                base[i] = c
+            if tuple(base) in table.present:
+                return True
+    else:
+        sums = [table.sets[table.sum(a, b)] for a, b in pairs]
+        for z in table.rows:
+            if z[ei] == zero and all(elements[c] in s for c, s in zip(z, sums)):
+                return True
+    if recon is None or table.field.rank == 0:
+        return False
+    # no in-box member: the first eliminant of recon, in pick order, whose
+    # entries may escape the box decides
+    domains = [[elements[c]] for c in base]
+    for i in free:
+        domains[i] = [elements[c] for c in table.within(*pairs[i], slack)]
+    order = [i for i in range(len(base)) if i not in free] + free
+    Z = next(_orthogonal_points(recon, domains, order), None)
+    return Z is not None and not _within_box(Z, table.window)
+
 
 
 # -- inputs ---------------------------------------------------------------------
@@ -227,6 +365,35 @@ def test_same_reports_with_a_circuit_scaling_dropped(name, window, entries):
     report = check_vector_axioms(vs - {X}, window, M.side)
     assert report == reference_check_vector_axioms(vs - {X}, window, M.side)
     assert any(r["check"] == "V3" for r in report)
+
+
+@pytest.fixture(scope="module")
+def windowed_sets():
+    """(name, M, vector set, window) for every windowed battery instance."""
+    ctx = AcceptanceContext()
+    out = []
+    for name, M in ctx.windowed():
+        w = ctx.instance_window(M)
+        out.append((name, M, ctx.vectors(M, w), w))
+    assert len(out) == 10
+    return out
+
+
+def test_same_reports_as_the_table_checker_on_windowed_sets(windowed_sets):
+    rng = random.Random(20261018)
+    compared = failing = 0
+    for name, M, vs, w in windowed_sets:
+        cases = [(name, vs), (f"{name} -3", _dropped(rng, vs, 3)), (f"{name} +1", _with_foreign(rng, vs, w))]
+        for label, s in cases:
+            for matroid in (M, None):
+                got = check_vector_axioms(s, w, M.side, matroid)
+                want = reference_table_check_vector_axioms(s, w, M.side, matroid)
+                assert got == want, (label, matroid is None)
+                compared += 1
+                failing += any(r["check"] == "V3" for r in got)
+    assert compared == 60
+    # (V3) failures are compared, witnesses included, not only clean passes
+    assert failing
 
 
 def test_non_stringent_hyperfield_is_refused_by_both():

@@ -119,9 +119,9 @@ def _record(check, failures, window=None, detail=""):
     return CheckRecord(check, status, witness, window=window, detail=detail)
 
 
-def criterion_1(ctx) -> CheckRecord:
-    """Hyperfield axiom suite plus stringency verdicts."""
-    catalog = [
+def _catalog():
+    """The named catalog hyperfields of C1; C2 takes all but the quotient."""
+    return [
         ("krasner", Hyperfield.krasner()),
         ("sign", Hyperfield.sign()),
         ("gf2", Hyperfield.field(2)),
@@ -133,6 +133,11 @@ def criterion_1(ctx) -> CheckRecord:
         ("stringent-gf3-1", Hyperfield.stringent("field", 1, p=3)),
         ("quotient-7-124", Hyperfield.quotient(7, [1, 2, 4])),
     ]
+
+
+def criterion_1(ctx) -> CheckRecord:
+    """Hyperfield axiom suite plus stringency verdicts."""
+    catalog = _catalog()
     failures = []
     for name, H in catalog:
         report = validate_axioms(H, AXIOM_WINDOW)
@@ -153,12 +158,7 @@ def criterion_1(ctx) -> CheckRecord:
 
 def criterion_2(ctx) -> CheckRecord:
     """Stringency law: singleton hypersums off the diagonal, realized by compose."""
-    entries = [
-        Hyperfield.krasner(), Hyperfield.sign(), Hyperfield.field(2),
-        Hyperfield.field(3), Hyperfield.field(5), Hyperfield.field(7),
-        Hyperfield.tropical(1), Hyperfield.stringent("sign", 1),
-        Hyperfield.stringent("field", 1, p=3),
-    ]
+    entries = [H for _, H in _catalog()[:-1]]
     failures = []
     pairs = 0
     for H in entries:

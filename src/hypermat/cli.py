@@ -191,15 +191,15 @@ def cmd_check_hyperfield(args) -> int:
         if violations:
             raise InvalidHyperfieldError("axioms violated", violations=violations[:3])
     checks.append(_timed("axioms", window, run_axioms)[0])
-    stringent, witness = check_stringent(H, window)
-    result = {
-        "hyperfield": jsonio.hyperfield_to_json(H),
-        "stringent": stringent,
-        "stringent_witness": None if witness is None else [
-            jsonio.element_to_json(H, w) for w in witness
-        ],
-    }
+    result = {"hyperfield": jsonio.hyperfield_to_json(H), **_stringency(H, window)}
     return _emit(_report("check-hyperfield", window, checks, result), args.out)
+
+
+def _stringency(H, window) -> dict:
+    """The report fields of ``check_stringent`` (a finite H ignores the window)."""
+    stringent, witness = check_stringent(H, window)
+    witness = None if witness is None else [jsonio.element_to_json(H, w) for w in witness]
+    return {"stringent": stringent, "stringent_witness": witness}
 
 
 def cmd_quotient(args) -> int:
@@ -217,15 +217,11 @@ def cmd_quotient(args) -> int:
         if violations:
             raise InvalidHyperfieldError("coset map is not a homomorphism", violations=violations[:3])
     checks.append(_timed("coset-map-homomorphism", window, run_hom)[0])
-    stringent, witness = check_stringent(H)
     result = {
         "hyperfield": jsonio.hyperfield_to_json(H),
         "elements": list(H._elements),
         "addition": {f"{a},{b}": list(v) for a, b, v in H._add},
-        "stringent": stringent,
-        "stringent_witness": None if witness is None else [
-            jsonio.element_to_json(H, w) for w in witness
-        ],
+        **_stringency(H, window),
     }
     return _emit(_report("quotient", window, checks, result), args.out)
 

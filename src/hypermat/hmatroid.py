@@ -64,12 +64,8 @@ class HVector:
         return HVector(H, self.ground, tuple(H.neg(x) for x in self.entries))
 
     def drop(self, e: str) -> "HVector":
-        keep = tuple(g for g in self.ground if g != e)
-        return self.restrict(keep)
-
-    def restrict(self, sub_ground) -> "HVector":
-        sub = tuple(sub_ground)
-        return HVector(self.field, sub, tuple(self[e] for e in sub))
+        kept = [i for i, g in enumerate(self.ground) if g != e]
+        return HVector(self.field, tuple(self.ground[i] for i in kept), tuple(self.entries[i] for i in kept))
 
     def uparrow(self) -> "HVector":
         """Keep the maximal-grade entries, zero out the rest."""
@@ -135,7 +131,8 @@ def perp(X: HVector, Y: HVector) -> bool:
 
     Decides with ``zero_in_sum`` over the ``product_term`` of each entry
     pair, the rule that the enumerator and the perfection check apply to
-    their per-call term tables.
+    their per-call term tables.  Each term is ``Hyperfield.mul(x, y)``, so
+    the pairing reads the hyperfield's own product, commutative or not.
     """
     _check_compatible(X, Y)
     H = X.field
@@ -143,14 +140,11 @@ def perp(X: HVector, Y: HVector) -> bool:
     return zero_in_sum(H, [t for t in terms if t is not None])
 
 
-def product_term(H: Hyperfield, x: HElement, y: HElement):
-    """What x·y adds to a pairing: None if it is zero, the product itself over
-    a quotient, else its grade and the product of the residue labels."""
-    if x.is_zero or y.is_zero:
-        return None
-    if H.kind == "quotient":
-        return H.mul(x, y)
-    return tuple([a + b for a, b in zip(x.grade, y.grade)]), x.residue * y.residue
+def product_term(H: Hyperfield, x: HElement, y: HElement) -> HElement | None:
+    """What x·y adds to a pairing: the product ``H.mul(x, y)``, or None when
+    it is zero."""
+    t = H.mul(x, y)
+    return None if t.is_zero else t
 
 
 def zero_in_sum(H: Hyperfield, terms) -> bool:
@@ -165,8 +159,13 @@ def zero_in_sum(H: Hyperfield, terms) -> bool:
         return not terms  # a single unit is not zero
     if H.kind == "quotient":
         return H.hyperadd_multi(terms).contains_zero
-    top = max(terms)[0]
-    residues = [r for g, r in terms if g == top]
+    top, residues = terms[0].grade, []
+    for t in terms:
+        g = t.grade
+        if g > top:
+            top, residues = g, [t.residue]
+        elif g == top:
+            residues.append(t.residue)
     kind = H.residue_kind
     if kind == "krasner":
         return len(residues) >= 2

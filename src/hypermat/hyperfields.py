@@ -21,6 +21,7 @@ raw ``HElement(...)`` and ``HVector(...)`` constructors are unchecked too.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -35,7 +36,7 @@ Grade = tuple[int, ...]
 
 
 def grade_add(a: Grade, b: Grade) -> Grade:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def grade_neg(a: Grade) -> Grade:
@@ -60,6 +61,8 @@ class HElement:
             return f"u({self.residue})"
         return f"u({self.residue},{','.join(map(str, self.grade))})"
 
+
+_ZERO = HElement(None, ())
 
 # Most cosets a quotient hyperfield may have.  Its tables have one entry per
 # pair of elements and construction checks the axioms on every triple, so
@@ -139,15 +142,26 @@ class Hyperfield:
     )
 
     def __init__(self, kind, p=None, rank=0, subgroup=None, tables=None):
-        # Canonicalize: stringent with Krasner residue is the tropical hyperfield,
-        # and any rank-0 graded kind collapses to its residue.
-        if kind == "stringent" and rank == 0:
-            kind = "field" if p is not None else "sign"
-        if kind == "tropical" and rank == 0:
-            kind = "krasner"
+        # Parameters are validated and canonicalized here alone.
         for name, value in (("p", p), ("rank", rank)):
             if value is not None and type(value) is not int:
                 raise InvalidHyperfieldError(f"{name} must be an integer, got {value!r}")
+        if rank < 0:
+            raise InvalidHyperfieldError("rank must be nonnegative")
+        if p is not None and not is_prime(p):
+            raise InvalidHyperfieldError(f"modulus {p} is not prime")
+        if rank == 0 and kind == "stringent":
+            kind = "sign" if p is None else "field"
+        if rank == 0 and kind == "tropical":
+            kind = "krasner"
+        if kind not in ("krasner", "sign", "field", "tropical", "stringent", "quotient"):
+            raise InvalidHyperfieldError(f"unknown hyperfield kind {kind!r}")
+        if rank and kind not in ("tropical", "stringent"):
+            raise InvalidHyperfieldError(f"{kind} has rank 0; use tropical or stringent")
+        if kind == "field" and p is None:
+            raise InvalidHyperfieldError("field needs a prime modulus")
+        if kind in ("krasner", "sign", "tropical") and p is not None:
+            raise InvalidHyperfieldError(f"{kind} takes no modulus")
         self.kind = kind
         self.p = p
         self.rank = rank
@@ -158,20 +172,8 @@ class Hyperfield:
         self._neg = None
         self._inv = None
         self._stringent = None
-        if rank < 0:
-            raise InvalidHyperfieldError("rank must be nonnegative")
         if kind == "quotient":
             self._init_tables(tables)
-        elif kind == "field":
-            if not is_prime(p or 0):
-                raise InvalidHyperfieldError(f"field modulus {p} is not prime")
-        elif kind in ("krasner", "sign"):
-            if p is not None:
-                raise InvalidHyperfieldError(f"{kind} takes no modulus")
-        elif kind not in ("tropical", "stringent"):
-            raise InvalidHyperfieldError(f"unknown hyperfield kind {kind!r}")
-        if kind == "field" and rank != 0:
-            raise InvalidHyperfieldError("plain field has rank 0; use stringent")
         self._init_units()
         self._descriptor = (self.kind, self.p, self.rank, self.subgroup, self._elements, self._add, self._mul)
         self._hash = hash(self._descriptor)
@@ -207,9 +209,8 @@ class Hyperfield:
         if residue == "sign":
             return cls("stringent", rank=rank)
         if residue == "field":
-            if not is_prime(p or 0):
-                raise InvalidHyperfieldError(f"stringent field residue needs a prime p, got {p}")
-            return cls("stringent", p=p, rank=rank)
+            # without p the kind would read as a sign residue; 0 is refused
+            return cls("stringent", p=0 if p is None else p, rank=rank)
         raise InvalidHyperfieldError(f"unknown residue kind {residue!r}")
 
     @classmethod
@@ -359,7 +360,7 @@ class Hyperfield:
         return Hyperfield.field(self.p)
 
     def zero(self) -> HElement:
-        return HElement(None, ())
+        return _ZERO
 
     def one(self) -> HElement:
         return HElement(1, (0,) * self.rank)
@@ -447,8 +448,8 @@ class Hyperfield:
     # -- element operations --------------------------------------------
 
     def mul(self, a: HElement, b: HElement) -> HElement:
-        if a.is_zero or b.is_zero:
-            return self.zero()
+        if a.residue is None or b.residue is None:
+            return _ZERO
         return HElement(self.residue_mul(a.residue, b.residue), grade_add(a.grade, b.grade))
 
     def inv(self, a: HElement) -> HElement:

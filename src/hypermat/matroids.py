@@ -230,7 +230,8 @@ def _minimal_nonempty(family):
 def minty_minimalize(ground, circuits, cocircuits) -> ClassicalMatroid:
     """Matroid whose circuits/cocircuits are the minimal nonempty members.
 
-    Requires (M1) and (M2) of the input pair; the output is revalidated.
+    Requires (M1) and (M2) of the input pair.  The output is a matroid whose
+    cocircuits must be the minimal ones, so (M0)-(M2) need no second scan.
     """
     ground = tuple(ground)
     C = [frozenset(c) for c in circuits]
@@ -241,9 +242,6 @@ def minty_minimalize(ground, circuits, cocircuits) -> ClassicalMatroid:
     c_min = _minimal_nonempty(C)
     d_min = _minimal_nonempty(D)
     matroid = from_circuits(ground, c_min)
-    ok, witness = minty_check(ground, c_min, d_min)
-    if not ok:
-        raise InvalidPairError("minimalized pair fails painting axioms", witness=witness)
     if matroid.cocircuits() != d_min:
         raise InvalidPairError(
             "minimal cocircuits disagree with the matroid dual",

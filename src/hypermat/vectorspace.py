@@ -74,9 +74,10 @@ def _orthogonal_points(M: HMatroid, domains, order):
     each representative is tested as soon as the last coordinate of its
     support is assigned; a failing test cuts off every completion of the
     partial assignment.  The test is a lookup: per support coordinate, a
-    table built once per call holds the ``product_term`` of every domain
-    element against the cocircuit's entry, and ``zero_in_sum`` decides, as
-    ``perp`` would.  An ``HVector`` is built only for each point found.
+    table built once per call holds the ``product_term`` (an ``H.mul``
+    product) of every domain element with the cocircuit's entry, and
+    ``zero_in_sum`` decides, as ``perp`` would.  An ``HVector`` is built
+    only for each point found.
     Coordinates in no cocircuit support (the loops) are never tested.
     """
     H, ground = M.field, M.ground
@@ -107,8 +108,9 @@ def _orthogonal_points(M: HMatroid, domains, order):
 
 
 def _terms(H: Hyperfield, xs, y: HElement, side: str) -> list:
-    """The ``product_term`` of each vector entry x in xs against y, with x as
-    the left factor on the left side and as the right factor on the right."""
+    """The ``product_term`` of each vector entry x in xs with y: ``H.mul(x, y)``
+    on the left side and ``H.mul(y, x)`` on the right, so over a skew
+    hyperfield the vector entry is the factor on the matroid's side."""
     if side == "left":
         return [product_term(H, x, y) for x in xs]
     return [product_term(H, y, x) for x in xs]
@@ -254,8 +256,8 @@ def _classes_orthogonal(H: Hyperfield, side: str, vectors, covectors) -> bool:
     The vector is the left factor of the pairing on the left side and the
     right factor on the right side.  Each side's entries are coded by its
     own ``BoxCode`` (whose in-box flags are not read, so its window is 0),
-    the ``product_term`` of every vector entry against every covector entry
-    is tabled once, and ``zero_in_sum`` decides each pair from it.
+    the ``product_term`` of every vector entry with every covector entry
+    (``_terms``) is tabled once, and ``zero_in_sum`` decides each pair.
     """
     v_code, u_code = BoxCode(H, 0), BoxCode(H, 0)
     v_rows = [tuple(map(v_code.code, V.entries)) for V in vectors]
@@ -280,9 +282,9 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     fits the box; eliminants whose entries dip below the box are searched
     for with ``_orthogonal_points`` against cocircuits: those of ``matroid``
     when the set is known to be its windowed vector set, else those of the
-    matroid reconstructed from the set.  Reconstruction fails when the
-    window is narrower than the circuits' grade spread; with no matroid
-    given, that box truncation can then produce spurious (V3) failures.
+    matroid rebuilt from the set, which raises InvalidInputError if that
+    fails (say, the window is narrower than the circuits' grade spread).
+    At rank 0 nothing leaves the box, so no matroid is read or rebuilt.
 
     Entries are coded by a ``BoxCode`` (see ``_EntryTable``), so each
     hypersum and product of two entries is computed once.  (V3) only visits
@@ -301,11 +303,12 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     if zero_vector(H, ground) not in vectors:
         report.append({"check": "V0", "witness": None})
     recon = matroid
-    if recon is None and any(not v.is_zero for v in vectors):
+    if recon is None and H.rank and any(not v.is_zero for v in vectors):
         try:
             recon = reconstruct_from_vectors(vectors, side=side)
-        except HypermatError:
-            recon = None
+        except HypermatError as err:
+            msg = f"no matroid rebuilt from the vectors at window {window} ({err}); pass matroid="
+            raise InvalidInputError(msg) from err
     scalars = H.units_box(2 * window) if H.rank else H.units_box(0)
     ordered = sorted(vectors, key=lambda v: v.sort_key())
     table = _EntryTable(ordered, window)
@@ -536,7 +539,8 @@ def _farkas_cocircuit(M, R, G, weak):
         else:
             if on_r and max(on_r) > m_g:
                 continue
-        if zero_in_sum(H, [product_term(H, x, one) for x in on_g]):
+        # the G-sum pairs Y with 1 on G, and each term x·1 is x itself
+        if zero_in_sum(H, on_g):
             continue
         shift = HElement(one.residue, tuple(-c for c in m_g))
         scaled = Y.scale_right(shift) if M.cocircuits.side == "right" else Y.scale_left(shift)

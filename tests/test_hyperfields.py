@@ -403,6 +403,24 @@ def test_modulus_and_rank_must_be_small_exact_integers(build):
         build()
 
 
+@pytest.mark.parametrize("kind, p, rank", [
+    ("sign", None, 2),  # used to print as sign() yet differ from stringent("sign", 2)
+    ("krasner", None, 1),  # used to print as krasner() yet differ from tropical(1)
+    ("stringent", 4, 1),  # a "field residue" over Z/4
+    ("stringent", 2**70, 1),  # beyond the 2**64 modulus bound
+    ("tropical", 5, 1),  # used to print as tropical(1) yet differ from it
+])
+def test_constructor_refuses_malformed_parameters(kind, p, rank):
+    with pytest.raises(InvalidHyperfieldError):
+        Hyperfield(kind, p=p, rank=rank)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_stringent_field_residue_needs_a_modulus(rank):
+    with pytest.raises(InvalidHyperfieldError):
+        Hyperfield.stringent("field", rank)
+
+
 def test_bool_and_float_residues_are_not_elements():
     for H in STRINGENT_CATALOG + [Hyperfield.quotient(7, [1, 2, 4])]:
         grade = (0,) * H.rank

@@ -305,6 +305,14 @@ def test_vector_axioms_use_the_known_matroid_beyond_the_box(tmp_path):
     assert run(["matroid", "vector-axioms", "--window", "1", str(path), "--out", str(out)]) == 0
 
 
+def test_vector_axioms_refuse_a_set_the_matroid_cannot_be_rebuilt_from():
+    # without the matroid, the search beyond the box has no cocircuits, and
+    # it used to report 330 (V3) failures here instead
+    vs = vectors_enumerate(_krasner_u24(), 1)
+    with pytest.raises(InvalidInputError, match="at window 1 .*pass matroid="):
+        check_vector_axioms(vs, 1)
+
+
 def test_reconstruct_recovers_circuits(u23_sign, u24_sign, trop_u23):
     for M, w in ((u23_sign, 0), (u24_sign, 0), (trop_u23, 3)):
         vs = vectors_enumerate(M, w)

@@ -56,8 +56,7 @@ def sign_map(H: Hyperfield) -> Homomorphism:
     """Quadratic-residue symbol on the field residue, grade preserved."""
     if H.residue_kind != "field" or H.p == 2:
         raise UnsupportedOperationError("sign map needs an odd-p field residue")
-    cod = Hyperfield.sign() if H.rank == 0 else Hyperfield.stringent("sign", H.rank)
-    return Homomorphism("sign", H, cod)
+    return Homomorphism("sign", H, Hyperfield("sign", rank=H.rank))
 
 
 def table_map(domain: Hyperfield, codomain: Hyperfield, mapping) -> Homomorphism:

@@ -116,8 +116,15 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 class Hyperfield:
-    """A hyperfield from the catalog, or a finite table-driven quotient.
+    """A residue extended by the ordered group Z^rank, or a finite quotient.
 
+    ``Hyperfield(residue, p=None, rank=0)`` names every catalog hyperfield:
+    ``residue`` is ``"krasner"``, ``"sign"`` or ``"field"`` (GF(p), so ``p``
+    is a prime), and ``rank`` is the rank of the grade group.  ``kind`` is
+    the residue at rank 0, ``"tropical"`` for a Krasner residue at rank > 0
+    and ``"stringent"`` otherwise.  A residue ``"quotient"`` is a finite
+    hyperfield read from ``tables`` at rank 0 (``quotient`` and
+    ``from_tables`` build them).  Every parameter is checked here.
     Instances are immutable and hashable; all operations are pure.
     """
 
@@ -141,43 +148,44 @@ class Hyperfield:
         "_hash",
     )
 
-    def __init__(self, kind, p=None, rank=0, subgroup=None, tables=None):
-        # Parameters are validated and canonicalized here alone.
+    def __init__(self, residue, p=None, rank=0, subgroup=None, tables=None):
         for name, value in (("p", p), ("rank", rank)):
             if value is not None and type(value) is not int:
                 raise InvalidHyperfieldError(f"{name} must be an integer, got {value!r}")
         if rank < 0:
             raise InvalidHyperfieldError("rank must be nonnegative")
+        if residue not in ("krasner", "sign", "field", "quotient"):
+            raise InvalidHyperfieldError(f"unknown residue kind {residue!r}")
+        if residue == "field" and p is None:
+            raise InvalidHyperfieldError("a field residue needs a prime modulus")
+        if residue in ("krasner", "sign") and p is not None:
+            raise InvalidHyperfieldError(f"a {residue} residue takes no modulus")
         if p is not None and not is_prime(p):
             raise InvalidHyperfieldError(f"modulus {p} is not prime")
-        if rank == 0 and kind == "stringent":
-            kind = "sign" if p is None else "field"
-        if rank == 0 and kind == "tropical":
-            kind = "krasner"
-        if kind not in ("krasner", "sign", "field", "tropical", "stringent", "quotient"):
-            raise InvalidHyperfieldError(f"unknown hyperfield kind {kind!r}")
-        if rank and kind not in ("tropical", "stringent"):
-            raise InvalidHyperfieldError(f"{kind} has rank 0; use tropical or stringent")
-        if kind == "field" and p is None:
-            raise InvalidHyperfieldError("field needs a prime modulus")
-        if kind in ("krasner", "sign", "tropical") and p is not None:
-            raise InvalidHyperfieldError(f"{kind} takes no modulus")
-        self.kind = kind
+        if residue == "quotient" and (rank or tables is None):
+            raise InvalidHyperfieldError("a quotient is given by tables, at rank 0")
+        self.residue_kind = residue
+        self.kind = residue if rank == 0 else ("tropical" if residue == "krasner" else "stringent")
         self.p = p
         self.rank = rank
         self.subgroup = tuple(sorted(subgroup)) if subgroup else None
         self._elements = None
         self._add = None
         self._mul = None
-        self._neg = None
-        self._inv = None
         self._stringent = None
-        if kind == "quotient":
+        # A GF(p) residue r sorts at r - 1 (residue_sort_index): its units
+        # stay a range, so membership and index are O(1) in p.  The other
+        # unit sets are small enough to index outright.
+        if residue == "field":
+            self._units = range(1, p)
+        elif residue == "quotient":
             self._init_tables(tables)
-        self._init_units()
+        else:
+            self._units = (1,) if residue == "krasner" else (1, -1)
+        self._unit_index = None if residue == "field" else {r: i for i, r in enumerate(self._units)}
         self._descriptor = (self.kind, self.p, self.rank, self.subgroup, self._elements, self._add, self._mul)
         self._hash = hash(self._descriptor)
-        if kind == "quotient":
+        if residue == "quotient":
             report = validate_axioms(self)
             if report:
                 raise InvalidHyperfieldError(
@@ -200,18 +208,16 @@ class Hyperfield:
 
     @classmethod
     def tropical(cls, rank: int = 1) -> "Hyperfield":
-        return cls("tropical", rank=rank)
+        return cls("krasner", rank=rank)
 
     @classmethod
     def stringent(cls, residue: str, rank: int = 1, p: int | None = None) -> "Hyperfield":
-        if residue == "krasner":
-            return cls("tropical", rank=rank)
-        if residue == "sign":
-            return cls("stringent", rank=rank)
-        if residue == "field":
-            # without p the kind would read as a sign residue; 0 is refused
-            return cls("stringent", p=0 if p is None else p, rank=rank)
-        raise InvalidHyperfieldError(f"unknown residue kind {residue!r}")
+        """The ``residue`` (krasner, sign, or field with modulus ``p``) graded by Z^rank.
+
+        A Krasner residue gives ``tropical(rank)``; at rank 0 the residue
+        itself.
+        """
+        return cls(residue, p, rank)
 
     @classmethod
     def quotient(cls, p: int, subgroup) -> "Hyperfield":
@@ -253,7 +259,12 @@ class Hyperfield:
 
     @classmethod
     def from_tables(cls, elements, add, mul) -> "Hyperfield":
-        """Finite hyperfield from explicit tables; element 0 is zero, 1 is the unit."""
+        """Finite hyperfield from explicit tables; element 0 is zero, 1 is the unit.
+
+        Every pair of units needs an entry in both tables, and every label in
+        them must be one of ``elements``; entries with a zero operand may be
+        omitted, since nothing reads them.
+        """
         elements = tuple(elements)
         add = {(a, b): frozenset(v) for (a, b), v in add.items()}
         mul = dict(mul)
@@ -264,57 +275,31 @@ class Hyperfield:
         if 0 not in elements or 1 not in elements:
             raise InvalidHyperfieldError("tables must contain 0 and 1")
         self._elements = tuple(sorted(elements))
+        labels = set(elements)
+        for (a, b), v in add.items():
+            if not labels.issuperset((a, b, *v)):
+                raise InvalidHyperfieldError(f"table entry {a} + {b} names a label outside the elements")
+        for (a, b), v in mul.items():
+            if not labels.issuperset((a, b, v)):
+                raise InvalidHyperfieldError(f"table entry {a} * {b} names a label outside the elements")
+        self._units = units = tuple(a for a in self._elements if a != 0)
+        for a, b in itertools.product(units, units):
+            for op, table in (("+", add), ("*", mul)):
+                if (a, b) not in table:
+                    raise InvalidHyperfieldError(f"no table entry for {a} {op} {b}")
         self._add = tuple(sorted((a, b, tuple(sorted(v))) for (a, b), v in add.items()))
         self._mul = tuple(sorted((a, b, v) for (a, b), v in mul.items()))
         self._add_table = {(a, b): frozenset(v) for a, b, v in self._add}
         self._mul_table = {(a, b): v for a, b, v in self._mul}
         # hyperadd never reads an entry with a zero operand, so negatives
         # are read from the unit pairs alone
-        units = [a for a in self._elements if a != 0]
         self._neg = {}
         self._inv = {}
         for a in units:
-            negs = [b for b in units if 0 in self._table_add(a, b)]
+            negs = [b for b in units if 0 in self._add_table[a, b]]
             self._neg[a] = negs[0] if len(negs) == 1 else None
-            invs = [b for b in units if self._table_mul(a, b) == 1]
+            invs = [b for b in units if self._mul_table[a, b] == 1]
             self._inv[a] = invs[0] if len(invs) == 1 else None
-
-    def _table_add(self, a, b):
-        try:
-            return self._add_table[a, b]
-        except KeyError:
-            raise DomainMismatchError(f"no table entry for {a} + {b}") from None
-
-    def _table_mul(self, a, b):
-        try:
-            return self._mul_table[a, b]
-        except KeyError:
-            raise DomainMismatchError(f"no table entry for {a} * {b}") from None
-
-    def _init_units(self):
-        """Residue classification and unit collection, fixed per hyperfield.
-
-        GF(p) keeps its units as ``range(1, p)``: membership of an int and
-        its index are O(1) without materializing p - 1 residues.
-        """
-        kind = self.kind
-        if kind in ("krasner", "tropical"):
-            self.residue_kind = "krasner"
-            self._units = (1,)
-        elif kind == "sign" or (kind == "stringent" and not self.p):
-            self.residue_kind = "sign"
-            self._units = (1, -1)
-        elif kind in ("field", "stringent"):
-            self.residue_kind = "field"
-            self._units = range(1, self.p)
-        else:
-            self.residue_kind = None
-            self._units = tuple(e for e in self._elements if e != 0)
-        # A GF(p) residue r sorts at r - 1 (residue_sort_index); the other
-        # unit sets are small enough to index outright.
-        self._unit_index = None
-        if self.residue_kind != "field":
-            self._unit_index = {r: i for i, r in enumerate(self._units)}
 
     # -- identity -----------------------------------------------------
 
@@ -349,15 +334,10 @@ class Hyperfield:
         return self._stringent
 
     def residue_field(self) -> "Hyperfield":
-        """The rank-0 hyperfield of grade-zero units plus zero."""
-        if self.kind == "quotient":
+        """The residue: the rank-0 hyperfield of grade-zero units plus zero."""
+        if self.rank == 0:
             return self
-        kind = self.residue_kind
-        if kind == "krasner":
-            return Hyperfield.krasner()
-        if kind == "sign":
-            return Hyperfield.sign()
-        return Hyperfield.field(self.p)
+        return Hyperfield(self.residue_kind, p=self.p)
 
     def zero(self) -> HElement:
         return _ZERO
@@ -403,7 +383,7 @@ class Hyperfield:
             return r * s
         if kind == "field":
             return (r * s) % self.p
-        return self._table_mul(r, s)
+        return self._mul_table[r, s]
 
     def residue_inv(self, r):
         kind = self.residue_kind
@@ -443,7 +423,7 @@ class Hyperfield:
         if kind == "field":
             t = (r + s) % self.p
             return frozenset({t if t else None})
-        return frozenset(v if v else None for v in self._table_add(r, s))
+        return frozenset(v if v else None for v in self._add_table[r, s])
 
     # -- element operations --------------------------------------------
 
@@ -503,8 +483,6 @@ class Hyperfield:
         ]
 
     def elements_box(self, window: int) -> list[HElement]:
-        if self.kind == "quotient":
-            return [self.zero()] + [HElement(e, ()) for e in self._elements if e != 0]
         return [self.zero()] + self.units_box(window)
 
     def elements_box_size(self, window: int) -> int:

@@ -17,49 +17,49 @@ SCHEMA = "hypermat/1"
 VERSION = "0.1.0"
 
 
+# The keys besides "kind" that each kind reads; the writer sets no others.
+_KEYS = {
+    "krasner": (),
+    "sign": (),
+    "field": ("p",),
+    "tropical": ("rank",),
+    "stringent": ("residue", "rank", "p"),
+    "quotient": ("p", "subgroup"),
+}
+
+
 def hyperfield_to_json(H: Hyperfield) -> dict:
-    if H.kind == "krasner":
-        return {"kind": "krasner"}
-    if H.kind == "sign":
-        return {"kind": "sign"}
-    if H.kind == "field":
-        return {"kind": "field", "p": H.p}
-    if H.kind == "tropical":
-        return {"kind": "tropical", "rank": H.rank}
-    if H.kind == "stringent":
-        out = {"kind": "stringent", "residue": H.residue_kind, "rank": H.rank}
-        if H.p:
-            out["p"] = H.p
-        return out
-    if H.subgroup is None:
+    if H.kind == "quotient" and H.subgroup is None:
         raise SpecError("table-built hyperfields have no JSON form")
-    return {"kind": "quotient", "p": H.p, "subgroup": list(H.subgroup)}
+    out = {"kind": H.kind}
+    if H.kind == "stringent":
+        out["residue"] = H.residue_kind
+    if H.rank:
+        out["rank"] = H.rank
+    if H.p is not None:
+        out["p"] = H.p
+    if H.subgroup is not None:
+        out["subgroup"] = list(H.subgroup)
+    return out
 
 
 def hyperfield_from_json(d, path="$.hyperfield") -> Hyperfield:
     if not isinstance(d, dict) or "kind" not in d:
         raise SpecError(f"{path}: expected an object with a 'kind' key")
     kind = d["kind"]
-    try:
-        if kind == "krasner":
-            return Hyperfield.krasner()
-        if kind == "sign":
-            return Hyperfield.sign()
-        if kind == "field":
-            return Hyperfield.field(_int_of(d["p"], f"{path}.p"))
-        if kind == "tropical":
-            return Hyperfield.tropical(_int_of(d.get("rank", 1), f"{path}.rank"))
-        if kind == "stringent":
-            p = d.get("p")
-            if p is not None:
-                p = _int_of(p, f"{path}.p")
-            return Hyperfield.stringent(d["residue"], _int_of(d.get("rank", 1), f"{path}.rank"), p)
-        if kind == "quotient":
-            subgroup = _ints_of(d["subgroup"], f"{path}.subgroup")
-            return Hyperfield.quotient(_int_of(d["p"], f"{path}.p"), subgroup)
-    except KeyError as exc:
-        raise SpecError(f"{path}: missing key {exc}") from exc
-    raise SpecError(f"{path}.kind: unknown hyperfield kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KEYS:
+        raise SpecError(f"{path}.kind: unknown hyperfield kind {kind!r}")
+    for key in d:
+        if key != "kind" and key not in _KEYS[kind]:
+            raise SpecError(f"{path}.{key}: a {kind} hyperfield has no {key!r} key")
+    p = d.get("p")
+    if p is not None or kind == "quotient":
+        p = _int_of(p, f"{path}.p")
+    if kind == "quotient":
+        return Hyperfield.quotient(p, _ints_of(d.get("subgroup"), f"{path}.subgroup"))
+    rank = _int_of(d.get("rank", 1), f"{path}.rank") if "rank" in _KEYS[kind] else 0
+    residue = {"tropical": "krasner", "stringent": d.get("residue")}.get(kind, kind)
+    return Hyperfield(residue, p, rank)
 
 
 def _int_of(value, path) -> int:

@@ -190,6 +190,21 @@ def test_check_hyperfield_exits_2_on_invalid_hyperfield(tmp_path, capsys, doc):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("doc, named", [
+    ('{"kind": "field", "p": 5, "rank": 2}', "rank"),  # used to read GF(5)
+    ('{"kind": "krasner", "rank": 3}', "rank"),  # used to read krasner()
+    ('{"kind": "quotient", "p": 7, "subgroup": [1, 2, 4], "rank": 1}', "rank"),
+    ('{"kind": "stringent", "residue": "sign", "rank": 1, "p": 4}', "modulus"),  # used to drop p
+])
+def test_check_hyperfield_refuses_parameters_its_kind_does_not_take(tmp_path, capsys, doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert run(["check-hyperfield", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+
+
 @pytest.mark.axiom_budget
 @pytest.mark.parametrize("doc", ['{"kind": "field", "p": 10007}', '{"kind": "tropical", "rank": 3}'])
 def test_check_hyperfield_refuses_a_box_over_the_axiom_budget(tmp_path, capsys, deadline, doc):

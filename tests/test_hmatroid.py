@@ -367,6 +367,23 @@ def test_circuit_axioms_catch_broken_elimination(sign):
     assert any(r["check"] == "C3" for r in report)
 
 
+def test_elimination_skips_circuits_off_the_zero_pattern(sign):
+    # At e = 1, X = (+,+,+,0) and Y = (-,+,0,-) give X + Y = ({0,+,-},+,+,-).
+    # Z = (0,0,+,-) fits it on Z's support, but X_2 + Y_2 = {+} holds no zero,
+    # so Z is no eliminant there: (C3) fails at every e.
+    p, m = sign.one(), sign.neg(sign.one())
+    vecs = [
+        hvector(sign, G4, {"1": p, "2": p, "3": p}),
+        hvector(sign, G4, {"1": p, "2": m, "4": p}),
+        hvector(sign, G4, {"3": p, "4": m}),
+    ]
+    sig = signature_from_vectors(sign, G4, vecs)
+    report = check_circuit_axioms(sig)
+    assert [r["check"] for r in report] == ["C3"] * 4
+    assert sorted(r["witness"]["e"] for r in report) == ["1", "2", "3", "4"]
+    assert len(check_c3prime(sig)) == 8
+
+
 def test_c3prime_agrees_on_pass_and_fail(trop_u23, stringent_sign_u23, tropical1):
     for M in (trop_u23, stringent_sign_u23):
         assert check_c3prime(M.circuits) == []

@@ -20,6 +20,7 @@ from hypermat import (
     symset,
     validate_axioms,
 )
+from hypermat import jsonio
 from hypermat.hyperfields import (
     MAX_AXIOM_BOX,
     MAX_QUOTIENT_INDEX,
@@ -257,6 +258,28 @@ def test_negatives_ignore_table_entries_with_a_zero_operand():
     assert H.neg(H.unit(2)) == H.unit(1)
 
 
+def _gf3_tables():
+    elements = (0, 1, 2)
+    add = {(a, b): {(a + b) % 3} for a in elements for b in elements}
+    mul = {(a, b): a * b % 3 for a in elements for b in elements}
+    return elements, add, mul
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_tables_need_an_entry_for_every_pair_of_units(op):
+    elements, add, mul = _gf3_tables()
+    del (add if op == "+" else mul)[1, 1]
+    with pytest.raises(InvalidHyperfieldError, match=rf"no table entry for 1 \{op} 1"):
+        Hyperfield.from_tables(elements, add, mul)
+
+
+def test_tables_refuse_an_entry_for_a_label_outside_the_elements():
+    elements, add, mul = _gf3_tables()
+    add[5, 1] = {1}
+    with pytest.raises(InvalidHyperfieldError, match=r"5 \+ 1"):
+        Hyperfield.from_tables(elements, add, mul)
+
+
 def test_tables_whose_least_unit_label_is_not_one():
     # the sign hyperfield with labels -1, 0, 1: the unit is 1, not the least label -1
     elements = (-1, 0, 1)
@@ -403,16 +426,56 @@ def test_modulus_and_rank_must_be_small_exact_integers(build):
         build()
 
 
-@pytest.mark.parametrize("kind, p, rank", [
-    ("sign", None, 2),  # used to print as sign() yet differ from stringent("sign", 2)
-    ("krasner", None, 1),  # used to print as krasner() yet differ from tropical(1)
-    ("stringent", 4, 1),  # a "field residue" over Z/4
-    ("stringent", 2**70, 1),  # beyond the 2**64 modulus bound
-    ("tropical", 5, 1),  # used to print as tropical(1) yet differ from it
+@pytest.mark.parametrize("residue, p, rank", [
+    ("stringent", 4, 1),  # kinds are not residues
+    ("stringent", 2**70, 1),
+    ("tropical", 5, 1),
+    ("stringent", None, 1),
+    ("field", 4, 1),  # a "field residue" over Z/4
+    ("field", 2**70, 1),  # beyond the 2**64 modulus bound
+    ("krasner", 5, 1),  # used to print as tropical(1) yet differ from it
+    ("sign", 5, 1),  # used to print as stringent(sign,rank=1) yet differ from it
 ])
-def test_constructor_refuses_malformed_parameters(kind, p, rank):
+def test_constructor_refuses_malformed_parameters(residue, p, rank):
     with pytest.raises(InvalidHyperfieldError):
-        Hyperfield(kind, p=p, rank=rank)
+        Hyperfield(residue, p=p, rank=rank)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Hyperfield.stringent("sign", 1, p=5),  # used to drop the modulus
+    lambda: Hyperfield.stringent("krasner", 1, p=5),  # used to drop the modulus
+    lambda: Hyperfield.stringent("field", 1),  # used to be refused as "modulus 0"
+])
+def test_a_modulus_goes_with_a_field_residue_alone(build):
+    with pytest.raises(InvalidHyperfieldError, match="residue (needs a prime|takes no) modulus"):
+        build()
+
+
+@pytest.mark.parametrize("residue, p, rank, spelling, printed", [
+    ("krasner", None, 0, lambda: Hyperfield.krasner(), "Hyperfield.krasner()"),
+    ("krasner", None, 1, lambda: Hyperfield.tropical(1), "Hyperfield.tropical(1)"),
+    ("krasner", None, 2, lambda: Hyperfield.tropical(2), "Hyperfield.tropical(2)"),
+    ("sign", None, 0, lambda: Hyperfield.sign(), "Hyperfield.sign()"),
+    ("sign", None, 1, lambda: Hyperfield.stringent("sign", 1), "Hyperfield.stringent(sign,rank=1)"),
+    ("sign", None, 2, lambda: Hyperfield.stringent("sign", 2), "Hyperfield.stringent(sign,rank=2)"),
+    ("field", 3, 0, lambda: Hyperfield.field(3), "Hyperfield.field(3)"),
+    ("field", 3, 1, lambda: Hyperfield.stringent("field", 1, p=3), "Hyperfield.stringent(field,p=3,rank=1)"),
+    ("field", 3, 2, lambda: Hyperfield.stringent("field", 2, p=3), "Hyperfield.stringent(field,p=3,rank=2)"),
+])
+def test_a_hyperfield_is_named_by_its_residue_and_rank(residue, p, rank, spelling, printed):
+    H = Hyperfield(residue, p, rank)
+    assert H == spelling() == Hyperfield.stringent(residue, rank, p)
+    assert repr(H) == printed
+    assert jsonio.hyperfield_from_json(jsonio.hyperfield_to_json(H)) == H
+    assert H.residue_field() == Hyperfield(residue, p)
+
+
+def test_a_quotient_is_named_by_its_tables():
+    Q = Hyperfield.quotient(7, [1, 2, 4])
+    assert (Q.kind, Q.residue_kind, Q.rank) == ("quotient", "quotient", 0)
+    assert repr(Q) == "Hyperfield.quotient(7,[1, 2, 4])"
+    assert jsonio.hyperfield_from_json(jsonio.hyperfield_to_json(Q)) == Q
+    assert Q.residue_field() is Q
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])
@@ -471,11 +534,13 @@ def test_sort_indices_and_tables_match_linear_scans():
         for r in units:
             assert H.residue_sort_index(r) == units.index(r)
     for a, b, v in Q._add:
-        assert Q._table_add(a, b) == frozenset(v)
+        assert Q._add_table[a, b] == frozenset(v)
     for a, b, v in Q._mul:
-        assert Q._table_mul(a, b) == v
-    with pytest.raises(DomainMismatchError):
-        Q._table_add(1, 2)
+        assert Q._mul_table[a, b] == v
+    elements, add, mul = Q._elements, dict(Q._add_table), Q._mul_table
+    del add[1, 3]
+    with pytest.raises(InvalidHyperfieldError, match=r"no table entry for 1 \+ 3"):
+        Hyperfield.from_tables(elements, add, mul)
 
 
 # -- symbolic sets -----------------------------------------------------------

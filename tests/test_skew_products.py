@@ -34,7 +34,7 @@ class Twisted(Hyperfield):
     __slots__ = ()
 
     def __init__(self):
-        super().__init__("stringent", rank=2)
+        super().__init__("sign", rank=2)
         self._descriptor = ("twisted",) + self._descriptor
         self._hash = hash(self._descriptor)
 

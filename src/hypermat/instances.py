@@ -5,7 +5,16 @@ from __future__ import annotations
 import itertools
 
 from .errors import HypermatError
-from .hmatroid import HMatroid, HVector, hmatroid_from_circuits, hvector
+from .hmatroid import (
+    CircuitSignature,
+    HMatroid,
+    HVector,
+    _align_for_elimination,
+    _elimination_exists,
+    hmatroid_from_circuits,
+    hvector,
+    modular_support_pairs,
+)
 from .hyperfields import HElement, Hyperfield
 from .matroids import ClassicalMatroid, from_circuits, uniform_matroid
 
@@ -49,30 +58,56 @@ def all_signatures(field: Hyperfield, matroid: ClassicalMatroid) -> list[HMatroi
     """Every circuit signature of the matroid over the field that is a matroid.
 
     Normalized representatives fix the first support entry to 1, so each
-    class contributes |units|^(|support|-1) candidate assignments; the ones
-    failing cocircuit synthesis are dropped.
+    class has |units|^(|support|-1) candidate assignments.  The classes are
+    assigned depth first, in support order, so candidates come out in the
+    order of the product of those assignments.  A candidate failing modular
+    elimination (C3) is no matroid (Baker and Bowler), so each (C3) test, a
+    modular pair X, Y and an element e of both, runs as soon as X, Y and
+    every circuit inside (X | Y) - e are assigned, and a failure cuts off
+    the subtree.  Complete assignments still go through cocircuit synthesis,
+    which alone decides what is kept.  ``tests/test_signature_search_reference.py``
+    keeps the brute force over every candidate as an oracle.
     """
     ground = matroid.ground
     one = field.one()
     supports = sorted(matroid.circuits, key=sorted)
-    slots = []
-    for sup in supports:
-        elems = sorted(sup, key=ground.index)
-        slots.append((elems, len(elems) - 1))
-    out = []
+    slots = [sorted(sup, key=ground.index) for sup in supports]
+    index = {sup: i for i, sup in enumerate(supports)}
+    due = [[] for _ in supports]
+    for s1, s2 in modular_support_pairs(supports):
+        for e in sorted(s1 & s2):
+            inside = [index[t] for t in supports if t <= (s1 | s2) - {e}]
+            due[max([index[s1], index[s2]] + inside)].append((index[s1], index[s2], e, inside))
     unit_elems = [HElement(r, (0,) * field.rank) for r in field.residue_units()]
-    pools = [itertools.product(unit_elems, repeat=n) for _, n in slots]
-    for assignment in itertools.product(*pools):
-        vecs = []
-        for (elems, _), coeffs in zip(slots, assignment):
-            mapping = {elems[0]: one}
-            mapping.update(dict(zip(elems[1:], coeffs)))
-            vecs.append(hvector(field, ground, mapping))
-        try:
-            out.append(hmatroid_from_circuits(field, ground, vecs))
-        except HypermatError:
-            continue
+    vecs: list[HVector] = []
+    out = []
+
+    def assign(d):
+        if d == len(slots):
+            try:
+                out.append(hmatroid_from_circuits(field, ground, vecs))
+            except HypermatError:
+                pass
+            return
+        elems = slots[d]
+        for coeffs in itertools.product(unit_elems, repeat=len(elems) - 1):
+            vecs.append(hvector(field, ground, dict(zip(elems, (one, *coeffs)))))
+            if all(_eliminates(vecs, test) for test in due[d]):
+                assign(d + 1)
+            vecs.pop()
+
+    assign(0)
     return out
+
+
+def _eliminates(vecs, test) -> bool:
+    """Does (C3) hold for the test (i, j, e, inside) on the assigned classes:
+    is some circuit among ``vecs[inside]`` an eliminant of ``vecs[i]`` and
+    ``vecs[j]`` at e?"""
+    i, j, e, inside = test
+    X = vecs[i]
+    partial = CircuitSignature(X.field, X.ground, "left", tuple(vecs[k] for k in inside))
+    return _elimination_exists(partial, X, _align_for_elimination(X.field, "left", X, vecs[j], e), e)
 
 
 def graded_rescaled(field: Hyperfield, matroid: ClassicalMatroid, weights: dict[str, int],

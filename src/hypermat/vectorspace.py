@@ -287,10 +287,15 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     At rank 0 nothing leaves the box, so no matroid is read or rebuilt.
 
     Entries are coded by a ``BoxCode`` (see ``_EntryTable``), so each
-    hypersum and product of two entries is computed once.  (V3) only visits
-    pairs of vectors with opposite entries somewhere, and looks their in-box
-    eliminants up by zero pattern: the rows that match the singleton sums
-    off the loose coordinates (``_EntryTable.matching``).
+    hypersum and product of two entries is computed once.  (V2')/(V2'') map
+    each of V's per-coordinate tables over that coordinate's column of
+    codes, which gives V∘W (and V+W) for every W at once; only a V with a
+    missing in-box result is scanned W by W, for the witnesses in order.
+    (V3) only visits pairs of vectors with opposite entries somewhere, and
+    looks their in-box eliminants up by zero pattern: the rows that match
+    the singleton sums off the loose coordinates (``_EntryTable.matching``).
+    Its verdicts depend on a pair only through the hypersum at each
+    coordinate, so they are kept per tuple of hypersum ids for the call.
     """
     vectors = frozenset(vectors)
     if not vectors:
@@ -321,9 +326,17 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
                 report.append({"check": "V1", "witness": {"a": a, "V": V}})
     table.add_pairs()
     field = H.residue_kind == "field"
+    columns = list(zip(*rows))
     for V, v in zip(ordered, rows):
         composed = [table.composed[a] for a in v]
         singles = [table.single_in_box[a] for a in v]
+        # every V∘W (and V+W) at once, a column map per coordinate; the
+        # per-W scan below runs only for a V with an in-box result missing
+        results = set(zip(*map(map, [c.__getitem__ for c in composed], columns)))
+        if field:
+            results.update(zip(*map(map, [s.__getitem__ for s in singles], columns)))
+        if all(None in r for r in results.difference(present)):
+            continue
         for W, w in zip(ordered, rows):
             VW = tuple([c[b] for c, b in zip(composed, w)])
             if None not in VW and VW not in present:
@@ -340,7 +353,11 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     for j, row in enumerate(rows):
         for k, a in enumerate(row):
             holders[k].setdefault(a, []).append(j)
+    # the hypersum ids of two vectors decide every (V3) verdict on them:
+    # per tuple of ids, the verdict of each cancelling coordinate met so far
+    memo: dict[tuple[int, ...], dict[int, bool]] = {}
     for i, (V, v) in enumerate(zip(ordered, rows)):
+        sums = [table.sum_id[a] for a in v]
         # hits[j]: ascending coordinates where vector j cancels V
         hits: dict[int, list[int]] = {}
         for k, a in enumerate(v):
@@ -349,12 +366,13 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
                 for j in js[bisect.bisect_left(js, i):]:
                     hits.setdefault(j, []).append(k)
         for j in sorted(hits):
-            pairs = list(zip(v, rows[j]))
-            fixed = [table.single[a][b] for a, b in pairs]
-            loose = [(k, table.within(*pairs[k], window)) for k, c in enumerate(fixed) if c is None]
-            candidates = table.matching(fixed)
+            w = rows[j]
+            verdicts = memo.setdefault(tuple(map(dict.__getitem__, sums, w)), {})
             for k in hits[j]:
-                if not _v3_eliminant_exists(table, pairs, fixed, loose, candidates, k, recon, slack):
+                ok = verdicts.get(k)
+                if ok is None:
+                    ok = verdicts[k] = _v3_eliminant_exists(table, v, w, k, recon, slack)
+                if not ok:
                     report.append({"check": "V3", "witness": {"V": V, "W": ordered[j], "e": ground[k]}})
     return report
 
@@ -367,13 +385,14 @@ class _EntryTable(BoxCode):
     ``a, b`` is ``sets[sum(a, b)]``.  ``add_pairs`` visits every pair of
     entries that meets at some coordinate once; those are exactly the pairs
     that composing every two vectors computes.  Per pair ``a, b`` (codes),
-    ``composed[a][b]`` is the code of the composition when (V2') asks for it
-    at that coordinate, that is when it is inside the window box and, over a
-    field residue, keeps the union support; else None.  ``single[a][b]`` is
-    the code of a singleton hypersum, else None, and ``single_in_box[a][b]``
-    the same inside the box, for (V2'').  These stay plain dicts because the
-    quadratic (V2')/(V2'') loops read them.  ``matching`` indexes the rows
-    by their entries off each tuple of loose coordinates that (V3) meets.
+    ``sum_id[a][b]`` is ``sum(a, b)``; ``composed[a][b]`` is the code of the
+    composition when (V2') asks for it at that coordinate, that is when it
+    is inside the window box and, over a field residue, keeps the union
+    support; else None.  ``single[a][b]`` is the code of a singleton
+    hypersum, else None, and ``single_in_box[a][b]`` the same inside the
+    box, for (V2'').  These stay plain dicts because the quadratic
+    (V2')/(V2'') and (V3) loops read them.  ``matching`` indexes the rows by
+    their entries off each tuple of loose coordinates that (V3) meets.
     """
 
     def __init__(self, ordered, window: int):
@@ -382,6 +401,7 @@ class _EntryTable(BoxCode):
         self.zero = 0
         self.rows = [tuple(map(self.code, V.entries)) for V in ordered]
         self.present = set(self.rows)
+        self.sum_id: dict[int, dict[int, int]] = {}
         self.single: dict[int, dict[int, int | None]] = {}
         self.single_in_box: dict[int, dict[int, int | None]] = {}
         self.composed: dict[int, dict[int, int | None]] = {}
@@ -405,6 +425,7 @@ class _EntryTable(BoxCode):
         for column in zip(*self.rows):
             met = sorted(set(column))
             for a in met:
+                sum_id = self.sum_id.setdefault(a, {})
                 single = self.single.setdefault(a, {})
                 single_in_box = self.single_in_box.setdefault(a, {})
                 composed = self.composed.setdefault(a, {})
@@ -412,7 +433,8 @@ class _EntryTable(BoxCode):
                 for b in met:
                     if b in single:
                         continue
-                    s = self.sets[self.sum(a, b)]
+                    sum_id[b] = i = self.sum(a, b)
+                    s = self.sets[i]
                     elt = s.the_singleton()
                     single[b] = c = None if elt is None else self.code(elt)
                     single_in_box[b] = c if c is not None and self.in_box[c] else None
@@ -447,18 +469,22 @@ class _EntryTable(BoxCode):
         return self._within[key]
 
 
-def _v3_eliminant_exists(table, pairs, fixed, loose, candidates, ei, recon, slack) -> bool:
-    """Does (V3) hold for the coded entry pairs of two vectors that cancel at ei?
+def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
+    """Does (V3) hold for the coded vectors v, w, which cancel at ei?
 
-    ``fixed`` holds each coordinate's singleton-sum code, None on the loose
-    coordinates, where the hypersum is not a singleton; ``loose`` pairs each
-    of those with its hypersum members in the window box, and ``candidates``
-    are the rows equal to ``fixed`` off them (``table.matching``).  True if
-    a candidate is zero at ei and a listed member on every loose coordinate.
-    Else true if the first eliminant of ``recon`` that ``_orthogonal_points``
-    finds among the hypersum members within ``slack`` leaves the window box,
-    so the set could not hold it.
+    Per coordinate, ``fixed`` holds the singleton-sum code, None on the
+    loose coordinates, where the hypersum is not a singleton; ``loose``
+    pairs each of those with its hypersum members in the window box, and
+    the candidates are the rows equal to ``fixed`` off them
+    (``table.matching``).  True if a candidate is zero at ei and a listed
+    member on every loose coordinate.  Else true if the first eliminant of
+    ``recon`` that ``_orthogonal_points`` finds among the hypersum members
+    within ``slack`` leaves the window box, so the set could not hold it.
     """
+    pairs = list(zip(v, w))
+    fixed = [table.single[a][b] for a, b in pairs]
+    loose = [(k, table.within(*pairs[k], table.window)) for k, c in enumerate(fixed) if c is None]
+    candidates = table.matching(fixed)
     zero, elements = table.zero, table.elements
     # zero is a member of the sum at ei, so ei need not be skipped
     if any(z[ei] == zero and all(z[i] in m for i, m in loose) for z in candidates):

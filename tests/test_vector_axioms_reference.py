@@ -13,7 +13,9 @@ before (V3) looked its eliminants up in ``_EntryTable.index``, kept
 verbatim in the same way: per cancelling coordinate they try the all-zero
 choice, then the product of in-box hypersum members or a scan of every
 row.  The checker must return the same report on every windowed battery
-instance and on seeded perturbed copies, with and without the matroid.
+instance and on seeded perturbed copies, with and without the matroid, and
+likewise on the twisted U_{2,3} of ``test_skew_products``, whose hyperfield
+is not commutative, on either side.
 """
 
 import bisect
@@ -45,6 +47,7 @@ from hypermat.vectorspace import (
     _vector_hypersum,
     _within_box,
 )
+from test_skew_products import _u23
 
 
 def reference_check_vector_axioms(vectors, window: int = 4, side: str = "left") -> list[dict]:
@@ -426,3 +429,24 @@ def test_vectors_over_different_grounds_are_refused(sign, u23_sign):
     vs.add(zero_vector(sign, ("1", "2", "4")))
     with pytest.raises(DomainMismatchError):
         check_vector_axioms(vs, 0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_same_reports_as_the_table_checker_over_a_skew_hyperfield(side):
+    # the column path of (V2') and the (V3) memo read the twisted product
+    M = _u23(side)
+    vs = vectors_enumerate(M, 1)
+    rng = random.Random(20261019)
+    cases = [("", vs), ("-1", _dropped(rng, vs, 1)), ("-3", _dropped(rng, vs, 3)), ("+1", _with_foreign(rng, vs, 1))]
+    seen, compared = set(), 0
+    for label, s in cases:
+        for matroid in (M, None):
+            if matroid is None and not _rebuilds(s, side):
+                with pytest.raises(InvalidInputError):
+                    check_vector_axioms(s, 1, side, matroid)
+                continue
+            got = check_vector_axioms(s, 1, side, matroid)
+            assert got == reference_table_check_vector_axioms(s, 1, side, matroid), (label, matroid is None)
+            seen.update(r["check"] for r in got)
+            compared += 1
+    assert (compared, seen) == (7, {"V1", "V2'", "V3"})

@@ -53,7 +53,6 @@ from .jsonio import VERSION as __version__
 from .matroids import (
     ClassicalMatroid,
     enumerate_matroids,
-    from_bases,
     from_circuits,
     minty_check,
     minty_minimalize,

@@ -247,46 +247,50 @@ def _other_side(side: str) -> str:
     return "right" if side == "left" else "left"
 
 
+def _support_mask(vec: HVector) -> int:
+    """The support of ``vec`` as an int bitmask: bit i is ``vec.ground[i]``."""
+    return sum(1 << i for i, x in enumerate(vec.entries) if not x.is_zero)
+
+
+def _positions(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> CircuitSignature:
     """Synthesize the unique dual signature and certify 3-orthogonality.
 
     For each cocircuit D of the underlying matroid, the entry at the least
     element is set to 1 and the rest are forced through circuits meeting D
-    in exactly two elements.  Failure of the final sweep (or an inconsistent
-    propagation) means the signature is not a matroid over the hyperfield.
-    Forced entries are products of units, so the supports are exactly the
-    (distinct, incomparable) cocircuits and the output needs no revalidation.
+    in exactly two elements, listed once per cocircuit from support bitmasks
+    in signature order and swept until no entry changes.  Failure of the
+    final sweep (or an inconsistent propagation) means the signature is not
+    a matroid over the hyperfield.  Forced entries are products of units, so
+    the supports are exactly the (distinct, incomparable) cocircuits and the
+    output needs no revalidation, nor normalization (its least entry is 1).
     """
     H = sig.field
     ground = sig.ground
-    out_side = _other_side(sig.side)
-    cocircuit_supports = sorted(underlying.cocircuits(), key=lambda d: sorted(d))
-    zero = H.zero()
-    supports = [rep.support for rep in sig.reps]
+    circuits = [(rep.entries, _support_mask(rep)) for rep in sig.reps]
     duals = []
-    for D in cocircuit_supports:
-        d_elems = [e for e in ground if e in D]
-        entries = {e: None for e in d_elems}
-        e0 = d_elems[0]
-        entries[e0] = H.one()
+    for D in sorted(underlying.cocircuits(), key=sorted):
+        d = sum(1 << ground.index(e) for e in D)
+        meets = [(x, _positions(m)) for x, mask in circuits if (m := mask & d).bit_count() == 2]
+        y = [None if d >> i & 1 else H.zero() for i in range(len(ground))]
+        y[(d & -d).bit_length() - 1] = H.one()
         pending = True
         while pending:
             pending = False
-            for rep, support in zip(sig.reps, supports):
-                meet = support & D
-                if len(meet) != 2:
-                    continue
-                a, b = sorted(meet, key=ground.index)
+            for x, (a, b) in meets:
                 for e, f in ((a, b), (b, a)):
-                    if entries[e] is not None and entries[f] is None:
-                        entries[f] = _forced_entry(H, sig.side, rep[e], rep[f], entries[e])
+                    if y[e] is not None and y[f] is None:
+                        y[f] = _forced_entry(H, sig.side, x[e], x[f], y[e])
                         pending = True
-        if any(v is None for v in entries.values()):
+        if any(v is None for v in y):
             raise NotAnHMatroidError(
                 "cocircuit propagation leaves entries unassigned", witness=sorted(D)
             )
-        vec = HVector(H, ground, tuple(entries.get(e, zero) for e in ground))
-        duals.append(normalize_vector(vec, out_side))
+        duals.append(HVector(H, ground, tuple(y)))
+    out_side = _other_side(sig.side)
     dual_sig = CircuitSignature(H, ground, out_side, tuple(sorted(duals, key=HVector.sort_key)))
     ok, witness = perp_k(sig, dual_sig, 3)
     if not ok:
@@ -305,16 +309,21 @@ def perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
     """Check X perp Y over representative pairs with support meets of size <= k.
 
     Scaling invariance of orthogonality makes representatives sufficient.
-    k=None means unrestricted (full orthogonality).
+    k=None means unrestricted (full orthogonality).  Hyperfield and ground
+    are checked once, and each pair multiplies only on its nonempty meet.
     """
     left, right = (C, D) if C.side == "left" else (D, C)
-    right_supports = [y.support for y in right.reps]
+    _check_compatible(left, right)
+    H = left.field
+    rights = [(y, _support_mask(y)) for y in right.reps]
     for x in left.reps:
-        x_support = x.support
-        for y, y_support in zip(right.reps, right_supports):
-            if k is not None and len(x_support & y_support) > k:
+        x_mask = _support_mask(x)
+        for y, y_mask in rights:
+            meet = x_mask & y_mask
+            if not meet or k is not None and meet.bit_count() > k:
                 continue
-            if not perp(x, y):
+            terms = [H.mul(x.entries[i], y.entries[i]) for i in _positions(meet)]
+            if not zero_in_sum(H, terms):
                 return False, (x, y)
     return True, None
 
@@ -415,19 +424,15 @@ def krasner_matroid(matroid: ClassicalMatroid) -> HMatroid:
 
 def modular_support_pairs(supports) -> list[tuple[frozenset, frozenset]]:
     """Unordered support pairs whose union strictly contains no union of two
-    distinct circuit supports."""
+    distinct circuit supports; each union is a bitmask, tested against the
+    set of distinct pair unions."""
     sups = list(supports)
-    out = []
-    for s1, s2 in itertools.combinations(sups, 2):
-        union = s1 | s2
-        modular = True
-        for t1, t2 in itertools.combinations(sups, 2):
-            if t1 | t2 < union:
-                modular = False
-                break
-        if modular:
-            out.append((s1, s2))
-    return out
+    bit = {}
+    masks = [sum(1 << bit.setdefault(e, len(bit)) for e in s) for s in sups]
+    pairs = list(itertools.combinations(range(len(sups)), 2))
+    unions = {masks[i] | masks[j] for i, j in pairs}
+    modular = {u for u in unions if not any(v != u and v & u == v for v in unions)}
+    return [(sups[i], sups[j]) for i, j in pairs if masks[i] | masks[j] in modular]
 
 
 def check_circuit_axioms(sig: CircuitSignature) -> list[dict]:
@@ -441,12 +446,13 @@ def check_circuit_axioms(sig: CircuitSignature) -> list[dict]:
     H = sig.field
     report = []
     by_support = sig.rep_by_support()
-    for s1, s2 in modular_support_pairs(sorted(sig.supports, key=sorted)):
+    circuits = [(Z, _support_mask(Z)) for Z in sig.reps]
+    for s1, s2 in modular_support_pairs(sorted(by_support, key=sorted)):
         X = by_support[s1]
         Yhat = by_support[s2]
         for e in sorted(s1 & s2):
             Y = _align_for_elimination(H, sig.side, X, Yhat, e)
-            if not _elimination_exists(sig, X, Y, e):
+            if not _elimination_exists(H, sig.side, circuits, X, Y, e):
                 report.append(
                     {"check": "C3", "witness": {"X": X, "Y": Y, "e": e}}
                 )
@@ -463,27 +469,40 @@ def _align_for_elimination(H, side, X, Yhat, e):
     return Yhat.scale_right(beta)
 
 
-def _elimination_exists(sig: CircuitSignature, X: HVector, Y: HVector, e: str) -> bool:
-    """Is there a circuit Z with Z_e = 0 lying pointwise in X + Y?"""
-    H = sig.field
-    union = X.support | Y.support
-    sums = {f: H.hyperadd(X[f], Y[f]) for f in union}
-    for Z in sig.reps:
-        zsup = Z.support
-        if e in zsup or not zsup <= union:
+def _elimination_exists(H, side, circuits, X: HVector, Y: HVector, e: str) -> bool:
+    """Is there a circuit Z with Z_e = 0 lying pointwise in X + Y?
+
+    ``circuits`` holds ``(Z, support bitmask)`` pairs.  A finite hypersum
+    at Z's first support element fixes the candidate scalars gamma, each
+    tested by membership gamma*Z_f in X_f + Y_f (Z_f*gamma on the right) at
+    the others; only a first hypersum with a down-set is intersected.
+    """
+    times = H.mul if side == "left" else lambda a, b: H.mul(b, a)
+    union = _support_mask(X) | _support_mask(Y)
+    sums = {f: H.hyperadd(X.entries[f], Y.entries[f]) for f in _positions(union)}
+    e_bit = 1 << X.ground.index(e)
+    needed = sum(1 << f for f, s in sums.items() if not s.contains_zero) & ~e_bit
+    for Z, z_mask in circuits:
+        if z_mask & e_bit or z_mask & ~union or needed & ~z_mask:
             continue
-        if any(not sums[f].contains_zero for f in union - zsup - {e}):
+        first, *rest = _positions(z_mask)
+        z = Z.entries
+        if sums[first].below is None:
+            z_inv = H.inv(z[first])
+            gammas = (times(s, z_inv) for s in sums[first].explicit if not s.is_zero)
+            if any(all(times(g, z[f]) in sums[f] for f in rest) for g in gammas):
+                return True
             continue
         gamma = None
-        for f in sorted(zsup, key=sig.ground.index):
-            if sig.side == "left":
-                cand = sums[f].scale_right(H.inv(Z[f]))
+        for f in (first, *rest):
+            if side == "left":
+                cand = sums[f].scale_right(H.inv(z[f]))
             else:
-                cand = sums[f].scale_left(H.inv(Z[f]))
+                cand = sums[f].scale_left(H.inv(z[f]))
             gamma = cand if gamma is None else gamma.intersect(cand)
             if gamma.is_empty():
                 break
-        if gamma is not None and gamma.has_nonzero():
+        if gamma.has_nonzero():
             return True
     return False
 

@@ -6,11 +6,11 @@ import itertools
 
 from .errors import HypermatError
 from .hmatroid import (
-    CircuitSignature,
     HMatroid,
     HVector,
     _align_for_elimination,
     _elimination_exists,
+    _support_mask,
     hmatroid_from_circuits,
     hvector,
     modular_support_pairs,
@@ -106,8 +106,9 @@ def _eliminates(vecs, test) -> bool:
     ``vecs[j]`` at e?"""
     i, j, e, inside = test
     X = vecs[i]
-    partial = CircuitSignature(X.field, X.ground, "left", tuple(vecs[k] for k in inside))
-    return _elimination_exists(partial, X, _align_for_elimination(X.field, "left", X, vecs[j], e), e)
+    circuits = [(vecs[k], _support_mask(vecs[k])) for k in inside]
+    return _elimination_exists(X.field, "left", circuits, X,
+                               _align_for_elimination(X.field, "left", X, vecs[j], e), e)
 
 
 def graded_rescaled(field: Hyperfield, matroid: ClassicalMatroid, weights: dict[str, int],

@@ -154,8 +154,8 @@ def hmatroid_parts_from_json(d, path="$"):
     H = hyperfield_from_json(d["hyperfield"], f"{path}.hyperfield")
     ground = _ground_of(d, path)
     circuits = d.get("circuits")
-    if not isinstance(circuits, list) or not circuits:
-        raise SpecError(f"{path}.circuits: expected a nonempty list")
+    if not isinstance(circuits, list):  # [] is the free matroid
+        raise SpecError(f"{path}.circuits: expected a list")
     side = d.get("side", "left")
     if side not in ("left", "right"):
         raise SpecError(f"{path}.side: expected 'left' or 'right'")

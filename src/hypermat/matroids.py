@@ -2,6 +2,8 @@
 
 Rank and bases come from exhaustive independence testing (a set is
 independent iff it contains no circuit), which is exact for |E| <= 10.
+``from_circuits`` fills one dependent-set table (s contains a circuit) for
+circuit elimination and the independent sets; ``_from_bases`` marks basis submasks.
 Includes the painting-style validator and the minimalization construction
 for circuit/cocircuit family pairs.  The subset and painting scans run on
 int bitmasks over ground positions; sets go in and come out as frozensets.
@@ -104,47 +106,46 @@ def from_circuits(ground, circuits) -> ClassicalMatroid:
             raise InvalidCircuitsError(
                 "incomparability violated", witness=(sorted(c1), sorted(c2))
             )
-    by_label = sorted(range(len(ground)), key=ground.__getitem__)
-    for (c1, x1), (c2, x2) in itertools.permutations(zip(fam, masks), 2):
+    n = len(ground)
+    dependent = [False] * (1 << n)
+    for x in masks:
+        _mark_submasks(dependent, x, (1 << n) - 1 ^ x)
+    # elimination is symmetric in the pair, so the first failing ordered
+    # pair always comes in combinations order
+    by_label = sorted(range(n), key=ground.__getitem__)
+    for (c1, x1), (c2, x2) in itertools.combinations(zip(fam, masks), 2):
         for i in by_label:
-            union = (x1 | x2) ^ (1 << i)
-            if (x1 & x2) >> i & 1 and all(x3 & ~union for x3 in masks):
+            if (x1 & x2) >> i & 1 and not dependent[(x1 | x2) ^ (1 << i)]:
                 raise InvalidCircuitsError(
                     "circuit elimination violated", witness=(sorted(c1), sorted(c2), ground[i])
                 )
-    independent = [s for s in range(1 << len(ground)) if all(x & ~s for x in masks)]
+    independent = [s for s, dep in enumerate(dependent) if not dep]
     rank = max(s.bit_count() for s in independent)
     bases = frozenset(_labels(ground, s) for s in independent if s.bit_count() == rank)
     return ClassicalMatroid(ground, frozenset(fam), bases, rank)
+
+
+def _mark_submasks(table, base: int, free: int):
+    """Set ``table[base | t]`` for every submask t of ``free``."""
+    t = free
+    while True:
+        table[base | t] = True
+        if not t:
+            return
+        t = t - 1 & free
 
 
 def _from_bases(ground, bases) -> ClassicalMatroid:
     bases = frozenset(frozenset(b) for b in bases)
     rank = len(next(iter(bases)))
     [masks] = _masks(ground, bases)
-    independent = [any(not s & ~b for b in masks) for s in range(1 << len(ground))]
+    independent = [False] * (1 << len(ground))
+    for b in masks:
+        _mark_submasks(independent, 0, b)
     # the minimal dependent sets: dependent, with every one-element deletion independent
     circuits = frozenset(_labels(ground, s) for s, indep in enumerate(independent)
                          if not indep and all(independent[s ^ x] for x in _bits(s)))
     return ClassicalMatroid(tuple(ground), circuits, bases, rank)
-
-
-def from_bases(ground, bases) -> ClassicalMatroid:
-    """Matroid from a basis family; the exchange axiom is checked."""
-    bases = frozenset(frozenset(b) for b in bases)
-    if not bases:
-        raise InvalidCircuitsError("basis family must be nonempty")
-    sizes = {len(b) for b in bases}
-    if len(sizes) != 1:
-        raise InvalidCircuitsError("bases must be equicardinal")
-    if not basis_exchange_holds(bases):
-        raise InvalidCircuitsError("basis exchange violated")
-    return _from_bases(ground, bases)
-
-
-def basis_exchange_holds(bases) -> bool:
-    [masks] = _masks((), bases)
-    return _exchange_holds(set(masks))
 
 
 def _exchange_holds(masks: set[int]) -> bool:

@@ -463,6 +463,34 @@ def test_malformed_documents_exit_2_on_every_verb(tmp_path, capsys, verb, change
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("source, argv", [
+    # U_{2,3} with circuit (+,-,+), deleting 1: the free matroid on 2, 3
+    ({"circuits": [[{"r": "+"}, {"r": "-"}, {"r": "+"}]]}, ["minor", "--delete", "1"]),
+    # the dual of the all-loops U_{0,2}
+    ({"ground": ["1", "2"], "circuits": [[{"r": "+"}, "0"], ["0", {"r": "+"}]]}, ["dual"]),
+])
+def test_a_free_matroid_written_by_the_cli_reads_back(tmp_path, capsys, source, argv):
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(_u23_sign_doc(**source)))
+    code, report = run_json(capsys, ["matroid", *argv, str(path)])
+    free = report["result"]
+    assert code == 0 and free["circuits"] == []
+    free_path = tmp_path / "free.json"
+    free_path.write_text(dumps(free))
+    code, again = run_json(capsys, ["matroid", "check", str(free_path)])
+    assert code == 0 and again["result"] == free
+    first, *rest = free["ground"]
+    plus = {"r": "+"}
+    for verb in [["dual"], ["minor", "--delete", first], ["minor", "--contract", first],
+                 ["rescale", "--rho", json.dumps({e: plus for e in free["ground"]})],
+                 ["residue"], ["vectors", "--enumerate"], ["vectors", "--generate"],
+                 ["perfect"], ["vector-axioms"], ["pushforward", "--hom", "valuation"],
+                 ["farkas", "--partition", json.dumps({"R": [first], "G": rest, "B": []})]]:
+        code = run(["matroid", *verb, str(free_path)])
+        assert code in (0, 1), (verb, capsys.readouterr().err)
+        assert json.loads(capsys.readouterr().out)["command"] == f"matroid {verb[0]}"
+
+
 def test_check_refuses_a_ground_set_over_max_ground(tmp_path, capsys, deadline):
     # from_circuits scans all 2^24 subsets; the limit must refuse before it
     ground = [str(i) for i in range(24)]

@@ -51,7 +51,7 @@ def matroid_runs(draw):
         "hyperfield": hf,
         "ground": ground,
         "side": draw(st.sampled_from(["left", "right"])),
-        "circuits": draw(st.lists(row, min_size=1, max_size=3)),
+        "circuits": draw(st.lists(row, min_size=0, max_size=3)),
     }
     e = draw(st.sampled_from(ground))
     rho = {g: draw(entry) for g in ground}

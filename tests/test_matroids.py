@@ -4,7 +4,6 @@ from hypermat import (
     InvalidCircuitsError,
     InvalidPairError,
     enumerate_matroids,
-    from_bases,
     from_circuits,
     minty_check,
     minty_minimalize,
@@ -65,13 +64,6 @@ def test_all_small_matroids_roundtrip_and_duality():
                 assert M.delete(e).dual() == M.dual().contract(e)
 
 
-def test_from_bases_exchange():
-    with pytest.raises(InvalidCircuitsError):
-        from_bases(("1", "2", "3", "4"), [{"1", "2"}, {"3", "4"}])
-    M = from_bases(("1", "2", "3"), [{"1", "2"}, {"1", "3"}, {"2", "3"}])
-    assert M == uniform_matroid(2, ("1", "2", "3"))
-
-
 def test_minty_check_accepts_real_matroid():
     M = uniform_matroid(2, ("1", "2", "3"))
     ok, witness = minty_check(M.ground, M.circuits, M.cocircuits())
@@ -109,7 +101,7 @@ def test_minty_minimalize_rejects_bad_pairs():
 @pytest.mark.parametrize("check", [
     lambda: minty_check(("1", "2", "1"), [{"2"}], [{"1"}]),
     lambda: minty_minimalize(("1", "2", "1"), [{"2"}], [{"1"}]),
-    lambda: from_bases(("1", "2", "1"), [{"1"}, {"2"}]),
+    lambda: from_circuits(("1", "2", "1"), [{"1", "2"}]),
 ])
 def test_repeated_ground_labels_are_refused(check):
     # positions, not labels, name the elements, so a repeated label is ambiguous

@@ -24,8 +24,6 @@ from .hmatroid import (
     dual_signature,
     hmatroid_from_circuits,
     hvector,
-    krasner_matroid,
-    pairing,
     perp,
     perp_k,
     residue_matroid,
@@ -35,7 +33,6 @@ from .hmatroid import (
 from .homs import (
     Homomorphism,
     coset_map,
-    identity_map,
     sign_map,
     table_map,
     validate_homomorphism,
@@ -63,8 +60,6 @@ from .vectorspace import (
     check_vector_axioms,
     compose_vectors,
     covectors_enumerate,
-    decompose_vector,
-    eliminate_vectors,
     farkas_witness,
     is_perfect,
     reconstruct_from_vectors,

@@ -156,7 +156,7 @@ def _timed(check, window, fn, *args):
         value = fn(*args)
         status, payload = "pass", None
     except HypermatError as exc:
-        status, payload = "fail", {"error": str(exc), "witness": _jsonable(getattr(exc, "witness", None))}
+        status, payload = "fail", {"error": str(exc), "witness": _jsonable(exc.witness)}
     return CheckRecord(check, status, payload, window=window, elapsed_ms=_ms_since(t0)), value
 
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class HypermatError(Exception):
-    """Base class for all hypermat errors."""
+    """Base class for all hypermat errors; ``witness`` holds the offending data, if any."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class DomainMismatchError(HypermatError):
@@ -30,41 +34,21 @@ class InvalidSubgroupError(HypermatError):
 class InvalidCircuitsError(HypermatError):
     """A set family violates the classical circuit axioms."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class InvalidSignatureError(HypermatError):
     """A vector family violates (C0), (C1) normalization, or (C2)."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotAnHMatroidError(HypermatError):
     """Cocircuit synthesis failed: the signature admits no 3-orthogonal dual signature."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class InvalidPairError(HypermatError):
     """Input families fail the painting preconditions (M1)/(M2)."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class TheoremViolationError(HypermatError):
     """A verified theorem failed on concrete data; treat as an implementation bug signal."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InvalidInputError(HypermatError):

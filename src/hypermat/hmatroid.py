@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .homs import Homomorphism, valuation_map
-from .hyperfields import Grade, HElement, Hyperfield, SymbolicSet
+from .hyperfields import Grade, HElement, Hyperfield
 from .matroids import ClassicalMatroid, from_circuits
 
 
@@ -58,10 +58,6 @@ class HVector:
     def scale_right(self, a: HElement) -> "HVector":
         H = self.field
         return HVector(H, self.ground, tuple(H.mul(x, a) for x in self.entries))
-
-    def neg(self) -> "HVector":
-        H = self.field
-        return HVector(H, self.ground, tuple(H.neg(x) for x in self.entries))
 
     def drop(self, e: str) -> "HVector":
         kept = [i for i, g in enumerate(self.ground) if g != e]
@@ -114,16 +110,6 @@ def zero_vector(field: Hyperfield, ground) -> HVector:
 def _check_compatible(X: HVector, Y: HVector):
     if X.field != Y.field or X.ground != Y.ground:
         raise DomainMismatchError("vectors live over different hyperfields or grounds")
-
-
-def pairing(X: HVector, Y: HVector) -> SymbolicSet:
-    """Hypersum of the pointwise products X_e * Y_e (X is the left factor)."""
-    _check_compatible(X, Y)
-    H = X.field
-    products = [
-        H.mul(x, y) for x, y in zip(X.entries, Y.entries) if not (x.is_zero or y.is_zero)
-    ]
-    return H.hyperadd_multi(products)
 
 
 def perp(X: HVector, Y: HVector) -> bool:
@@ -197,9 +183,6 @@ class CircuitSignature:
             return [rep.scale_left(a) for rep in self.reps for a in units]
         return [rep.scale_right(a) for rep in self.reps for a in units]
 
-    def __len__(self):
-        return len(self.reps)
-
 
 def normalize_vector(vec: HVector, side: str) -> HVector:
     """Scale so the first nonzero entry in ground order becomes 1."""
@@ -260,13 +243,16 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
     """Synthesize the unique dual signature and certify 3-orthogonality.
 
     For each cocircuit D of the underlying matroid, the entry at the least
-    element is set to 1 and the rest are forced through circuits meeting D
-    in exactly two elements, listed once per cocircuit from support bitmasks
-    in signature order and swept until no entry changes.  Failure of the
-    final sweep (or an inconsistent propagation) means the signature is not
-    a matroid over the hyperfield.  Forced entries are products of units, so
-    the supports are exactly the (distinct, incomparable) cocircuits and the
-    output needs no revalidation, nor normalization (its least entry is 1).
+    element is set to 1 and the rest are forced in one sweep through the
+    circuits meeting D in exactly two elements, listed from support bitmasks
+    in signature order.  Some circuit meets D in exactly {least(D), f} for
+    each other f in D (a matroid fact), so the sweep assigns every entry
+    when the signature's supports are the circuits of ``underlying``, as on
+    every call in the package; an unassigned entry means they differ.
+    Failure of 3-orthogonality means the signature is not a matroid over
+    the hyperfield.  Forced entries are products of units, so the supports
+    are exactly the (distinct, incomparable) cocircuits and the output
+    needs no revalidation, nor normalization (its least entry is 1).
     """
     H = sig.field
     ground = sig.ground
@@ -277,14 +263,10 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
         meets = [(x, _positions(m)) for x, mask in circuits if (m := mask & d).bit_count() == 2]
         y = [None if d >> i & 1 else H.zero() for i in range(len(ground))]
         y[(d & -d).bit_length() - 1] = H.one()
-        pending = True
-        while pending:
-            pending = False
-            for x, (a, b) in meets:
-                for e, f in ((a, b), (b, a)):
-                    if y[e] is not None and y[f] is None:
-                        y[f] = _forced_entry(H, sig.side, x[e], x[f], y[e])
-                        pending = True
+        for x, (a, b) in meets:
+            for e, f in ((a, b), (b, a)):
+                if y[e] is not None and y[f] is None:
+                    y[f] = _forced_entry(H, sig.side, x[e], x[f], y[e])
         if any(v is None for v in y):
             raise NotAnHMatroidError(
                 "cocircuit propagation leaves entries unassigned", witness=sorted(D)
@@ -371,8 +353,14 @@ class HMatroid:
         return hmatroid_from_circuits(self.field, keep, minimal, self.side)
 
     def rescale(self, rho: dict[str, HElement]) -> "HMatroid":
-        """Circuits pick up rho^{-1} on the circuit side, cocircuits pick up rho."""
+        """Circuits pick up rho^{-1} on the circuit side, cocircuits pick up rho;
+        entries for labels outside the ground set are refused, not dropped."""
         H = self.field
+        stray = set(rho).difference(self.ground)
+        if stray:
+            raise InvalidInputError(
+                "scaling entries for elements outside the ground set: " + ", ".join(sorted(map(repr, stray)))
+            )
         for e in self.ground:
             if e not in rho or H.require(rho[e]).is_zero:
                 raise InvalidInputError("scaling vector must be nonzero everywhere")
@@ -407,16 +395,6 @@ def hmatroid_from_circuits(field, ground, circuit_vectors, side="left") -> HMatr
     underlying = from_circuits(ground, sig.supports)
     cocirc = dual_signature(underlying, sig)
     return HMatroid(field, tuple(ground), sig, cocirc, underlying, side)
-
-
-def krasner_matroid(matroid: ClassicalMatroid) -> HMatroid:
-    """Every classical matroid, viewed over the Krasner hyperfield."""
-    K = Hyperfield.krasner()
-    one = K.one()
-    vecs = [
-        hvector(K, matroid.ground, {e: one for e in c}) for c in sorted(matroid.circuits, key=sorted)
-    ]
-    return hmatroid_from_circuits(K, matroid.ground, vecs)
 
 
 # -- circuit axioms ---------------------------------------------------------

@@ -17,7 +17,7 @@ from .hyperfields import HElement, Hyperfield, SymbolicSet, legendre_symbol, sym
 
 @dataclass(frozen=True)
 class Homomorphism:
-    kind: str  # "valuation" | "sign" | "table" | "identity"
+    kind: str  # "valuation" | "sign" | "table"
     domain: Hyperfield
     codomain: Hyperfield
     table: tuple | None = None
@@ -25,8 +25,6 @@ class Homomorphism:
     def apply(self, x: HElement) -> HElement:
         if x.is_zero:
             return self.codomain.zero()
-        if self.kind == "identity":
-            return x
         if self.kind == "valuation":
             return HElement(1, x.grade)
         if self.kind == "sign":
@@ -39,10 +37,6 @@ class Homomorphism:
     def apply_set(self, s: SymbolicSet) -> SymbolicSet:
         """Image of a symbolic set; exact because the maps are onto each grade's units."""
         return symset(self.codomain, {self.apply(x) for x in s.explicit}, s.below)
-
-
-def identity_map(H: Hyperfield) -> Homomorphism:
-    return Homomorphism("identity", H, H)
 
 
 def valuation_map(H: Hyperfield) -> Homomorphism:

@@ -533,10 +533,6 @@ class SymbolicSet:
             return True
         return any(not x.is_zero for x in self.explicit)
 
-    def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        below = _max_below(self.below, other.below)
-        return symset(self.field, self.explicit | other.explicit, below)
-
     def intersect(self, other: "SymbolicSet") -> "SymbolicSet":
         exp = set(self.explicit & other.explicit)
         exp.update(x for x in self.explicit if x in other)
@@ -572,25 +568,6 @@ class SymbolicSet:
                 explicit.add(H.zero())
                 below = _max_below(below, self.below)
         return symset(H, explicit, below)
-
-    def add(self, other: "SymbolicSet") -> "SymbolicSet":
-        """Lifted hyperaddition of two symbolic sets (union over member pairs)."""
-        H = self.field
-        acc = symset(H, [], None)
-        for x in other.explicit:
-            acc = acc.union(self if x.is_zero else self.add_element(x))
-        if other.below is not None:
-            for x in self.explicit:
-                if x.is_zero:
-                    acc = acc.union(symset(H, [], other.below))
-                elif x.grade >= other.below:
-                    acc = acc.union(symset(H, [x]))
-                else:
-                    acc = acc.union(symset(H, [H.zero()], other.below))
-            if self.below is not None:
-                below = _max_below(self.below, other.below)
-                acc = acc.union(symset(H, [H.zero()], below))
-        return acc
 
     def scale_left(self, a: HElement) -> "SymbolicSet":
         H = self.field

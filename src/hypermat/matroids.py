@@ -65,23 +65,6 @@ class ClassicalMatroid:
         dual_bases = frozenset(eset - b for b in self.bases)
         return _from_bases(self.ground, dual_bases)
 
-    def delete(self, e: str) -> "ClassicalMatroid":
-        self._require(e)
-        ground = tuple(g for g in self.ground if g != e)
-        return from_circuits(ground, [c for c in self.circuits if e not in c])
-
-    def contract(self, e: str) -> "ClassicalMatroid":
-        self._require(e)
-        ground = tuple(g for g in self.ground if g != e)
-        traces = {c - {e} for c in self.circuits}
-        traces.discard(frozenset())
-        minimal = [t for t in traces if not any(s < t for s in traces)]
-        return from_circuits(ground, minimal)
-
-    def _require(self, e: str):
-        if e not in self.ground:
-            raise InvalidCircuitsError(f"unknown element {e!r}")
-
     def __repr__(self):
         circs = sorted(sorted(c) for c in self.circuits)
         return f"ClassicalMatroid({list(self.ground)}, circuits={circs})"

@@ -5,13 +5,12 @@ candidate entries that are orthogonal to every cocircuit: coordinates are
 assigned depth first, and each cocircuit is tested, from product tables
 built for the call, as soon as its support is assigned.  Enumeration runs
 it over the window box (windowed and budget-checked); the partition
-dichotomy, (V3) beyond the window box and vector elimination take its
-first point over their own candidates.  Generation follows the stringent
-fast paths (composition closure and singleton hypersums of scaled
-circuits, capped at corank many factors) and must agree with enumeration
-on the same window.  Also: perfection (checked on scaling classes), the
-vector axioms with reconstruction, and circuit decompositions.  Every
-per-call table codes elements as a ``BoxCode`` does.
+dichotomy and (V3) beyond the window box take its first point over their
+own candidates.  Generation follows the stringent fast paths (composition
+closure and singleton hypersums of scaled circuits, capped at corank many
+factors) and must agree with enumeration on the same window.  Also:
+perfection (checked on scaling classes) and the vector axioms with
+reconstruction.  Every per-call table codes elements as a ``BoxCode`` does.
 """
 
 from __future__ import annotations
@@ -590,67 +589,3 @@ def _farkas_vector(M, R, G, window, weak):
     domains = [r_vals if e in R else [H.one()] if e in G else [zero] for e in ground]
     order = [i for i, e in enumerate(ground) if e not in R] + [ground.index(e) for e in sorted(R)]
     return next(_orthogonal_points(M, domains, order), None)
-
-
-# -- elimination and decomposition ------------------------------------------
-
-
-def eliminate_vectors(M: HMatroid, vectors, e: str, window: int = 4) -> HVector:
-    """The least vector of M, by ``sort_key``, inside the window box and the
-    pointwise hypersum of the inputs, and zero at e.
-
-    The search is ``_orthogonal_points`` over each coordinate's hypersum
-    members in the box (just zero at e), in ground order.
-    """
-    H = M.field
-    vectors = list(vectors)
-    at_e = H.hyperadd_multi([v[e] for v in vectors])
-    if not at_e.contains_zero:
-        raise InvalidInputError("the hypersum at e does not contain zero")
-    check_budget(H, M.ground, window)
-    domains = [
-        [H.zero()] if f == e else H.hyperadd_multi([v[f] for v in vectors]).elements_within(window)
-        for f in M.ground
-    ]
-    found = next(_orthogonal_points(M, domains, range(len(M.ground))), None)
-    if found is None:
-        raise TheoremViolationError(f"no eliminant at {e!r} within window {window}")
-    return found
-
-
-def decompose_vector(M: HMatroid, V: HVector, window: int = 2) -> list[HVector]:
-    """Scaled circuits whose iterated hypersum is exactly the singleton {V}.
-
-    At most corank many factors are needed (each step of the classical
-    decomposition drops the nullity of the remaining support).
-    """
-    H = M.field
-    if H.residue_kind not in ("sign", "field"):
-        raise InvalidInputError("decomposition needs a sign or field residue")
-    if not all(M.vector_perp(V, Y) for Y in M.cocircuits.reps):
-        raise InvalidInputError("input is not a vector of the matroid")
-    if V.is_zero:
-        return []
-    norm = normalize_vector(V, M.circuits.side)
-    if norm in M.circuits.reps:
-        return [V]
-    if H.rank:
-        vmax = max(abs(c) for x in V.entries if not x.is_zero for c in x.grade)
-        pool = [
-            f
-            for f in M.circuits.scalings(vmax + _grade_spread(M.circuits) + window)
-            if f.support <= V.support
-            and all(
-                x.is_zero or (not v.is_zero and x.grade <= v.grade)
-                for x, v in zip(f.entries, V.entries)
-            )
-        ]
-    else:
-        pool = M.circuits.scalings(0)
-    pool = sorted(set(pool), key=lambda v: v.sort_key())
-    for size in range(1, M.corank + 1):
-        for combo in itertools.combinations_with_replacement(pool, size):
-            total = _vector_hypersum(combo)
-            if total == V:
-                return list(combo)
-    raise TheoremViolationError("no circuit decomposition found", witness=V)

@@ -373,6 +373,15 @@ def test_rescale_rejects_zero_entries(capsys, u23_sign_file):
     assert code == 2
 
 
+def test_rescale_refuses_labels_outside_the_ground_set(capsys, u23_sign_file):
+    rho = {"1": {"r": "+"}, "2": {"r": "-"}, "3": {"r": "+"}, "9": {"r": "+"}}
+    code = run(["matroid", "rescale", "--rho", json.dumps(rho), u23_sign_file])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --rho: scaling entries for elements outside the ground set: '9'\n"
+    )
+
+
 def test_budget_refusal(tmp_path, capsys):
     H = Hyperfield.sign()
     ground = tuple(str(i) for i in range(9))

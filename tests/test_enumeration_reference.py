@@ -9,13 +9,11 @@ sets, and the same verdicts and witnesses, on the battery's instances and
 their duals, on the family's single-element minors, on hand-made edge cases
 and on sets with a foreign vector or covector added.
 
-``reference_farkas_vector`` and ``reference_eliminate_vectors`` are the
-earlier ``_farkas_vector`` and ``eliminate_vectors``, kept verbatim in the
-same way: they build an ``HVector`` for every candidate and test it with
-``perp``, or sort a given vector pool and filter it.  The search that
-replaced them must find the same vector, or none, for every partition of
-every battery instance, strict and weak, and for every elimination of two
-vectors with opposite entries at window 0 and 1.
+``reference_farkas_vector`` is the earlier ``_farkas_vector``, kept
+verbatim in the same way: it builds an ``HVector`` for every candidate and
+tests it with ``perp``.  The search that replaced it must find the same
+vector, or none, for every partition of every battery instance, strict and
+weak.
 
 ``reference_farkas_cocircuit`` is the earlier ``_farkas_cocircuit``, kept
 verbatim: it reads entries by label and decides the G-sum with
@@ -32,10 +30,7 @@ from hypermat import (
     HElement,
     HVector,
     Hyperfield,
-    InvalidInputError,
-    TheoremViolationError,
     coset_map,
-    eliminate_vectors,
     hmatroid_from_circuits,
     hvector,
     is_perfect,
@@ -115,23 +110,6 @@ def reference_farkas_cocircuit(M, R, G, weak):
         scaled = Y.scale_right(shift) if M.cocircuits.side == "right" else Y.scale_left(shift)
         return scaled
     return None
-
-
-def reference_eliminate_vectors(M: HMatroid, vectors, e: str, window: int = 4, pool=None) -> HVector:
-    """A vector of M inside the pointwise hypersum of the inputs, zero at e."""
-    H = M.field
-    vectors = list(vectors)
-    at_e = H.hyperadd_multi([v[e] for v in vectors])
-    if not at_e.contains_zero:
-        raise InvalidInputError("the hypersum at e does not contain zero")
-    sums = {
-        f: H.hyperadd_multi([v[f] for v in vectors]) for f in M.ground
-    }
-    candidates = vectors_enumerate(M, window) if pool is None else pool
-    for V in sorted(candidates, key=lambda v: v.sort_key()):
-        if V[e].is_zero and all(V[f] in sums[f] for f in M.ground):
-            return V
-    raise TheoremViolationError(f"no eliminant at {e!r} within window {window}")
 
 
 def _assert_same_vectors(M, window):
@@ -323,30 +301,3 @@ def test_same_farkas_cocircuits_on_battery_instances(battery):
                 missing += got is None
     # both outcomes of the search are compared, not only one
     assert found and missing
-
-
-def _elimination(eliminate, *args, **kwargs):
-    try:
-        return eliminate(*args, **kwargs)
-    except TheoremViolationError as exc:
-        return str(exc)
-
-
-def test_same_eliminants_on_battery_instances(battery):
-    calls = refused = 0
-    for name, M, w, vs, us in battery:
-        for window in sorted({0, min(w, 1)}):
-            pool = vs if window == w else vectors_enumerate(M, window)
-            ordered = sorted(pool, key=lambda v: v.sort_key())
-            # the hypersum is commutative, so each unordered pair is enough
-            for V, W in itertools.combinations_with_replacement(ordered, 2):
-                for e in M.ground:
-                    if V[e].is_zero or W[e] != M.field.neg(V[e]):
-                        continue
-                    got = _elimination(eliminate_vectors, M, [V, W], e, window)
-                    want = _elimination(reference_eliminate_vectors, M, [V, W], e, window, pool=pool)
-                    assert got == want, (name, V, W, e, window)
-                    calls += 1
-                    refused += isinstance(got, str)
-    # found eliminants and refusals are both compared
-    assert 0 < refused < calls

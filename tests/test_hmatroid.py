@@ -9,6 +9,7 @@ from hypermat import (
     HElement,
     Hyperfield,
     HVector,
+    InvalidInputError,
     InvalidSignatureError,
     NotAnHMatroidError,
     check_c3prime,
@@ -17,20 +18,31 @@ from hypermat import (
     enumerate_matroids,
     hmatroid_from_circuits,
     hvector,
-    identity_map,
-    krasner_matroid,
-    pairing,
     perp,
     perp_k,
     sign_map,
     signature_from_vectors,
+    table_map,
     uniform_matroid,
     valuation_map,
 )
 from hypermat.acceptance import AcceptanceContext
+from hypermat.hmatroid import _check_compatible
+from hypermat.instances import graded_rescaled
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
+
+
+def pairing(X: HVector, Y: HVector):
+    """Hypersum of the pointwise products X_e * Y_e (X is the left factor):
+    the oracle that ``perp``'s zero test is compared against."""
+    _check_compatible(X, Y)
+    H = X.field
+    products = [
+        H.mul(x, y) for x, y in zip(X.entries, Y.entries) if not (x.is_zero or y.is_zero)
+    ]
+    return H.hyperadd_multi(products)
 
 
 # -- vectors -----------------------------------------------------------------
@@ -110,7 +122,7 @@ def test_signature_merges_scalings(sign):
     one, m = sign.one(), sign.neg(sign.one())
     v = hvector(sign, G3, {"1": one, "2": m})
     sig = signature_from_vectors(sign, G3, [v, v.scale_left(m)])
-    assert len(sig) == 1
+    assert len(sig.reps) == 1
 
 
 def test_signature_rejects_conflicting_classes(sign):
@@ -178,8 +190,28 @@ def test_double_dual_roundtrip(u23_sign, u24_sign, trop_u23):
 
 def test_krasner_dual_gives_cocircuit_indicators():
     for N in enumerate_matroids(("1", "2", "3", "4")):
-        M = krasner_matroid(N)
+        M = graded_rescaled(Hyperfield.krasner(), N, dict.fromkeys(N.ground, 0))
         assert {v.support for v in M.cocircuits.reps} == set(N.cocircuits())
+
+
+def test_some_circuit_meets_a_cocircuit_in_each_pair_of_its_elements():
+    # why one propagation sweep assigns every cocircuit entry: for a
+    # cocircuit D and e != f in D, some circuit C has C & D == {e, f}
+    pairs = 0
+    for n in range(6):
+        for N in enumerate_matroids(tuple(str(i + 1) for i in range(n))):
+            for D in N.cocircuits():
+                for e, f in itertools.combinations(sorted(D), 2):
+                    assert any(C & D == {e, f} for C in N.circuits), (N, D, e, f)
+                    pairs += 1
+    assert pairs == 2427
+
+
+def test_propagation_refuses_an_underlying_matroid_that_does_not_match(u23_sign):
+    # U_{1,3}'s one cocircuit {1, 2, 3} meets the sign U_{2,3} circuit in three elements
+    with pytest.raises(NotAnHMatroidError, match="leaves entries unassigned") as err:
+        dual_signature(uniform_matroid(1, G3), u23_sign.circuits)
+    assert err.value.witness == ["1", "2", "3"]
 
 
 def test_tropical_dual_grade_equation(trop_u23, tropical1):
@@ -226,6 +258,12 @@ def test_minor_dual_commutation(u23_sign, u24_sign, trop_u23, stringent_sign_u23
 def test_rescale_identity(u23_sign, sign):
     rho = {e: sign.one() for e in G3}
     assert u23_sign.rescale(rho) == u23_sign
+
+
+def test_rescale_refuses_labels_outside_the_ground_set(u23_sign, sign):
+    rho = {e: sign.one() for e in (*G3, "9", "x")}
+    with pytest.raises(InvalidInputError, match="outside the ground set: '9', 'x'"):
+        u23_sign.rescale(rho)
 
 
 def test_rescale_tropical_example(trop_u23, tropical1):
@@ -318,7 +356,7 @@ def test_strat_orth_grading_property():
 
 
 def test_push_forward_identity(u23_sign, sign):
-    assert u23_sign.push_forward(identity_map(sign)) == u23_sign
+    assert u23_sign.push_forward(table_map(sign, sign, {1: 1, -1: -1})) == u23_sign
 
 
 def test_push_forward_valuation(stringent_sign_u23, trop_u23):
@@ -406,7 +444,8 @@ def test_c3prime_agrees_on_pass_and_fail(trop_u23, stringent_sign_u23, tropical1
 
 
 def test_empty_signature_passes_vacuously(sign):
-    M = krasner_matroid(uniform_matroid(2, G3))
+    N = uniform_matroid(2, G3)
+    M = graded_rescaled(Hyperfield.krasner(), N, dict.fromkeys(N.ground, 0))
     free = hmatroid_from_circuits(M.field, ("x", "y"), [])
     assert check_circuit_axioms(free.circuits) == []
     assert {v.support for v in free.cocircuits.reps} == {

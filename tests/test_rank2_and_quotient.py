@@ -11,13 +11,14 @@ from hypermat import (
     covectors_enumerate,
     hmatroid_from_circuits,
     hvector,
-    pairing,
     perp,
     perp_k,
     validate_axioms,
     check_stringent,
     vectors_enumerate,
 )
+
+from test_hmatroid import pairing
 
 G3 = ("1", "2", "3")
 

@@ -1,10 +1,13 @@
 """Golden reports of the matroid verbs, compared byte for byte.
 
 ``tests/data/reports/`` holds eight H-matroid documents, ``<name>.json``, and
-for each the outcome of ``matroid check``, ``dual``, ``minor --delete 1``
-and ``minor --contract 1`` in ``<name>.reports.txt``, one line per verb: the exit code, the
-stderr text and the report with every ``elapsed_ms`` removed, or, for an
-exception that escapes ``cli.run``, its type, message and witness repr.
+for each the outcome of ``matroid check``, ``dual``, ``minor --delete 1``,
+``minor --contract 1``, ``residue``, ``pushforward --hom valuation``, and
+``perfect``, ``vector-axioms`` and ``farkas`` (R = {1}, G = {2}, B the rest
+of the ground set) at ``--window 1`` in ``<name>.reports.txt``, one line per
+verb: the exit code, the stderr text and the report with every
+``elapsed_ms`` removed, or, for an exception that escapes ``cli.run``, its
+type, message and witness repr.
 The documents are seeded GF(p) realizations of U_{3,6} (valid and with one
 scaled entry) and U_{2,5}, a corrupted GF(3) U_{2,4}, a sign U_{2,4} with one
 flipped sign, the tropical and stringent-sign windowed U_{2,4}(1,0,0,1) of
@@ -32,12 +35,22 @@ from hypermat.jsonio import SCHEMA, dumps, hmatroid_to_json, hvector_to_json
 from test_construction_reference import uniform_realization
 
 CORPUS = os.path.join(os.path.dirname(__file__), "data", "reports")
-VERBS = {
-    "check": ["check"],
-    "dual": ["dual"],
-    "delete-1": ["minor", "--delete", "1"],
-    "contract-1": ["minor", "--contract", "1"],
-}
+
+
+def verbs(ground) -> dict[str, list[str]]:
+    """The verbs run on a document with this ground set, by line name."""
+    partition = json.dumps({"R": ["1"], "G": ["2"], "B": [e for e in ground if e not in ("1", "2")]})
+    return {
+        "check": ["check"],
+        "dual": ["dual"],
+        "delete-1": ["minor", "--delete", "1"],
+        "contract-1": ["minor", "--contract", "1"],
+        "residue": ["residue"],
+        "pushforward-valuation": ["pushforward", "--hom", "valuation"],
+        "perfect-w1": ["perfect", "--window", "1"],
+        "vector-axioms-w1": ["vector-axioms", "--window", "1"],
+        "farkas-w1": ["farkas", "--window", "1", "--partition", partition],
+    }
 
 
 def _doc(hyperfield, rows):
@@ -112,8 +125,10 @@ def outcome(path, argv) -> dict:
 
 def reports_text(path) -> str:
     """One line per verb: its name and its outcome as compact JSON."""
+    with open(path) as fh:
+        ground = json.load(fh)["ground"]
     return "".join(f"{name} {json.dumps(outcome(path, argv), sort_keys=True, separators=(',', ':'))}\n"
-                   for name, argv in VERBS.items())
+                   for name, argv in verbs(ground).items())
 
 
 NAMES = sorted(f[: -len(".reports.txt")] for f in os.listdir(CORPUS) if f.endswith(".reports.txt")) \

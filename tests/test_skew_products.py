@@ -21,11 +21,12 @@ from hypermat import (
     hmatroid_from_circuits,
     hvector,
     is_perfect,
-    pairing,
     perp,
     validate_axioms,
     vectors_enumerate,
 )
+
+from test_hmatroid import pairing
 
 G3 = ("1", "2", "3")
 

@@ -63,26 +63,24 @@ def test_lifted_add_matches_elementwise_fold():
     a = SS1.unit(1, (2,))
     b = SS1.unit(-1, (1,))
     S = SS1.hyperadd(a, SS1.neg(a))  # {0, a, -a} with a down-set
-    T = SS1.hyperadd(b, b)
-    combined = S.add(T)
-    oracle = set()
-    for s in S.elements_within(MARGIN):
-        for t in T.elements_within(MARGIN):
-            oracle.update(SS1.hyperadd(s, t).elements_within(MARGIN))
-    assert in_query_box(SS1, combined.elements_within(QUERY)) == in_query_box(SS1, oracle)
+    for x in (b, SS1.neg(b), a, SS1.unit(1, (3,)), SS1.zero()):
+        combined = S.add_element(x)
+        oracle = set()
+        for s in S.elements_within(MARGIN):
+            oracle.update(SS1.hyperadd(s, x).elements_within(MARGIN))
+        assert in_query_box(SS1, combined.elements_within(QUERY)) == in_query_box(SS1, oracle)
 
 
 def test_downset_absorption_rules():
     g2 = symset(T1, [T1.zero()], below=(2,))
-    g0 = symset(T1, [T1.zero()], below=(0,))
-    both = g2.add(g0)
-    assert both.below == (2,)
-    assert both.contains_zero
-    high = symset(T1, [T1.unit(1, (5,))])
-    assert g2.add(high) == high
-    low = symset(T1, [T1.unit(1, (-1,))])
-    merged = g2.add(low)
-    assert merged.below == (2,) and merged.contains_zero
+    assert g2.add_element(T1.zero()) == g2
+    high = T1.unit(1, (5,))
+    assert g2.add_element(high) == symset(T1, [high])
+    merged = g2.add_element(T1.unit(1, (-1,)))
+    assert merged == g2 and merged.contains_zero
+    top = T1.unit(1, (2,))
+    both = T1.hyperadd(top, top).add_element(T1.unit(1, (0,)))
+    assert both.below == (2,) and both.contains_zero and top in both
 
 
 elements = st.sampled_from(SF31.elements_box(2))
@@ -92,9 +90,8 @@ elements = st.sampled_from(SF31.elements_box(2))
 @given(elements, elements, elements, elements)
 def test_lifted_add_associative_random(a, b, c, d):
     S = SF31.hyperadd(a, b)
-    T = SF31.hyperadd(c, d)
-    U = SF31.hyperadd(a, d)
-    assert S.add(T).add(U) == S.add(T.add(U))
+    assert S.add_element(c).add_element(d) == SF31.hyperadd(c, d).add_element(a).add_element(b)
+    assert SF31.hyperadd_multi([a, b, c, d]) == SF31.hyperadd_multi([d, a, c, b])
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,14 +14,11 @@ from hypermat import (
     check_vector_axioms,
     compose_vectors,
     covectors_enumerate,
-    decompose_vector,
-    eliminate_vectors,
     enumerate_matroids,
     farkas_witness,
     hmatroid_from_circuits,
     hvector,
     is_perfect,
-    krasner_matroid,
     reconstruct_from_vectors,
     uniform_matroid,
     vectors_enumerate,
@@ -29,10 +26,12 @@ from hypermat import (
     zero_vector,
 )
 from hypermat.cli import run
-from hypermat.hmatroid import pairing, perp
-from hypermat.instances import u23, windowed_instances
+from hypermat.hmatroid import normalize_vector, perp
+from hypermat.instances import graded_rescaled, u23, windowed_instances
 from hypermat.jsonio import dumps, hmatroid_to_json
-from hypermat.vectorspace import _classes_orthogonal, _vector_hypersum, check_budget
+from hypermat.vectorspace import _classes_orthogonal, _grade_spread, _vector_hypersum, check_budget
+
+from test_hmatroid import pairing
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
@@ -71,7 +70,7 @@ def test_zero_vector_always_included(u23_sign, trop_u23):
 
 def test_krasner_vectors_are_unions_of_circuits():
     for N in enumerate_matroids(G3) + [uniform_matroid(2, G4)]:
-        M = krasner_matroid(N)
+        M = graded_rescaled(Hyperfield.krasner(), N, dict.fromkeys(N.ground, 0))
         got = {v.support for v in vectors_enumerate(M)}
         unions = set()
         circuits = sorted(N.circuits, key=sorted)
@@ -177,7 +176,7 @@ def test_fixtures_are_perfect(u23_sign, u13_sign, u24_sign, trop_u23, stringent_
 
 def test_krasner_matroids_are_perfect():
     for N in enumerate_matroids(G3):
-        ok, _ = is_perfect(krasner_matroid(N), 0)
+        ok, _ = is_perfect(graded_rescaled(Hyperfield.krasner(), N, dict.fromkeys(N.ground, 0)), 0)
         assert ok
 
 
@@ -406,7 +405,8 @@ def test_farkas_strictness_flips_the_branch(u23_sign, sign):
     {},
 ])
 def test_farkas_reads_a_missing_part_as_empty(parts):
-    M = krasner_matroid(u23())
+    N = u23()
+    M = graded_rescaled(Hyperfield.krasner(), N, dict.fromkeys(N.ground, 0))
     full = {k: parts.get(k, []) for k in ("R", "G", "B")}
     if not any(full.values()):
         with pytest.raises(InvalidInputError):
@@ -416,8 +416,6 @@ def test_farkas_reads_a_missing_part_as_empty(parts):
 
 
 def test_singleton_hypersums_of_vectors_are_vectors(u24_sign, stringent_sign_u23):
-    from hypermat.vectorspace import _vector_hypersum
-
     for M, w in ((u24_sign, 0), (stringent_sign_u23, 2)):
         vs = vectors_enumerate(M, w)
         for V in vs:
@@ -428,12 +426,59 @@ def test_singleton_hypersums_of_vectors_are_vectors(u24_sign, stringent_sign_u23
 
 
 # -- elimination and decomposition -----------------------------------------------
+#
+# Both are properties of the enumerated vector sets, checked by brute force:
+# vector elimination (V3) over pairs of enumerated vectors, and the
+# decomposition of every vector into at most corank many scaled circuits.
 
 
-def test_eliminate_opposite_vectors_gives_zero(u23_sign):
+def eliminants(vectors, V, W, e):
+    """The members of ``vectors`` that are zero at e and lie in the pointwise
+    hypersum of V and W."""
+    H = V.field
+    sums = {f: H.hyperadd(V[f], W[f]) for f in V.ground}
+    return [
+        Z for Z in sorted(vectors, key=lambda v: v.sort_key())
+        if Z[e].is_zero and all(Z[f] in sums[f] for f in V.ground)
+    ]
+
+
+def circuit_decomposition(M, V, window=2):
+    """Scaled circuits of M whose iterated hypersum is exactly {V}, or None.
+
+    Tries every multiset of at most corank many scaled circuits that fit
+    under V (support inside V's, grades at most V's).
+    """
+    H = M.field
+    if V.is_zero:
+        return []
+    if H.rank:
+        vmax = max(abs(c) for x in V.entries if not x.is_zero for c in x.grade)
+        pool = [
+            f
+            for f in M.circuits.scalings(vmax + _grade_spread(M.circuits) + window)
+            if f.support <= V.support
+            and all(
+                x.is_zero or (not v.is_zero and x.grade <= v.grade)
+                for x, v in zip(f.entries, V.entries)
+            )
+        ]
+    else:
+        pool = M.circuits.scalings(0)
+    pool = sorted(set(pool), key=lambda v: v.sort_key())
+    for size in range(1, M.corank + 1):
+        for combo in itertools.combinations_with_replacement(pool, size):
+            if _vector_hypersum(combo) == V:
+                return list(combo)
+    return None
+
+
+def test_eliminate_opposite_vectors_gives_zero(u23_sign, sign):
     V = u23_sign.circuits.reps[0]
-    Z = eliminate_vectors(u23_sign, [V, V.neg()], "1", 0)
-    assert Z.is_zero
+    minus_V = V.scale_left(sign.neg(sign.one()))
+    assert minus_V in vectors_enumerate(u23_sign)
+    # U_{2,3} has no nonzero vector on two elements, so zero is the only eliminant
+    assert eliminants(vectors_enumerate(u23_sign), V, minus_V, "1") == [zero_vector(sign, G3)]
 
 
 def test_eliminate_sign_pair_matches_om_elimination(u24_sign, sign):
@@ -443,53 +488,64 @@ def test_eliminate_sign_pair_matches_om_elimination(u24_sign, sign):
         for V in vs for W in vs for e in G4
         if not V[e].is_zero and sign.neg(V[e]) == W[e]
     ]
-    V, W, e = pairs[0]
-    Z = eliminate_vectors(u24_sign, [V, W], e, 0)
-    assert Z in vs and Z[e].is_zero
-    for f in G4:
-        assert Z[f] in sign.hyperadd(V[f], W[f])
+    assert pairs
+    for V, W, e in pairs:
+        assert eliminants(vs, V, W, e), (V, W, e)
 
 
-def test_eliminate_requires_cancellation(u23_sign):
+def test_eliminate_requires_cancellation(u23_sign, sign):
     V = u23_sign.circuits.reps[0]
-    with pytest.raises(InvalidInputError):
-        eliminate_vectors(u23_sign, [V, V], "1", 0)
+    # V[e] + V[e] is {V[e]} over the signs: nothing to eliminate at e
+    assert not sign.hyperadd(V["1"], V["1"]).contains_zero
+    assert eliminants(vectors_enumerate(u23_sign), V, V, "1") == []
 
 
 def test_eliminate_tropical_equal_top(trop_u23, tropical1):
     vs = vectors_enumerate(trop_u23, 3)
     V = trop_u23.circuits.reps[0]
-    Z = eliminate_vectors(trop_u23, [V, V], "1", 3)
-    assert Z in vs and Z["1"].is_zero
-    for f in G3:
-        assert Z[f] in tropical1.hyperadd(V[f], V[f])
+    # tropically x + x contains zero, so a vector eliminates against itself
+    assert tropical1.hyperadd(V["1"], V["1"]).contains_zero
+    found = eliminants(vs, V, V, "1")
+    assert found and all(Z in vs for Z in found)
 
 
 def test_decompose_circuit_is_itself(u24_sign):
     V = u24_sign.circuits.reps[0]
-    assert decompose_vector(u24_sign, V) == [V]
+    assert circuit_decomposition(u24_sign, V) == [V]
 
 
 def test_decompose_zero_is_empty(u24_sign):
-    assert decompose_vector(u24_sign, zero_vector(u24_sign.field, G4)) == []
+    assert circuit_decomposition(u24_sign, zero_vector(u24_sign.field, G4)) == []
 
 
-def test_decompose_composite_sign_vector(u24_sign, sign):
+def test_decompose_composite_sign_vector(u24_sign):
     vs = vectors_enumerate(u24_sign, 0)
     composite = sorted(
         (v for v in vs if len(v.support) == 4), key=lambda v: v.sort_key()
     )
-    V = composite[0]
-    parts = decompose_vector(u24_sign, V)
-    assert len(parts) == 2
-    assert _vector_hypersum(parts) == V
+    assert composite
+    for V in composite:
+        parts = circuit_decomposition(u24_sign, V)
+        assert len(parts) == 2
+        assert _vector_hypersum(parts) == V
+        assert all(normalize_vector(p, "left") in u24_sign.circuits.reps for p in parts)
 
 
 @pytest.mark.parametrize("M", GRADED_SIGN)
 def test_decompose_graded_vectors_back_to_themselves(M):
     for V in vectors_enumerate(M, 1):
         if not V.is_zero:
-            assert _vector_hypersum(decompose_vector(M, V)) == V
+            parts = circuit_decomposition(M, V)
+            assert parts is not None, V
+            assert _vector_hypersum(parts) == V
+
+
+def test_decompose_rejects_non_vector(u24_sign, sign):
+    one = sign.one()
+    fake = hvector(sign, G4, {"1": one})
+    assert not all(u24_sign.vector_perp(fake, Y) for Y in u24_sign.cocircuits.reps)
+    assert fake not in vectors_enumerate(u24_sign, 0)
+    assert circuit_decomposition(u24_sign, fake) is None
 
 
 @pytest.mark.parametrize("M", GRADED_SIGN)
@@ -501,10 +557,3 @@ def test_farkas_weak_witness_for_every_graded_partition(M):
         if w.kind == "vector":
             assert all(w.vec[e] == one for e in parts["G"])
             assert all(w.vec[e].is_zero for e in parts["B"])
-
-
-def test_decompose_rejects_non_vector(u24_sign, sign):
-    one = sign.one()
-    fake = hvector(sign, G4, {"1": one})
-    with pytest.raises(InvalidInputError):
-        decompose_vector(u24_sign, fake)

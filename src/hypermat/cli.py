@@ -8,6 +8,7 @@ inputs, apart from the elapsed-ms fields.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -28,7 +29,14 @@ from .errors import (
     SpecError,
     UnsupportedOperationError,
 )
-from .hmatroid import check_circuit_axioms, hmatroid_from_circuits, perp_k, signature_from_vectors
+from .hmatroid import (
+    HMatroid,
+    check_circuit_axioms,
+    dual_signature,
+    hmatroid_from_circuits,
+    perp_k,
+    signature_from_vectors,
+)
 from .homs import coset_map, sign_map, valuation_map, validate_homomorphism
 from .hyperfields import check_axiom_budget, check_stringent, validate_axioms
 from .jsonio import SCHEMA, VERSION
@@ -245,9 +253,15 @@ def _check_records(window, H, ground, vecs, side):
     checks = [record]
     if sig is None:
         return checks, None
-    checks.append(_timed("underlying matroid", window, from_circuits, ground, sig.supports)[0])
-    record, M = _timed("cocircuit synthesis (Theorem 2)", window,
-                       hmatroid_from_circuits, H, ground, vecs, side)
+    record, underlying = _timed("underlying matroid", window, from_circuits, ground, sig.supports)
+    checks.append(record)
+    synthesis = "cocircuit synthesis (Theorem 2)"
+    if underlying is None:
+        # synthesis starts from the underlying matroid, so it fails the same way
+        record, M = dataclasses.replace(record, check=synthesis, elapsed_ms=0), None
+    else:
+        record, M = _timed(synthesis, window, lambda: HMatroid(
+            H, tuple(ground), sig, dual_signature(underlying, sig), underlying, side))
     checks.append(record)
     checks.append(_timed("modular elimination (C3)", window, _modular_elimination, sig)[0])
     if M is None:

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .homs import Homomorphism, valuation_map
-from .hyperfields import Grade, HElement, Hyperfield
+from .hyperfields import BoxCode, Grade, HElement, Hyperfield, symset
 from .matroids import ClassicalMatroid, from_circuits
 
 
@@ -116,9 +116,9 @@ def perp(X: HVector, Y: HVector) -> bool:
     """True iff 0 lies in the pairing of X (left factor) and Y.
 
     Decides with ``zero_in_sum`` over the ``product_term`` of each entry
-    pair, the rule that the enumerator and the perfection check apply to
-    their per-call term tables.  Each term is ``Hyperfield.mul(x, y)``, so
-    the pairing reads the hyperfield's own product, commutative or not.
+    pair, the rule that the enumerator and the perfection check apply one
+    term at a time (``PairingFold``).  Each term is ``Hyperfield.mul(x, y)``,
+    so the pairing reads the hyperfield's own product, commutative or not.
     """
     _check_compatible(X, Y)
     H = X.field
@@ -140,6 +140,8 @@ def zero_in_sum(H: Hyperfield, terms) -> bool:
     is in a hypersum of units iff the residue-level sum of the top-grade
     terms contains zero: at least two of them (Krasner), both signs (sign),
     or a sum divisible by p (field).  No terms means the empty sum {0}.
+    This is the one-shot rule (``perp``, ``perp_k``, the Farkas cocircuit
+    test); ``PairingFold`` applies it one term at a time, on int codes.
     """
     if len(terms) < 2:
         return not terms  # a single unit is not zero
@@ -158,6 +160,84 @@ def zero_in_sum(H: Hyperfield, terms) -> bool:
     if kind == "sign":
         return 1 in residues and -1 in residues
     return sum(residues) % H.p == 0
+
+
+_SIGN_BIT = {1: 1, -1: 2}
+
+
+class PairingFold(BoxCode):
+    """``zero_in_sum`` one term at a time, on int codes, for one call.
+
+    A ``BoxCode`` (window 0: its in-box flags are not read) whose codes name
+    both entries and ``product_term`` values; ``mul`` gives the code of a
+    product, and zero (code 0) is the zero product.  A state is the partial
+    hypersum of the terms added so far, interned as an int, and state 0 is
+    the empty sum.  On the graded catalog it is what ``zero_in_sum`` reads:
+    the top grade of the terms and the residue aggregate of the terms at
+    that grade, a count capped at 2 (Krasner), a bit per sign (sign) or the
+    residue sum mod p (field).  Over a quotient it is the ``SymbolicSet`` of
+    ``SymbolicSet.add_element``.  ``moves[s][t]`` is the state once term t
+    is added to s, filled on first use by ``add``; ``zero[s]`` is the
+    verdict of ``zero_in_sum`` on the terms behind s.  Products come from
+    ``Hyperfield.mul``, so a skew product is read in the caller's order.
+    """
+
+    def __init__(self, H: Hyperfield):
+        super().__init__(H, 0, [H.zero()])
+        self.moves: list[dict[int, int]] = []
+        self.zero: list[bool] = []
+        self._states: list = []
+        self._state_ids: dict = {}
+        self._intern(symset(H, [H.zero()]) if H.kind == "quotient" else None)
+
+    def _intern(self, state) -> int:
+        s = self._state_ids.get(state)
+        if s is None:
+            s = self._state_ids[state] = len(self._states)
+            self._states.append(state)
+            self.moves.append({0: s})
+            self.zero.append(self._verdict(state))
+        return s
+
+    def add(self, s: int, t: int) -> int:
+        """The state once the term of code t is added to state s."""
+        nxt = self.moves[s].get(t)
+        if nxt is None:
+            nxt = self.moves[s][t] = self._intern(self._after(self._states[s], self.elements[t]))
+        return nxt
+
+    def _after(self, state, x: HElement):
+        H = self.field
+        if H.kind == "quotient":
+            return state.add_element(x)
+        if state is not None:
+            top, agg = state
+            if x.grade < top:
+                return state
+            if x.grade == top:
+                return top, self._combine(agg, x.residue)
+        return x.grade, self._combine(0, x.residue)
+
+    def _combine(self, agg: int, r: int) -> int:
+        kind = self.field.residue_kind
+        if kind == "krasner":
+            return min(agg + 1, 2)
+        if kind == "sign":
+            return agg | _SIGN_BIT[r]
+        return (agg + r) % self.field.p
+
+    def _verdict(self, state) -> bool:
+        if state is None:
+            return True
+        if self.field.kind == "quotient":
+            return state.contains_zero
+        agg = state[1]
+        kind = self.field.residue_kind
+        if kind == "krasner":
+            return agg == 2
+        if kind == "sign":
+            return agg == 3
+        return agg == 0
 
 
 @dataclass(frozen=True)
@@ -243,16 +323,17 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
     """Synthesize the unique dual signature and certify 3-orthogonality.
 
     For each cocircuit D of the underlying matroid, the entry at the least
-    element is set to 1 and the rest are forced in one sweep through the
-    circuits meeting D in exactly two elements, listed from support bitmasks
-    in signature order.  Some circuit meets D in exactly {least(D), f} for
-    each other f in D (a matroid fact), so the sweep assigns every entry
-    when the signature's supports are the circuits of ``underlying``, as on
-    every call in the package; an unassigned entry means they differ.
-    Failure of 3-orthogonality means the signature is not a matroid over
-    the hyperfield.  Forced entries are products of units, so the supports
-    are exactly the (distinct, incomparable) cocircuits and the output
-    needs no revalidation, nor normalization (its least entry is 1).
+    element is set to 1, and each other entry f is forced from it by the
+    first circuit, in signature order, that meets D in exactly
+    {least(D), f} (found on support bitmasks).  Such a circuit exists for
+    each f in D (a matroid fact), so every entry is assigned when the
+    signature's supports are the circuits of ``underlying``, as on every
+    call in the package; an unassigned entry means they differ.  The other
+    meets are checked by 3-orthogonality, whose failure means the signature
+    is not a matroid over the hyperfield.  Forced entries are products of
+    units, so the supports are exactly the (distinct, incomparable)
+    cocircuits and the output needs no revalidation, nor normalization (its
+    least entry is 1).
     """
     H = sig.field
     ground = sig.ground
@@ -260,12 +341,15 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
     duals = []
     for D in sorted(underlying.cocircuits(), key=sorted):
         d = sum(1 << ground.index(e) for e in D)
-        meets = [(x, _positions(m)) for x, mask in circuits if (m := mask & d).bit_count() == 2]
+        least = d & -d
+        e = least.bit_length() - 1
         y = [None if d >> i & 1 else H.zero() for i in range(len(ground))]
-        y[(d & -d).bit_length() - 1] = H.one()
-        for x, (a, b) in meets:
-            for e, f in ((a, b), (b, a)):
-                if y[e] is not None and y[f] is None:
+        y[e] = H.one()
+        for x, mask in circuits:
+            m = mask & d
+            if m & least and m.bit_count() == 2:
+                f = (m ^ least).bit_length() - 1
+                if y[f] is None:
                     y[f] = _forced_entry(H, sig.side, x[e], x[f], y[e])
         if any(v is None for v in y):
             raise NotAnHMatroidError(

@@ -759,7 +759,7 @@ class BoxCode:
         self.window = window
         self.elements: list[HElement] = []
         self.in_box: list[bool] = []
-        self._codes: dict[HElement, int] = {}
+        self._codes: dict[tuple, int] = {}
         self.sets: list[SymbolicSet] = []
         self._set_ids: dict[SymbolicSet, int] = {}
         self._sums: dict[tuple[int, int], int] = {}
@@ -768,9 +768,11 @@ class BoxCode:
             self.code(x)
 
     def code(self, x: HElement) -> int:
-        c = self._codes.get(x)
+        # keyed by the fields, which hash without a call to HElement.__hash__
+        key = (x.residue, x.grade)
+        c = self._codes.get(key)
         if c is None:
-            c = self._codes[x] = len(self.elements)
+            c = self._codes[key] = len(self.elements)
             self.elements.append(x)
             self.in_box.append(_in_box(x, self.window))
         return c

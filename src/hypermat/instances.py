@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import HypermatError
 from .hmatroid import (
     HMatroid,
     HVector,
@@ -64,8 +63,9 @@ def all_signatures(field: Hyperfield, matroid: ClassicalMatroid) -> list[HMatroi
     elimination (C3) is no matroid (Baker and Bowler), so each (C3) test, a
     modular pair X, Y and an element e of both, runs as soon as X, Y and
     every circuit inside (X | Y) - e are assigned, and a failure cuts off
-    the subtree.  Complete assignments still go through cocircuit synthesis,
-    which alone decides what is kept.  ``tests/test_signature_search_reference.py``
+    the subtree.  A complete assignment that passes every (C3) test satisfies
+    the weak circuit axioms, so cocircuit synthesis cannot refuse it; if it
+    does, the error escapes.  ``tests/test_signature_search_reference.py``
     keeps the brute force over every candidate as an oracle.
     """
     ground = matroid.ground
@@ -84,10 +84,7 @@ def all_signatures(field: Hyperfield, matroid: ClassicalMatroid) -> list[HMatroi
 
     def assign(d):
         if d == len(slots):
-            try:
-                out.append(hmatroid_from_circuits(field, ground, vecs))
-            except HypermatError:
-                pass
+            out.append(hmatroid_from_circuits(field, ground, vecs))
             return
         elems = slots[d]
         for coeffs in itertools.product(unit_elems, repeat=len(elems) - 1):

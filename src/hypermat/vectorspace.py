@@ -2,15 +2,17 @@
 
 One search, ``_orthogonal_points``, finds the points of a product of
 candidate entries that are orthogonal to every cocircuit: coordinates are
-assigned depth first, and each cocircuit is tested, from product tables
-built for the call, as soon as its support is assigned.  Enumeration runs
-it over the window box (windowed and budget-checked); the partition
-dichotomy and (V3) beyond the window box take its first point over their
-own candidates.  Generation follows the stringent fast paths (composition
-closure and singleton hypersums of scaled circuits, capped at corank many
-factors) and must agree with enumeration on the same window.  Also:
-perfection (checked on scaling classes) and the vector axioms with
-reconstruction.  Every per-call table codes elements as a ``BoxCode`` does.
+assigned depth first, and at the coordinate that closes a cocircuit's
+support only the entries that leave zero in its pairing are visited.
+Enumeration runs it over the window box (windowed and budget-checked); the
+partition dichotomy and (V3) beyond the window box take its first point
+over their own candidates.  Generation follows the stringent fast paths
+(composition closure and singleton hypersums of scaled circuits, capped at
+corank many factors) and must agree with enumeration on the same window.
+Also: perfection (checked on scaling classes) and the vector axioms with
+reconstruction.  Every per-call table codes elements as a ``BoxCode``
+does; the search and the perfection check decide pairings with a
+``PairingFold``, a ``BoxCode`` whose int states are partial pairing sums.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .errors import (
 from .hmatroid import (
     HMatroid,
     HVector,
+    PairingFold,
+    _other_side,
     hmatroid_from_circuits,
     normalize_vector,
-    product_term,
     zero_in_sum,
     zero_vector,
 )
@@ -70,49 +73,90 @@ def _orthogonal_points(M: HMatroid, domains, order):
     Coordinates are assigned depth first in ``order``, as indices into their
     domains, so points come out in lexicographic order over ``order``.  A
     cocircuit's pairing reads a point only on the cocircuit's support, so
-    each representative is tested as soon as the last coordinate of its
-    support is assigned; a failing test cuts off every completion of the
-    partial assignment.  The test is a lookup: per support coordinate, a
-    table built once per call holds the ``product_term`` (an ``H.mul``
-    product) of every domain element with the cocircuit's entry, and
-    ``zero_in_sum`` decides, as ``perp`` would.  An ``HVector`` is built
-    only for each point found.
+    each representative is due at the depth where the last coordinate of
+    its support is assigned, and only the candidates that close it to a
+    pairing containing zero are visited there.  The pairing is decided by a
+    ``PairingFold`` over the codes of the ``product_term`` values (``H.mul``
+    products, the vector entry on the matroid's side): at each node, the
+    terms of a due cocircuit's other support coordinates are folded into a
+    state, and the passing candidates of the closing coordinate, ascending,
+    are looked up per tuple of due states in a memo kept for the call.  A
+    depth's term columns (per domain and cocircuit entry, shared) are built
+    on its first visit.  An ``HVector`` is built only for each point found.
     Coordinates in no cocircuit support (the loops) are never tested.
     """
-    H, ground = M.field, M.ground
+    H, ground, n = M.field, M.ground, len(order)
+    if not n:
+        yield HVector(H, ground, ())
+        return
+    fold = PairingFold(H)
+    moves, zero, add = fold.moves, fold.zero, fold.add
+    left = M.side == "left"
     depth = {i: d for d, i in enumerate(order)}
-    tests = [[] for _ in order]
+    closing = [[] for _ in order]
     for Y in M.cocircuits.reps:
         at = [j for j, y in enumerate(Y.entries) if not y.is_zero]
-        tests[max(depth[j] for j in at)].append(
-            [(j, _terms(H, domains[j], Y.entries[j], M.side)) for j in at]
-        )
+        closing[max(depth[j] for j in at)].append((Y.entries, at))
+    ids, columns = list(map(id, domains)), {}
+
+    def column(j, y):
+        """The term code of each entry of domain j times y (y times it on
+        the right), shared by every coordinate with the same domain and y."""
+        key = (ids[j], y.residue, y.grade)
+        if key not in columns:
+            code, mul = fold.code, H.mul
+            dom = domains[j]
+            columns[key] = [code(mul(x, y)) for x in dom] if left else [code(mul(y, x)) for x in dom]
+        return columns[key]
+
+    # per depth: its due tests, as ([(j, column)] off the closing coordinate,
+    # closing column), built on first visit; the passing candidates per
+    # tuple of due states (all of them when none is due); and the candidate
+    # list being walked, with its length and the next position
+    tests = [None] * n
+    memos = [{} for _ in order]
+    lists = [None] * n
+    ends = [0] * n
+    pos = [0] * n
     codes = [0] * len(ground)
-
-    def assign(d):
-        if d == len(order):
+    d = 0
+    while d >= 0:
+        if lists[d] is None:
+            i = order[d]
+            due = tests[d]
+            if due is None:
+                due = tests[d] = [
+                    ([(j, column(j, ys[j])) for j in at if j != i], column(i, ys[i]))
+                    for ys, at in closing[d]
+                ]
+            key = ()
+            for others, _ in due:
+                s = 0
+                for j, col in others:
+                    t = col[codes[j]]
+                    row = moves[s]
+                    s = row[t] if t in row else add(s, t)
+                key += (s,)
+            memo = memos[d]
+            if key not in memo:
+                cands = range(len(domains[i]))
+                for s, (_, last) in zip(key, due):
+                    row = moves[s]
+                    cands = [c for c in cands if zero[row[t] if (t := last[c]) in row else add(s, t)]]
+                memo[key] = cands
+            lists[d] = memo[key]
+            ends[d], pos[d] = len(lists[d]), 0
+        p = pos[d]
+        if p == ends[d]:
+            lists[d] = None
+            d -= 1
+            continue
+        pos[d] = p + 1
+        codes[order[d]] = lists[d][p]
+        if d + 1 < n:
+            d += 1
+        else:
             yield HVector(H, ground, tuple([dom[c] for dom, c in zip(domains, codes)]))
-            return
-        i = order[d]
-        due = tests[d]
-        for c in range(len(domains[i])):
-            codes[i] = c
-            for test in due:
-                if not zero_in_sum(H, [t for j, terms in test if (t := terms[codes[j]]) is not None]):
-                    break
-            else:
-                yield from assign(d + 1)
-
-    return assign(0)
-
-
-def _terms(H: Hyperfield, xs, y: HElement, side: str) -> list:
-    """The ``product_term`` of each vector entry x in xs with y: ``H.mul(x, y)``
-    on the left side and ``H.mul(y, x)`` on the right, so over a skew
-    hyperfield the vector entry is the factor on the matroid's side."""
-    if side == "left":
-        return [product_term(H, x, y) for x in xs]
-    return [product_term(H, y, x) for x in xs]
 
 
 def _closing_order(M: HMatroid) -> list[int]:
@@ -225,21 +269,18 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
 
     Checked on scaling classes.  Scaling the left factor of a pairing by a
     and the right factor by b turns its value S into a·S·b, and 0 ∈ S iff
-    0 ∈ a·S·b.  So the normalized classes of the nonzero vectors (on the
-    matroid's side) are tested against those of the nonzero covectors (on
-    the dual's side); zero is orthogonal to everything.  The class test
-    codes the entries of each side and tables the ``product_term`` of every
-    pair of entry codes once (see ``_classes_orthogonal``).  Only when a
-    class pair fails are the vectors and covectors scanned pairwise with
-    ``perp`` in sort order, so the witness is the least failing pair.
+    0 ∈ a·S·b.  So the classes of the nonzero vectors (on the matroid's
+    side) are tested against those of the nonzero covectors (on the dual's
+    side), coded and normalized on ints; zero is orthogonal to everything
+    (see ``_classes_orthogonal``).  Only when a class pair fails are the
+    vectors and covectors scanned pairwise with ``perp`` in sort order, so
+    the witness is the least failing pair.
     """
     vs = vectors_enumerate(M, window) if vectors is None else vectors
     us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
     if any(V.field != M.field or V.ground != M.ground for V in itertools.chain(vs, us)):
         raise DomainMismatchError("vectors live over different hyperfields or grounds")
-    v_classes = {normalize_vector(V, M.side) for V in vs if not V.is_zero}
-    u_classes = {normalize_vector(U, M.cocircuits.side) for U in us if not U.is_zero}
-    if _classes_orthogonal(M.field, M.side, v_classes, u_classes):
+    if _classes_orthogonal(M.field, M.side, vs, us):
         return True, None
     us = sorted(us, key=lambda u: u.sort_key())
     for V in sorted(vs, key=lambda v: v.sort_key()):
@@ -253,21 +294,62 @@ def _classes_orthogonal(H: Hyperfield, side: str, vectors, covectors) -> bool:
     """Is every vector orthogonal to every covector?
 
     The vector is the left factor of the pairing on the left side and the
-    right factor on the right side.  Each side's entries are coded by its
-    own ``BoxCode`` (whose in-box flags are not read, so its window is 0),
-    the ``product_term`` of every vector entry with every covector entry
-    (``_terms``) is tabled once, and ``zero_in_sum`` decides each pair.
+    right factor on the right side.  Both sides are coded by one
+    ``PairingFold``, and each nonzero row is normalized on ints (its first
+    nonzero code times its inverse, on its own side), so only one row per
+    scaling class is kept.  Per covector class, the sorted vector rows are
+    walked once: the fold states of the prefix a row shares with the row
+    before are kept, and only the rest of the row is folded, over the
+    tabled ``mul`` codes of each vector entry with the covector's entries.
     """
-    v_code, u_code = BoxCode(H, 0), BoxCode(H, 0)
-    v_rows = [tuple(map(v_code.code, V.entries)) for V in vectors]
-    u_rows = [tuple(map(u_code.code, U.entries)) for U in covectors]
-    table = [_terms(H, v_code.elements, y, side) for y in u_code.elements]
+    fold = PairingFold(H)
+    moves, zero, add = fold.moves, fold.zero, fold.add
+    v_rows = sorted(_coded_classes(fold, vectors, side))
+    u_rows = sorted(_coded_classes(fold, covectors, _other_side(side)))
+    if not v_rows or not u_rows:
+        return True
+    # shared[r]: the length of the prefix row r shares with row r - 1
+    shared = [0] + [next((k for k, (a, b) in enumerate(zip(v, w)) if a != b), len(v))
+                    for v, w in zip(v_rows, v_rows[1:])]
+    entries = range(len(fold.elements))
+    left = side == "left"
+    table = {}
+    n = len(v_rows[0])
     for u in u_rows:
-        columns = [table[b] for b in u]
-        for v in v_rows:
-            if not zero_in_sum(H, [t for col, a in zip(columns, v) if (t := col[a]) is not None]):
+        columns = []
+        for b in u:
+            col = table.get(b)
+            if col is None:
+                col = table[b] = [fold.mul(a, b) if left else fold.mul(b, a) for a in entries]
+            columns.append(col)
+        states = [0] * (n + 1)
+        for v, k in zip(v_rows, shared):
+            s = states[k]
+            for k in range(k, n):
+                t = columns[k][v[k]]
+                row = moves[s]
+                s = states[k + 1] = row[t] if t in row else add(s, t)
+            if not zero[s]:
                 return False
     return True
+
+
+def _coded_classes(fold: PairingFold, vectors, side: str) -> set[tuple[int, ...]]:
+    """The coded rows of the nonzero vectors, each scaled (on ``side``) so
+    that its first nonzero entry is 1."""
+    H, left = fold.field, side == "left"
+    inverse = {}
+    rows = set()
+    for V in vectors:
+        row = tuple(map(fold.code, V.entries))
+        a = next((c for c in row if c), 0)
+        if not a:
+            continue
+        b = inverse.get(a)
+        if b is None:
+            b = inverse[a] = fold.code(H.inv(fold.elements[a]))
+        rows.add(tuple([fold.mul(b, c) if left else fold.mul(c, b) for c in row]))
+    return rows
 
 
 # -- vector axioms ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -27,7 +28,7 @@ from hypermat import (
     valuation_map,
 )
 from hypermat.acceptance import AcceptanceContext
-from hypermat.hmatroid import _check_compatible
+from hypermat.hmatroid import PairingFold, _check_compatible, zero_in_sum
 from hypermat.instances import graded_rescaled
 
 G3 = ("1", "2", "3")
@@ -99,6 +100,39 @@ def test_quotient_pairing_falls_back_to_tables():
     X = hvector(Q, G3, {"1": Q.unit(1), "2": Q.unit(1)})
     Y = hvector(Q, G3, {"1": Q.unit(1), "2": Q.unit(3)})
     assert perp(X, Y) == pairing(X, Y).contains_zero
+
+
+FOLD_FIELDS = {
+    "krasner": Hyperfield.krasner,
+    "sign": Hyperfield.sign,
+    "gf3": lambda: Hyperfield.field(3),
+    "tropical1": lambda: Hyperfield.tropical(1),
+    "stringent-sign-1": lambda: Hyperfield.stringent("sign", 1),
+    "stringent-gf3-1": lambda: Hyperfield.stringent("field", 1, p=3),
+    "gf7q124": lambda: Hyperfield.quotient(7, [1, 2, 4]),
+    # imported on use: test_skew_products imports this module
+    "twisted": lambda: importlib.import_module("test_skew_products").Twisted(),
+}
+
+
+@pytest.mark.parametrize("name", FOLD_FIELDS)
+def test_pairing_fold_agrees_with_zero_in_sum(name):
+    """Every term list of length <= 4 over the window-1 box (zero included,
+    which the fold skips and ``zero_in_sum`` never sees)."""
+    H = FOLD_FIELDS[name]()
+    fold = PairingFold(H)
+    box = H.elements_box(1)
+    codes = [fold.code(x) for x in box]
+    states = {(): 0}
+    assert fold.zero[0] and zero_in_sum(H, [])
+    for _ in range(4):
+        longer = {}
+        for prefix, s in states.items():
+            for i, c in enumerate(codes):
+                t = longer[prefix + (i,)] = fold.add(s, c)
+                terms = [box[k] for k in prefix + (i,) if not box[k].is_zero]
+                assert fold.zero[t] == zero_in_sum(H, terms), terms
+        states = longer
 
 
 # -- signatures ---------------------------------------------------------------

@@ -3,8 +3,9 @@
 ``tests/data/reports/`` holds eight H-matroid documents, ``<name>.json``, and
 for each the outcome of ``matroid check``, ``dual``, ``minor --delete 1``,
 ``minor --contract 1``, ``residue``, ``pushforward --hom valuation``, and
-``perfect``, ``vector-axioms`` and ``farkas`` (R = {1}, G = {2}, B the rest
-of the ground set) at ``--window 1`` in ``<name>.reports.txt``, one line per
+``perfect``, ``vector-axioms``, ``farkas`` (R = {1}, G = {2}, B the rest
+of the ground set), ``vectors --enumerate`` and ``vectors --generate`` at
+``--window 1`` in ``<name>.reports.txt``, one line per
 verb: the exit code, the stderr text and the report with every
 ``elapsed_ms`` removed, or, for an exception that escapes ``cli.run``, its
 type, message and witness repr.
@@ -50,6 +51,8 @@ def verbs(ground) -> dict[str, list[str]]:
         "perfect-w1": ["perfect", "--window", "1"],
         "vector-axioms-w1": ["vector-axioms", "--window", "1"],
         "farkas-w1": ["farkas", "--window", "1", "--partition", partition],
+        "vectors-enumerate-w1": ["vectors", "--enumerate", "--window", "1"],
+        "vectors-generate-w1": ["vectors", "--generate", "--window", "1"],
     }
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: parse inputs, run checks, emit deterministic JSON.
 
 Exit codes: 0 when every check passes, 1 when any check fails, 2 on a
-parse or usage error.  Reports are byte-identical across runs for fixed
-inputs, apart from the elapsed-ms fields.
+parse or usage error or an operation the hyperfield does not support.
+Reports are byte-identical across runs for fixed inputs, apart from the
+elapsed-ms fields.
 """
 
 from __future__ import annotations
@@ -157,12 +158,18 @@ def _ms_since(t0) -> int:
 
 
 def _timed(check, window, fn, *args):
-    """``(record, value)`` of ``fn(*args)``; the value is None when the check fails."""
+    """``(record, value)`` of ``fn(*args)``; the value is None when the check fails.
+
+    An operation the hyperfield does not support is not a failed check: its
+    ``UnsupportedOperationError`` propagates, and ``run`` exits 2 on it.
+    """
     t0 = time.perf_counter()
     value = None
     try:
         value = fn(*args)
         status, payload = "pass", None
+    except UnsupportedOperationError:
+        raise
     except HypermatError as exc:
         status, payload = "fail", {"error": str(exc), "witness": _jsonable(exc.witness)}
     return CheckRecord(check, status, payload, window=window, elapsed_ms=_ms_since(t0)), value
@@ -314,7 +321,7 @@ def cmd_matroid(args) -> int:
         ordered = sorted(vs, key=lambda v: v.sort_key())
         result = {
             "count": len(ordered),
-            "vectors": [jsonio.hvector_to_json(v) for v in ordered],
+            "vectors": jsonio.hvectors_to_json(ordered),
         }
         checks.append(CheckRecord("vectors", "pass", None, window=window))
     elif verb == "perfect":

@@ -2,7 +2,11 @@
 
 Schema tag: "hypermat/1".  Elements are "0" or {"r": ..., "g": [...]}, with
 "r" omitted for Krasner residues and "g" omitted at rank 0.  Every emitted
-document re-parses to an equal value.
+document re-parses to an equal value.  ``hvectors_to_json`` and
+``hmatroid_to_json`` give every occurrence of an element the same JSON
+object, so callers treat emitted values as read-only.  ``dumps`` writes the
+bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` in one pass and
+writes each shared object once.
 """
 
 from __future__ import annotations
@@ -120,6 +124,26 @@ def hvector_to_json(V: HVector) -> list:
     return [element_to_json(V.field, x) for x in V.entries]
 
 
+def hvectors_to_json(vectors) -> list:
+    """The rows of ``hvector_to_json`` for vectors over one hyperfield.
+
+    Equal elements get one shared JSON value, built once: the values are
+    read-only, and ``dumps`` writes each of them once.
+    """
+    shared = {}
+    rows = []
+    for V in vectors:
+        row = []
+        for x in V.entries:
+            key = (x.residue, x.grade)  # hashed in C, unlike HElement
+            value = shared.get(key)
+            if value is None:
+                value = shared[key] = element_to_json(V.field, x)
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
 def hvector_from_json(H: Hyperfield, ground, entries, path="$") -> HVector:
     if not isinstance(entries, list) or len(entries) != len(ground):
         raise SpecError(f"{path}: expected a list of {len(ground)} entries")
@@ -136,8 +160,8 @@ def hmatroid_to_json(M: HMatroid) -> dict:
         "hyperfield": hyperfield_to_json(M.field),
         "ground": list(M.ground),
         "side": M.side,
-        "circuits": [hvector_to_json(v) for v in M.circuits.reps],
-        "cocircuits": [hvector_to_json(v) for v in M.cocircuits.reps],
+        "circuits": hvectors_to_json(M.circuits.reps),
+        "cocircuits": hvectors_to_json(M.cocircuits.reps),
         "circuit_supports": [sorted(v.support) for v in M.circuits.reps],
         "cocircuit_supports": [sorted(v.support) for v in M.cocircuits.reps],
     }
@@ -174,7 +198,10 @@ def _ground_of(d, path):
     ground = d.get("ground")
     if not isinstance(ground, list) or not ground:
         raise SpecError(f"{path}.ground: expected a nonempty list of labels")
-    return tuple(map(str, ground))
+    for i, label in enumerate(ground):
+        if type(label) is not str:
+            raise SpecError(f"{path}.ground[{i}]: expected a string label, got {label!r}")
+    return tuple(ground)
 
 
 def load_json(path: str):
@@ -188,4 +215,58 @@ def load_json(path: str):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, written in one pass.
+
+    Exact strs, ints, lists and dicts with str keys are written here; any
+    other value goes to ``json.dumps`` at its indent, which is exact because
+    JSON text holds no raw newline.  A dict object met again at the same
+    indent is not written again: its text is kept for this call only.
+    """
+    out = []
+    _write(obj, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _write(o, nl, out, seen):
+    """Append the text of ``o`` to ``out``; ``nl`` is a newline and the indent of its line."""
+    t = type(o)
+    if t is str:
+        out.append(_string(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is list and o:
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out, seen)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict and o:
+        key = (id(o), len(nl))
+        text = seen.get(key)
+        if text is None:
+            start = len(out)
+            if all(type(k) is str for k in o):
+                inner = nl + "  "
+                sep = "{" + inner
+                for k in sorted(o):
+                    out.append(sep + _string(k) + ": ")
+                    _write(o[k], inner, out, seen)
+                    sep = "," + inner
+                out.append(nl + "}")
+            else:
+                _stdlib(o, nl, out)
+            text = seen[key] = "".join(out[start:])
+            del out[start:]
+        out.append(text)
+    else:
+        _stdlib(o, nl, out)
+
+
+def _stdlib(o, nl, out):
+    out.append(json.dumps(o, sort_keys=True, indent=2).replace("\n", nl))

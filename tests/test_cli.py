@@ -311,18 +311,29 @@ def test_quotient_of_large_index_exits_2(capsys):
     assert _one_line_error(capsys)
 
 
-def test_residue_refusal_is_a_failing_record(tmp_path, capsys):
+def test_residue_refusal_exits_2(tmp_path, capsys):
     Q = Hyperfield.quotient(7, [1, 2, 4])
     one = Q.one()
     M = hmatroid_from_circuits(Q, G3, [hvector(Q, G3, {e: one for e in G3})])
     path = tmp_path / "quot.json"
     path.write_text(dumps(hmatroid_to_json(M)))
-    code, doc = run_json(capsys, ["matroid", "residue", str(path)])
-    assert code == 1
-    [check] = doc["checks"]
-    assert check["check"] == "residue construction" and check["status"] == "fail"
-    assert "graded" in check["witness"]["error"]
-    assert doc["result"] is None
+    assert run(["matroid", "residue", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "graded catalog" in captured.err
+
+
+@pytest.mark.parametrize("ground, bad", [([True, False, None], "True"), ([1.0, "2", "3"], "1.0"),
+                                         (["1", 2, "3"], "2")])
+def test_non_string_ground_labels_exit_2(tmp_path, capsys, ground, bad):
+    i = [repr(g) for g in ground].index(bad)
+    doc = {"hyperfield": {"kind": "sign"}, "ground": ground, "circuits": [[{"r": "+"}] * 3]}
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    assert run(["matroid", "dual", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: $.ground[{i}]: expected a string label, got {bad}\n"
 
 
 def test_vectors_generate_over_non_stringent_hyperfield_exits_2(tmp_path, capsys):

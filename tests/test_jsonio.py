@@ -1,6 +1,9 @@
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermat import Hyperfield, SpecError, __version__
 from hypermat import jsonio
@@ -115,3 +118,55 @@ def test_package_version_is_read_from_jsonio():
     assert "version" in meta["project"]["dynamic"]
     assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hypermat.jsonio.VERSION"}
     assert __version__ == jsonio.VERSION
+
+
+def test_hvectors_to_json_shares_equal_elements(stringent_sign_u23):
+    reps = stringent_sign_u23.circuits.reps + stringent_sign_u23.cocircuits.reps
+    rows = jsonio.hvectors_to_json(reps)
+    assert rows == [jsonio.hvector_to_json(v) for v in reps]
+    entries = [x for row in rows for x in row]
+    assert len({id(x) for x in entries}) == len({json.dumps(x) for x in entries}) < len(entries)
+
+
+_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'), st.characters()),
+                   max_size=6)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, -2**60), st.floats(), _STRINGS,
+)
+
+
+def _values(depth):
+    """JSON values nested at most ``depth`` containers deep, tuples and int keys included."""
+    if depth == 0:
+        return _SCALARS
+    inner = _values(depth - 1)
+    return st.one_of(
+        _SCALARS,
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.dictionaries(_STRINGS, inner, max_size=3),
+        st.dictionaries(st.integers(), inner, max_size=2),
+    )
+
+
+@st.composite
+def _shared_dict(draw):
+    """One dict object placed twice at one depth and once at another."""
+    shared = draw(st.dictionaries(_STRINGS, _values(2), min_size=1, max_size=3))
+    return {"twice": [shared, draw(_values(2)), shared], "once": {"deeper": [shared]}}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(_values(5), _shared_dict()))
+def test_dumps_matches_the_stdlib_encoder(value):
+    assert jsonio.dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_keeps_no_text_between_calls():
+    shared = {"g": [1]}
+    doc = [shared, {"x": shared}]
+    first = jsonio.dumps(doc)
+    shared["g"].append(2)
+    second = jsonio.dumps(doc)
+    assert second != first
+    assert second == json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -8,7 +8,8 @@ of the ground set), ``vectors --enumerate`` and ``vectors --generate`` at
 ``--window 1`` in ``<name>.reports.txt``, one line per
 verb: the exit code, the stderr text and the report with every
 ``elapsed_ms`` removed, or, for an exception that escapes ``cli.run``, its
-type, message and witness repr.
+type, message and witness repr.  Each report file must also be the text
+``json.dumps(report, sort_keys=True, indent=2)`` and a newline.
 The documents are seeded GF(p) realizations of U_{3,6} (valid and with one
 scaled entry) and U_{2,5}, a corrupted GF(3) U_{2,4}, a sign U_{2,4} with one
 flipped sign, the tropical and stringent-sign windowed U_{2,4}(1,0,0,1) of
@@ -122,7 +123,11 @@ def outcome(path, argv) -> dict:
         report = None
         if os.path.exists(out):
             with open(out) as fh:
-                report = _strip(json.load(fh))
+                text = fh.read()
+            report = json.loads(text)
+            # the compact line drops layout, so pin it here
+            assert text == json.dumps(report, sort_keys=True, indent=2) + "\n"
+            report = _strip(report)
         return {"exit": code, "stderr": err.getvalue(), "report": report}
 
 

@@ -115,33 +115,24 @@ def _check_compatible(X: HVector, Y: HVector):
 def perp(X: HVector, Y: HVector) -> bool:
     """True iff 0 lies in the pairing of X (left factor) and Y.
 
-    Decides with ``zero_in_sum`` over the ``product_term`` of each entry
-    pair, the rule that the enumerator and the perfection check apply one
-    term at a time (``PairingFold``).  Each term is ``Hyperfield.mul(x, y)``,
-    so the pairing reads the hyperfield's own product, commutative or not.
+    Decided by a ``PairingFold`` over the meet of the supports, as every
+    pairing in the package is.  Each term is ``Hyperfield.mul(x, y)``, so
+    the pairing reads the hyperfield's own product, commutative or not.
     """
     _check_compatible(X, Y)
-    H = X.field
-    terms = [product_term(H, x, y) for x, y in zip(X.entries, Y.entries)]
-    return zero_in_sum(H, [t for t in terms if t is not None])
-
-
-def product_term(H: Hyperfield, x: HElement, y: HElement) -> HElement | None:
-    """What x·y adds to a pairing: the product ``H.mul(x, y)``, or None when
-    it is zero."""
-    t = H.mul(x, y)
-    return None if t.is_zero else t
+    meet = _support_mask(X) & _support_mask(Y)
+    return PairingFold(X.field).pairs_to_zero(X.entries, Y.entries, meet)
 
 
 def zero_in_sum(H: Hyperfield, terms) -> bool:
-    """True iff 0 lies in the hypersum of the nonzero ``product_term`` values.
+    """True iff 0 lies in the hypersum of ``terms``, a list of units.
 
     Over a quotient the hypersum is computed.  On the graded catalog, zero
     is in a hypersum of units iff the residue-level sum of the top-grade
     terms contains zero: at least two of them (Krasner), both signs (sign),
     or a sum divisible by p (field).  No terms means the empty sum {0}.
-    This is the one-shot rule (``perp``, ``perp_k``, the Farkas cocircuit
-    test); ``PairingFold`` applies it one term at a time, on int codes.
+    The rule of the Farkas cocircuit test, whose G-sum is no pairing;
+    ``PairingFold`` applies it to pairings one term at a time.
     """
     if len(terms) < 2:
         return not terms  # a single unit is not zero
@@ -162,24 +153,22 @@ def zero_in_sum(H: Hyperfield, terms) -> bool:
     return sum(residues) % H.p == 0
 
 
-_SIGN_BIT = {1: 1, -1: 2}
-
-
 class PairingFold(BoxCode):
-    """``zero_in_sum`` one term at a time, on int codes, for one call.
+    """The zero test of a pairing, one term at a time, on int codes, for one call.
 
-    A ``BoxCode`` (window 0: its in-box flags are not read) whose codes name
-    both entries and ``product_term`` values; ``mul`` gives the code of a
-    product, and zero (code 0) is the zero product.  A state is the partial
-    hypersum of the terms added so far, interned as an int, and state 0 is
-    the empty sum.  On the graded catalog it is what ``zero_in_sum`` reads:
-    the top grade of the terms and the residue aggregate of the terms at
-    that grade, a count capped at 2 (Krasner), a bit per sign (sign) or the
-    residue sum mod p (field).  Over a quotient it is the ``SymbolicSet`` of
+    A ``BoxCode`` (it keeps no in-box flags) whose codes name both entries
+    and the nonzero products of entries, the terms of a pairing; ``mul``
+    gives the code of a product, and zero (code 0) is the zero product.  A
+    state is the partial hypersum of the terms added so far, interned as an
+    int, and state 0 is the empty sum.  On the graded catalog it is the top
+    grade of the terms and the residue aggregate of the terms at that grade,
+    a count capped at 2 (Krasner), a bit per sign (sign) or the residue sum
+    mod p (field).  Over a quotient it is the ``SymbolicSet`` of
     ``SymbolicSet.add_element``.  ``moves[s][t]`` is the state once term t
-    is added to s, filled on first use by ``add``; ``zero[s]`` is the
-    verdict of ``zero_in_sum`` on the terms behind s.  Products come from
-    ``Hyperfield.mul``, so a skew product is read in the caller's order.
+    is added to s, filled on first use by ``add``; ``zero[s]`` tells whether
+    0 lies in the hypersum of the terms behind s (the verdict of
+    ``zero_in_sum`` on them).  Products come from ``Hyperfield.mul``, so a
+    skew product is read in the caller's order.
     """
 
     def __init__(self, H: Hyperfield):
@@ -188,7 +177,44 @@ class PairingFold(BoxCode):
         self.zero: list[bool] = []
         self._states: list = []
         self._state_ids: dict = {}
-        self._intern(symset(H, [H.zero()]) if H.kind == "quotient" else None)
+        self._terms: dict[tuple, int] = {}
+        self._quotient = H.kind == "quotient"
+        # how a top-grade residue r joins the aggregate, and the aggregate that holds zero
+        p = H.p
+        if H.residue_kind == "krasner":
+            self._combine, self._zero_agg = (lambda agg, r: min(agg + 1, 2)), 2
+        elif H.residue_kind == "sign":
+            self._combine, self._zero_agg = (lambda agg, r: agg | (1 if r == 1 else 2)), 3
+        else:
+            self._combine, self._zero_agg = (lambda agg, r: (agg + r) % p), 0
+        self._intern(symset(H, [H.zero()]) if self._quotient else None)
+
+    def code(self, x: HElement) -> int:
+        """``BoxCode.code`` without the in-box flag, which a fold never reads."""
+        key = (x.residue, x.grade)
+        c = self._codes.get(key)
+        if c is None:
+            c = self._codes[key] = len(self.elements)
+            self.elements.append(x)
+        return c
+
+    def pairs_to_zero(self, xs, ys, meet: int) -> bool:
+        """True iff 0 lies in the sum of ``xs[i]·ys[i]`` over the set bits i
+        of ``meet`` (units on both sides); each product is taken and coded
+        once per fold, keyed on the two entries' fields, not up front."""
+        terms, moves = self._terms, self.moves
+        s = 0
+        while meet:
+            i = (meet & -meet).bit_length() - 1
+            meet &= meet - 1
+            x, y = xs[i], ys[i]
+            key = (x.residue, x.grade, y.residue, y.grade)
+            t = terms.get(key)
+            if t is None:
+                t = terms[key] = self.code(self.field.mul(x, y))
+            row = moves[s]
+            s = row[t] if t in row else self.add(s, t)
+        return self.zero[s]
 
     def _intern(self, state) -> int:
         s = self._state_ids.get(state)
@@ -196,48 +222,26 @@ class PairingFold(BoxCode):
             s = self._state_ids[state] = len(self._states)
             self._states.append(state)
             self.moves.append({0: s})
-            self.zero.append(self._verdict(state))
+            if state is None or self._quotient:
+                self.zero.append(state is None or state.contains_zero)
+            else:
+                self.zero.append(state[1] == self._zero_agg)
         return s
 
     def add(self, s: int, t: int) -> int:
         """The state once the term of code t is added to state s."""
         nxt = self.moves[s].get(t)
-        if nxt is None:
-            nxt = self.moves[s][t] = self._intern(self._after(self._states[s], self.elements[t]))
+        if nxt is not None:
+            return nxt
+        state, x = self._states[s], self.elements[t]
+        if self._quotient:
+            state = state.add_element(x)
+        elif state is None or x.grade > state[0]:
+            state = x.grade, self._combine(0, x.residue)
+        elif x.grade == state[0]:
+            state = state[0], self._combine(state[1], x.residue)
+        nxt = self.moves[s][t] = self._intern(state)
         return nxt
-
-    def _after(self, state, x: HElement):
-        H = self.field
-        if H.kind == "quotient":
-            return state.add_element(x)
-        if state is not None:
-            top, agg = state
-            if x.grade < top:
-                return state
-            if x.grade == top:
-                return top, self._combine(agg, x.residue)
-        return x.grade, self._combine(0, x.residue)
-
-    def _combine(self, agg: int, r: int) -> int:
-        kind = self.field.residue_kind
-        if kind == "krasner":
-            return min(agg + 1, 2)
-        if kind == "sign":
-            return agg | _SIGN_BIT[r]
-        return (agg + r) % self.field.p
-
-    def _verdict(self, state) -> bool:
-        if state is None:
-            return True
-        if self.field.kind == "quotient":
-            return state.contains_zero
-        agg = state[1]
-        kind = self.field.residue_kind
-        if kind == "krasner":
-            return agg == 2
-        if kind == "sign":
-            return agg == 3
-        return agg == 0
 
 
 @dataclass(frozen=True)
@@ -312,7 +316,7 @@ def _other_side(side: str) -> str:
 
 def _support_mask(vec: HVector) -> int:
     """The support of ``vec`` as an int bitmask: bit i is ``vec.ground[i]``."""
-    return sum(1 << i for i, x in enumerate(vec.entries) if not x.is_zero)
+    return sum(1 << i for i, x in enumerate(vec.entries) if x.residue is not None)
 
 
 def _positions(mask: int) -> list[int]:
@@ -350,7 +354,7 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
             if m & least and m.bit_count() == 2:
                 f = (m ^ least).bit_length() - 1
                 if y[f] is None:
-                    y[f] = _forced_entry(H, sig.side, x[e], x[f], y[e])
+                    y[f] = _forced_entry(H, sig.side, x[e], x[f])
         if any(v is None for v in y):
             raise NotAnHMatroidError(
                 "cocircuit propagation leaves entries unassigned", witness=sorted(D)
@@ -364,11 +368,12 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
     return dual_sig
 
 
-def _forced_entry(H, side, x_e, x_f, y_e):
-    # 0 in x_e*y_e + x_f*y_f pins y_f by uniqueness of negation.
+def _forced_entry(H, side, x_e, x_f):
+    # y_e = 1, and 0 in x_e*y_e + x_f*y_f (y*x on the right) pins y_f by
+    # uniqueness of negation.
     if side == "left":
-        return H.mul(H.inv(x_f), H.neg(H.mul(x_e, y_e)))
-    return H.mul(H.neg(H.mul(y_e, x_e)), H.inv(x_f))
+        return H.mul(H.inv(x_f), H.neg(x_e))
+    return H.mul(H.neg(x_e), H.inv(x_f))
 
 
 def perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
@@ -376,20 +381,20 @@ def perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
 
     Scaling invariance of orthogonality makes representatives sufficient.
     k=None means unrestricted (full orthogonality).  Hyperfield and ground
-    are checked once, and each pair multiplies only on its nonempty meet.
+    are checked once, and each pair is decided on its nonempty meet, by one
+    ``PairingFold`` for the call.
     """
     left, right = (C, D) if C.side == "left" else (D, C)
     _check_compatible(left, right)
-    H = left.field
-    rights = [(y, _support_mask(y)) for y in right.reps]
+    pairs_to_zero = PairingFold(left.field).pairs_to_zero
+    rights = [(y, y.entries, _support_mask(y)) for y in right.reps]
     for x in left.reps:
-        x_mask = _support_mask(x)
-        for y, y_mask in rights:
+        xs, x_mask = x.entries, _support_mask(x)
+        for y, ys, y_mask in rights:
             meet = x_mask & y_mask
             if not meet or k is not None and meet.bit_count() > k:
                 continue
-            terms = [H.mul(x.entries[i], y.entries[i]) for i in _positions(meet)]
-            if not zero_in_sum(H, terms):
+            if not pairs_to_zero(xs, ys, meet):
                 return False, (x, y)
     return True, None
 

@@ -123,8 +123,9 @@ class Hyperfield:
     is a prime), and ``rank`` is the rank of the grade group.  ``kind`` is
     the residue at rank 0, ``"tropical"`` for a Krasner residue at rank > 0
     and ``"stringent"`` otherwise.  A residue ``"quotient"`` is a finite
-    hyperfield read from ``tables`` at rank 0 (``quotient`` and
-    ``from_tables`` build them).  Every parameter is checked here.
+    hyperfield read from ``tables = (elements, add, mul)`` at rank 0, with
+    0 the zero and 1 the unit and an entry for each pair of units in both
+    tables (``quotient`` builds them).  Every parameter is checked here.
     Instances are immutable and hashable; all operations are pure.
     """
 
@@ -256,19 +257,6 @@ class Hyperfield:
         mul = {(a, b): label_of[(a * b) % p] if a and b else 0 for a in elements for b in elements}
         tables = (elements, add, mul)
         return cls("quotient", p=p, subgroup=G, tables=tables)
-
-    @classmethod
-    def from_tables(cls, elements, add, mul) -> "Hyperfield":
-        """Finite hyperfield from explicit tables; element 0 is zero, 1 is the unit.
-
-        Every pair of units needs an entry in both tables, and every label in
-        them must be one of ``elements``; entries with a zero operand may be
-        omitted, since nothing reads them.
-        """
-        elements = tuple(elements)
-        add = {(a, b): frozenset(v) for (a, b), v in add.items()}
-        mul = dict(mul)
-        return cls("quotient", tables=(elements, add, mul))
 
     def _init_tables(self, tables):
         elements, add, mul = tables

@@ -34,6 +34,7 @@ from .hmatroid import (
     HVector,
     PairingFold,
     _other_side,
+    _support_mask,
     hmatroid_from_circuits,
     normalize_vector,
     zero_in_sum,
@@ -76,10 +77,10 @@ def _orthogonal_points(M: HMatroid, domains, order):
     each representative is due at the depth where the last coordinate of
     its support is assigned, and only the candidates that close it to a
     pairing containing zero are visited there.  The pairing is decided by a
-    ``PairingFold`` over the codes of the ``product_term`` values (``H.mul``
-    products, the vector entry on the matroid's side): at each node, the
-    terms of a due cocircuit's other support coordinates are folded into a
-    state, and the passing candidates of the closing coordinate, ascending,
+    ``PairingFold`` over the codes of the ``H.mul`` products (the vector
+    entry on the matroid's side; a zero product adds no term): at each node,
+    the terms of a due cocircuit's other support coordinates are folded into
+    a state, and the passing candidates of the closing coordinate, ascending,
     are looked up per tuple of due states in a memo kept for the call.  A
     depth's term columns (per domain and cocircuit entry, shared) are built
     on its first visit.  An ``HVector`` is built only for each point found.
@@ -273,8 +274,8 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
     side) are tested against those of the nonzero covectors (on the dual's
     side), coded and normalized on ints; zero is orthogonal to everything
     (see ``_classes_orthogonal``).  Only when a class pair fails are the
-    vectors and covectors scanned pairwise with ``perp`` in sort order, so
-    the witness is the least failing pair.
+    vectors and covectors scanned pairwise in sort order, on one
+    ``PairingFold``, so the witness is the least failing pair.
     """
     vs = vectors_enumerate(M, window) if vectors is None else vectors
     us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
@@ -282,10 +283,14 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
         raise DomainMismatchError("vectors live over different hyperfields or grounds")
     if _classes_orthogonal(M.field, M.side, vs, us):
         return True, None
-    us = sorted(us, key=lambda u: u.sort_key())
+    pairs_to_zero = PairingFold(M.field).pairs_to_zero
+    left = M.side == "left"
+    us = [(U, _support_mask(U)) for U in sorted(us, key=lambda u: u.sort_key())]
     for V in sorted(vs, key=lambda v: v.sort_key()):
-        for U in us:
-            if not M.vector_perp(V, U):
+        v_mask = _support_mask(V)
+        for U, u_mask in us:
+            xs, ys = (V.entries, U.entries) if left else (U.entries, V.entries)
+            if not pairs_to_zero(xs, ys, v_mask & u_mask):
                 return False, (V, U)
     return True, None
 

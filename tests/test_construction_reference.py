@@ -4,12 +4,16 @@
 ``reference_modular_support_pairs``, ``reference_check_circuit_axioms`` and
 ``reference_elimination_exists`` are the earlier ``dual_signature``,
 ``perp_k``, ``modular_support_pairs``, ``check_circuit_axioms`` and
-``_elimination_exists``, kept verbatim as a test-only oracle: they rebuild
-frozenset supports, sweep every circuit for every cocircuit, pair every
-support union with every other and intersect scaled symbolic sets.  The
-bitmask construction must synthesize the same dual signatures, or raise the
-same exception with the same message and witness, and must give the same
-(C3) reports, modular pairs and ``perp_k`` verdicts and witnesses.
+``_elimination_exists``, kept as a test-only oracle: they rebuild frozenset
+supports, sweep every circuit for every cocircuit, pair every support union
+with every other and intersect scaled symbolic sets.  They share no pairing
+or propagation code with the package: a pair is decided by the
+``pairing_contains_zero`` rule of ``test_hmatroid``, and an entry is forced
+by ``reference_forced_entry``, the earlier four-operation form that
+multiplies by the known entry.  The bitmask construction must synthesize
+the same dual signatures, or raise the same exception with the same message
+and witness, and must give the same (C3) reports, modular pairs and
+``perp_k`` verdicts and witnesses.
 
 The inputs are the battery's 80 family and 10 windowed instances, the
 twisted U_{2,3} of ``test_skew_products`` on both sides, and seeded GF(p)
@@ -26,13 +30,12 @@ import random
 
 import pytest
 
-from hypermat import HElement, HVector, Hyperfield, perp
+from hypermat import HElement, HVector, Hyperfield
 from hypermat.acceptance import AcceptanceContext
 from hypermat.errors import HypermatError, NotAnHMatroidError
 from hypermat.hmatroid import (
     CircuitSignature,
     _align_for_elimination,
-    _forced_entry,
     _other_side,
     check_circuit_axioms,
     dual_signature,
@@ -44,6 +47,7 @@ from hypermat.hmatroid import (
 from hypermat.instances import corrupted_signatures
 from hypermat.matroids import ClassicalMatroid, from_circuits
 
+from test_hmatroid import pairing_contains_zero
 from test_skew_products import H as TWISTED
 from test_skew_products import _u23 as twisted_u23
 
@@ -101,6 +105,13 @@ def uniform_realization(rng, r, n, p) -> list[tuple[int, ...]]:
 # -- the construction before support bitmasks ------------------------------------
 
 
+def reference_forced_entry(H, side, x_e, x_f, y_e):
+    # 0 in x_e*y_e + x_f*y_f pins y_f by uniqueness of negation.
+    if side == "left":
+        return H.mul(H.inv(x_f), H.neg(H.mul(x_e, y_e)))
+    return H.mul(H.neg(H.mul(y_e, x_e)), H.inv(x_f))
+
+
 def reference_dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> CircuitSignature:
     """Synthesize the unique dual signature and certify 3-orthogonality.
 
@@ -133,7 +144,7 @@ def reference_dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature
                 a, b = sorted(meet, key=ground.index)
                 for e, f in ((a, b), (b, a)):
                     if entries[e] is not None and entries[f] is None:
-                        entries[f] = _forced_entry(H, sig.side, rep[e], rep[f], entries[e])
+                        entries[f] = reference_forced_entry(H, sig.side, rep[e], rep[f], entries[e])
                         pending = True
         if any(v is None for v in entries.values()):
             raise NotAnHMatroidError(
@@ -152,7 +163,8 @@ def reference_perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
     """Check X perp Y over representative pairs with support meets of size <= k.
 
     Scaling invariance of orthogonality makes representatives sufficient.
-    k=None means unrestricted (full orthogonality).
+    k=None means unrestricted (full orthogonality).  Each pair is decided by
+    the ``pairing_contains_zero`` rule of the tests, not by ``perp``.
     """
     left, right = (C, D) if C.side == "left" else (D, C)
     right_supports = [y.support for y in right.reps]
@@ -161,7 +173,7 @@ def reference_perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
         for y, y_support in zip(right.reps, right_supports):
             if k is not None and len(x_support & y_support) > k:
                 continue
-            if not perp(x, y):
+            if not pairing_contains_zero(x, y):
                 return False, (x, y)
     return True, None
 

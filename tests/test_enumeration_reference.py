@@ -1,19 +1,21 @@
 """The pruned enumerator and class-level perfection against brute force.
 
 ``reference_vectors_enumerate`` and ``reference_is_perfect`` are the earlier
-``vectors_enumerate`` and ``is_perfect``, kept verbatim as a test-only
-oracle: the first builds an ``HVector`` for every point of the window box
-and tests it against every cocircuit, the second tests every vector against
-every covector in sort order.  The new code must return the same vector
-sets, and the same verdicts and witnesses, on the battery's instances and
-their duals, on the family's single-element minors, on hand-made edge cases
-and on sets with a foreign vector or covector added.
+``vectors_enumerate`` and ``is_perfect``, kept as a test-only oracle: the
+first builds an ``HVector`` for every point of the window box and tests it
+against every cocircuit, the second tests every vector against every
+covector in sort order.  Each pair is decided by ``reference_perp``, the
+``pairing_contains_zero`` rule of ``test_hmatroid``, so no oracle here
+shares the ``PairingFold`` that the code under test decides pairings with.
+The new code must return the same vector sets, and the same verdicts and
+witnesses, on the battery's instances and their duals, on the family's
+single-element minors, on hand-made edge cases and on sets with a foreign
+vector or covector added.
 
-``reference_farkas_vector`` is the earlier ``_farkas_vector``, kept
-verbatim in the same way: it builds an ``HVector`` for every candidate and
-tests it with ``perp``.  The search that replaced it must find the same
-vector, or none, for every partition of every battery instance, strict and
-weak.
+``reference_farkas_vector`` is the earlier ``_farkas_vector``, kept in the
+same way: it builds an ``HVector`` for every candidate and tests it with
+``reference_perp``.  The search that replaced it must find the same vector,
+or none, for every partition of every battery instance, strict and weak.
 
 ``reference_farkas_cocircuit`` is the earlier ``_farkas_cocircuit``, kept
 verbatim: it reads entries by label and decides the G-sum with
@@ -40,6 +42,15 @@ from hypermat.acceptance import AcceptanceContext
 from hypermat.hmatroid import HMatroid
 from hypermat.vectorspace import _farkas_cocircuit, _farkas_vector, check_budget
 
+from test_hmatroid import pairing_contains_zero
+from test_skew_products import _u23 as twisted_u23
+
+
+def reference_perp(M: HMatroid, V: HVector, Y: HVector) -> bool:
+    """``M.vector_perp`` by ``pairing_contains_zero``: the vector on the
+    matroid's side is the left factor of a left matroid's pairing."""
+    return pairing_contains_zero(V, Y) if M.side == "left" else pairing_contains_zero(Y, V)
+
 
 def reference_vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     """All windowed vectors: orthogonal to every cocircuit representative."""
@@ -49,7 +60,7 @@ def reference_vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVect
     out = []
     for combo in itertools.product(cands, repeat=len(M.ground)):
         V = HVector(M.field, M.ground, combo)
-        if all(M.vector_perp(V, Y) for Y in cocircs):
+        if all(reference_perp(M, V, Y) for Y in cocircs):
             out.append(V)
     return frozenset(out)
 
@@ -61,7 +72,7 @@ def reference_is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=N
     us = sorted(us, key=lambda u: u.sort_key())
     for V in sorted(vs, key=lambda v: v.sort_key()):
         for U in us:
-            if not M.vector_perp(V, U):
+            if not reference_perp(M, V, U):
                 return False, (V, U)
     return True, None
 
@@ -84,7 +95,7 @@ def reference_farkas_vector(M, R, G, B, window, weak):
         mapping.update({e: zero for e in B})
         mapping.update(dict(zip(r_order, picks)))
         V = hvector(H, M.ground, mapping)
-        if all(M.vector_perp(V, Y) for Y in cocircs):
+        if all(reference_perp(M, V, Y) for Y in cocircs):
             return V
     return None
 
@@ -168,6 +179,20 @@ def test_same_witness_with_a_foreign_vector_or_covector(battery):
             failing += not got[0]
     # the witness path is exercised, not only the verdict
     assert failing > len(battery)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_same_witness_over_the_twisted_hyperfield(side):
+    """The pairwise witness scan takes the vector as the left factor on the
+    left side and as the right factor on the right side; over a skew
+    product the other order would pick other failing pairs."""
+    M = twisted_u23(side)
+    vs, us = vectors_enumerate(M, 1), vectors_enumerate(M.dual(), 1)
+    rng = random.Random(f"twisted-{side}")
+    for _ in range(6):
+        cases = [(vs | {_foreign(rng, M, 1, vs)}, us), (vs, us | {_foreign(rng, M.dual(), 1, us)})]
+        for vectors, covectors in cases:
+            assert is_perfect(M, 1, vectors, covectors) == reference_is_perfect(M, 1, vectors, covectors)
 
 
 def _loop_and_coloop(H):

@@ -46,6 +46,27 @@ def pairing(X: HVector, Y: HVector):
     return H.hyperadd_multi(products)
 
 
+def pairing_contains_zero(X: HVector, Y: HVector) -> bool:
+    """``pairing(X, Y).contains_zero``, read off the top-grade terms on the
+    graded catalog: at least two of them (Krasner), both signs (sign), or a
+    residue sum divisible by p (field).  A rule of the tests, apart from the
+    ``PairingFold`` that decides every pairing in the package, and faster
+    than the hypersum for the brute-force oracles."""
+    H = X.field
+    if H.kind == "quotient":
+        return pairing(X, Y).contains_zero
+    terms = [H.mul(x, y) for x, y in zip(X.entries, Y.entries) if not (x.is_zero or y.is_zero)]
+    if not terms:
+        return True
+    top = max(t.grade for t in terms)
+    residues = [t.residue for t in terms if t.grade == top]
+    if H.residue_kind == "krasner":
+        return len(residues) >= 2
+    if H.residue_kind == "sign":
+        return 1 in residues and -1 in residues
+    return sum(residues) % H.p == 0
+
+
 # -- vectors -----------------------------------------------------------------
 
 
@@ -93,6 +114,7 @@ def test_perp_agrees_with_pairing_zero_membership():
         for X in vecs:
             for Y in vecs:
                 assert perp(X, Y) == pairing(X, Y).contains_zero
+                assert pairing_contains_zero(X, Y) == pairing(X, Y).contains_zero
 
 
 def test_quotient_pairing_falls_back_to_tables():

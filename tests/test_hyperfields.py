@@ -38,6 +38,16 @@ T1 = Hyperfield.tropical(1)
 SS1 = Hyperfield.stringent("sign", 1)
 SF31 = Hyperfield.stringent("field", 1, p=3)
 
+
+def from_tables(elements, add, mul) -> Hyperfield:
+    """A finite hyperfield from explicit tables; element 0 is zero, 1 the unit.
+
+    Every pair of units needs an entry in both tables; entries with a zero
+    operand may be left out, since nothing reads them.
+    """
+    return Hyperfield("quotient", tables=(tuple(elements), add, mul))
+
+
 STRINGENT_CATALOG = [K, S, Hyperfield.field(2), F3, F5, F7, T1, SS1, SF31]
 
 
@@ -242,7 +252,7 @@ def test_corrupted_table_reports_empty_hypersum():
     }
     mul = {(a, b): a * b for a in elements for b in elements}
     with pytest.raises(InvalidHyperfieldError) as exc:
-        Hyperfield.from_tables(elements, add, mul)
+        from_tables(elements, add, mul)
     assert any(r["check"] == "hypersum-nonempty" for r in exc.value.violations)
 
 
@@ -253,7 +263,7 @@ def test_negatives_ignore_table_entries_with_a_zero_operand():
     add[1, 2] = add[2, 1] = {0}
     add[1, 0] = {0, 1}
     mul = {(a, b): a * b % 3 for a in elements for b in elements}
-    H = Hyperfield.from_tables(elements, add, mul)
+    H = from_tables(elements, add, mul)
     assert H.neg(H.unit(1)) == H.unit(2)
     assert H.neg(H.unit(2)) == H.unit(1)
 
@@ -270,14 +280,14 @@ def test_tables_need_an_entry_for_every_pair_of_units(op):
     elements, add, mul = _gf3_tables()
     del (add if op == "+" else mul)[1, 1]
     with pytest.raises(InvalidHyperfieldError, match=rf"no table entry for 1 \{op} 1"):
-        Hyperfield.from_tables(elements, add, mul)
+        from_tables(elements, add, mul)
 
 
 def test_tables_refuse_an_entry_for_a_label_outside_the_elements():
     elements, add, mul = _gf3_tables()
     add[5, 1] = {1}
     with pytest.raises(InvalidHyperfieldError, match=r"5 \+ 1"):
-        Hyperfield.from_tables(elements, add, mul)
+        from_tables(elements, add, mul)
 
 
 def test_tables_whose_least_unit_label_is_not_one():
@@ -286,7 +296,7 @@ def test_tables_whose_least_unit_label_is_not_one():
     add = {(a, b): {a or b} for a in elements for b in elements}
     add[1, -1] = add[-1, 1] = set(elements)
     mul = {(a, b): a * b for a in elements for b in elements}
-    H = Hyperfield.from_tables(elements, add, mul)
+    H = from_tables(elements, add, mul)
     assert validate_axioms(H) == []
     assert H.one() == HElement(1)
     assert H.is_stringent
@@ -540,7 +550,7 @@ def test_sort_indices_and_tables_match_linear_scans():
     elements, add, mul = Q._elements, dict(Q._add_table), Q._mul_table
     del add[1, 3]
     with pytest.raises(InvalidHyperfieldError, match=r"no table entry for 1 \+ 3"):
-        Hyperfield.from_tables(elements, add, mul)
+        from_tables(elements, add, mul)
 
 
 # -- symbolic sets -----------------------------------------------------------

@@ -17,6 +17,8 @@ from hypermat import Hyperfield, InvalidHyperfieldError, validate_axioms
 from hypermat import hyperfields
 from hypermat.hyperfields import symset
 
+from test_hyperfields import from_tables
+
 
 def reference_validate_axioms(H: Hyperfield, window: int = 4) -> list[dict]:
     """Check (H0)-(H2), commutativity, associativity and (R0)-(R3) on a window.
@@ -134,10 +136,10 @@ def _corrupted(elements, add, mul, rng, edits):
 
 
 def _unchecked(monkeypatch, elements, add, mul):
-    """``Hyperfield.from_tables`` with its construction-time validation off."""
+    """``from_tables`` with its construction-time validation off."""
     with monkeypatch.context() as m:
         m.setattr(hyperfields, "validate_axioms", lambda H, window=4: [])
-        return Hyperfield.from_tables(elements, add, mul)
+        return from_tables(elements, add, mul)
 
 
 @pytest.mark.parametrize("p, subgroup", [(7, [1, 2, 4]), (5, [1]), (7, [1, 6])])
@@ -153,7 +155,7 @@ def test_same_reports_on_corrupted_tables(monkeypatch, p, subgroup):
         if report:
             # construction reports the same list through the error
             with pytest.raises(InvalidHyperfieldError) as exc:
-                Hyperfield.from_tables(elements, bad_add, bad_mul)
+                from_tables(elements, bad_add, bad_mul)
             assert exc.value.violations == report
     # the edits reach most of the axioms, not one of them over and over
     assert len(checks) >= 8, checks

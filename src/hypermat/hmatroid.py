@@ -424,10 +424,6 @@ class HMatroid:
             _other_side(self.side),
         )
 
-    def vector_perp(self, V: HVector, Y: HVector) -> bool:
-        """Orthogonality with the circuit-side vector as left factor."""
-        return perp(V, Y) if self.side == "left" else perp(Y, V)
-
     def delete(self, e: str) -> "HMatroid":
         keep = tuple(g for g in self.ground if g != e)
         vecs = [rep.drop(e) for rep in self.circuits.reps if rep[e].is_zero]

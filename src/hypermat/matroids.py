@@ -3,14 +3,22 @@
 Rank and bases come from exhaustive independence testing (a set is
 independent iff it contains no circuit), which is exact for |E| <= 10.
 ``from_circuits`` fills one dependent-set table (s contains a circuit) for
-circuit elimination and the independent sets; ``_from_bases`` marks basis submasks.
+circuit elimination and the independent sets.
 Includes the painting-style validator and the minimalization construction
 for circuit/cocircuit family pairs.  The subset and painting scans run on
 int bitmasks over ground positions; sets go in and come out as frozensets.
+
+``_from_bases`` and the painting scan work on whole-lattice bitsets, one int
+whose bit t stands for mask t: ``_lattice(n)`` gives the bitsets of the
+supermasks and the submasks of every n-bit mask, built once per n on first
+use.  The independent sets are the OR of the bases' submask bitsets, and a
+painting is covered when its red mask lies in a circuit rest's supermask
+bitset or in the submask bitset of a cocircuit rest's complement.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -34,6 +42,44 @@ def _labels(ground, mask: int) -> frozenset[str]:
 
 def _bits(mask: int) -> list[int]:
     return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _set_bits(bitset: int):
+    """The indices of the set bits, in ascending order."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
+
+
+def _submasks(x: int) -> int:
+    """The bitset of the submasks of x."""
+    down = 1
+    for b in _bits(x):
+        down |= down << b
+    return down
+
+
+# the tables take about 2^(2n) bits, so past this many positions each bitset
+# is computed on lookup instead
+_LATTICE_MAX = 10
+
+
+@functools.cache
+def _lattice(n: int):
+    """``(up, down)`` over n positions: ``up(x)`` and ``down(x)`` are the
+    bitsets of the supermasks and the submasks of the n-bit mask x.  Built
+    once per n, on first use."""
+    full = (1 << n) - 1
+    if n > _LATTICE_MAX:
+        return (lambda x: _submasks(full ^ x) << x), _submasks
+    # the submasks of x are those of x without its top bit b, and the same shifted by b
+    down = [1]
+    for i in range(n):
+        down += [d | d << (1 << i) for d in down]
+    # a supermask of x is x plus a submask of its complement
+    up = [down[full ^ x] << x for x in range(1 << n)]
+    return up.__getitem__, down.__getitem__
 
 
 @dataclass(frozen=True)
@@ -122,12 +168,19 @@ def _from_bases(ground, bases) -> ClassicalMatroid:
     bases = frozenset(frozenset(b) for b in bases)
     rank = len(next(iter(bases)))
     [masks] = _masks(ground, bases)
-    independent = [False] * (1 << len(ground))
+    n = len(ground)
+    up, down = _lattice(n)
+    independent = 0
     for b in masks:
-        _mark_submasks(independent, 0, b)
-    # the minimal dependent sets: dependent, with every one-element deletion independent
-    circuits = frozenset(_labels(ground, s) for s, indep in enumerate(independent)
-                         if not indep and all(independent[s ^ x] for x in _bits(s)))
+        independent |= down(b)
+    # the minimal dependent sets: dependent, with every one-element deletion
+    # independent; for s through x, s ^ x is s - x, so it is independent iff
+    # bit s of independent << x is set
+    full = (1 << n) - 1
+    circuits = ~independent & (1 << full + 1) - 1
+    for x in _bits(full):
+        circuits &= ~up(x) | independent << x
+    circuits = frozenset(_labels(ground, s) for s in _set_bits(circuits))
     return ClassicalMatroid(tuple(ground), circuits, bases, rank)
 
 
@@ -164,8 +217,9 @@ def enumerate_matroids(ground) -> list[ClassicalMatroid]:
 def _painting_violation(ground, C, D):
     """The first (M1) or (M2) violation of the pair, or None.
 
-    Paintings are scanned as bitmasks over ground positions (``_masks``), the
-    red part counting up through the positions other than the green one.
+    Paintings are bitmasks over ground positions (``_masks``), the red part
+    counting up through the positions other than the green one; the first
+    open one is the lowest zero bit of the covered-painting bitset.
     """
     cm, dm = _masks(ground, C, D)
     for c, x in zip(C, cm):
@@ -175,17 +229,26 @@ def _painting_violation(ground, C, D):
                 return {"axiom": "M1", "pair": (sorted(c), sorted(d))}
     # a member outside the ground set has a bit above ``full`` and covers nothing
     full = (1 << len(ground)) - 1
+    rests = full >> 1
     for i, g in enumerate(ground):
         green = 1 << i
-        cg = [x ^ green for x in cm if x & green and x <= full]
-        dg = [y ^ green for y in dm if y & green and y <= full]
-        for bits in range(1 << (len(ground) - 1)):
-            red = bits & (green - 1) | bits >> i << (i + 1)
-            if any(x & red == x for x in cg) or any(not y & red for y in dg):
-                continue
-            blue = full ^ red ^ green
-            return {"axiom": "M2", "green": g, "red": sorted(_labels(ground, red)),
-                    "blue": sorted(_labels(ground, blue))}
+        up, down = _lattice(len(ground) - 1)
+        # the rests of the members through g, compressed to the other positions
+        cg = [x & green - 1 | x >> i + 1 << i for x in cm if x & green and x <= full]
+        dg = [y & green - 1 | y >> i + 1 << i for y in dm if y & green and y <= full]
+        # bit t: the painting with compressed red mask t is covered
+        covered = 0
+        for x in cg:
+            covered |= up(x)
+        for y in dg:
+            covered |= down(rests ^ y)
+        bits = (~covered & covered + 1).bit_length() - 1
+        if bits > rests:
+            continue
+        red = bits & (green - 1) | bits >> i << (i + 1)
+        blue = full ^ red ^ green
+        return {"axiom": "M2", "green": g, "red": sorted(_labels(ground, red)),
+                "blue": sorted(_labels(ground, blue))}
     return None
 
 

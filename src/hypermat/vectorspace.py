@@ -654,6 +654,10 @@ def _farkas_cocircuit(M, R, G, weak):
         # the G-sum pairs Y with 1 on G, and each term x·1 is x itself
         if zero_in_sum(H, on_g):
             continue
+        # the shift to top grade zero on G is the unit 1 when that grade is
+        # already zero, and Y·1 is Y: every rank-0 hit needs no scaling
+        if not any(m_g):
+            return Y
         shift = HElement(one.residue, tuple(-c for c in m_g))
         scaled = Y.scale_right(shift) if M.cocircuits.side == "right" else Y.scale_left(shift)
         return scaled

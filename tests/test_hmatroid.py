@@ -46,6 +46,12 @@ def pairing(X: HVector, Y: HVector):
     return H.hyperadd_multi(products)
 
 
+def vector_perp(M, V: HVector, Y: HVector) -> bool:
+    """``perp`` with the vector on M's side as the left factor of a left
+    matroid's pairing and the right factor of a right one's."""
+    return perp(V, Y) if M.side == "left" else perp(Y, V)
+
+
 def pairing_contains_zero(X: HVector, Y: HVector) -> bool:
     """``pairing(X, Y).contains_zero``, read off the top-grade terms on the
     graded catalog: at least two of them (Krasner), both signs (sign), or a

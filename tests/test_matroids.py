@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hypermat
 from hypermat import (
     Hyperfield,
     InvalidCircuitsError,
@@ -11,6 +17,7 @@ from hypermat import (
     uniform_matroid,
 )
 from hypermat.instances import graded_rescaled
+from hypermat.matroids import _LATTICE_MAX, _lattice
 
 
 def krasner_lift(N):
@@ -116,3 +123,24 @@ def test_repeated_ground_labels_are_refused(check):
     # positions, not labels, name the elements, so a repeated label is ambiguous
     with pytest.raises(InvalidCircuitsError, match="distinct"):
         check()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, _LATTICE_MAX, _LATTICE_MAX + 1])
+def test_lattice_bitsets_by_brute_force(n):
+    """Bit t of ``up(x)`` and ``down(x)`` says t is a supermask and a
+    submask of x, from tables and, past ``_LATTICE_MAX``, computed per lookup."""
+    up, down = _lattice(n)
+    full = (1 << n) - 1
+    for x in sorted({0, full, full >> 1, 0b1011 & full, 1 << n >> 1}):
+        assert up(x) == sum(1 << t for t in range(full + 1) if t & x == x)
+        assert down(x) == sum(1 << t for t in range(full + 1) if t & x == t)
+
+
+def test_import_builds_no_lattice_table():
+    """The lattice tables cost nothing until a matroid needs them."""
+    src = str(Path(hypermat.__file__).resolve().parents[1])
+    code = "import hypermat.cli, hypermat.matroids as m; print(m._lattice.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]

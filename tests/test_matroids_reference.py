@@ -9,7 +9,9 @@ frozenset for every subset and every painting.  The bitmask scans must give
 the same matroids (bases and rank included), the same painting witnesses and
 the same errors and witnesses, on every matroid with at most five elements
 and on seeded perturbations of their families, some with members outside
-the ground set.
+the ground set.  The bitset tables of ``_lattice`` are built per size, so
+the painting scan and ``_from_bases`` are also compared on sums of uniform
+matroids at other sizes, past ``_LATTICE_MAX`` included.
 """
 
 import itertools
@@ -19,11 +21,13 @@ import pytest
 
 from hypermat.errors import InvalidCircuitsError
 from hypermat.matroids import (
+    _LATTICE_MAX,
     ClassicalMatroid,
     _from_bases,
     _painting_violation,
     enumerate_matroids,
     from_circuits,
+    uniform_matroid,
 )
 
 
@@ -150,6 +154,36 @@ def test_same_duals_from_bases(small):
         assert _fields(_from_bases(ground, dual_bases)) == _fields(reference_from_bases(ground, dual_bases))
 
 
+def _ground(n):
+    return tuple(str(i + 1) for i in range(n))
+
+
+def _sums(rng, n, count):
+    """``count`` seeded direct sums U_{a,k} + U_{b,n-k} on n elements."""
+    ground = _ground(n)
+    out = []
+    for _ in range(count):
+        k = rng.randrange(n + 1)
+        a, b = rng.randrange(k + 1), rng.randrange(n - k + 1)
+        circuits = [c for r, part in ((a, ground[:k]), (b, ground[k:]))
+                    for c in itertools.combinations(part, r + 1)]
+        out.append(from_circuits(ground, circuits))
+    return out
+
+
+def test_same_duals_from_bases_on_larger_grounds():
+    rng = random.Random(20261020)
+    matroids = [M for n in (6, 7, 8)
+                for M in [uniform_matroid(r, _ground(n)) for r in range(n + 1)] + _sums(rng, n, 3)]
+    # past _LATTICE_MAX, where each bitset is computed on lookup; sparse
+    # families keep the oracle's subset scan short
+    big = _ground(_LATTICE_MAX + 1)
+    matroids += [uniform_matroid(1, big), uniform_matroid(len(big) - 1, big)]
+    for M in matroids:
+        dual_bases = [frozenset(M.ground) - b for b in M.bases]
+        assert _fields(_from_bases(M.ground, dual_bases)) == _fields(reference_from_bases(M.ground, dual_bases))
+
+
 def _perturbed(rng, ground, C, D):
     """Three seeded perturbations of a (circuits, cocircuits) pair: a random
     subset added to C, one member of D dropped, and about half the members
@@ -176,6 +210,29 @@ def test_same_painting_violations(small):
             cases += 1
     assert cases == 4 * 498
     # passing pairs and both kinds of violation are compared
+    assert seen == {None, "M1", "M2"}
+
+
+def test_same_painting_violations_on_other_sizes():
+    """Seeded cases at |E| = 0, 1, 6 and 7, and sparse ones whose scan reads
+    bitsets over more than ``_LATTICE_MAX`` positions."""
+    rng = random.Random(20261020)
+    seen = set()
+    cases = []
+    for n in (0, 1, 6, 7):
+        ground = _ground(n)
+        for M in [uniform_matroid(r, ground) for r in range(n + 1)] + _sums(rng, n, 3):
+            C, D = sorted(M.circuits, key=sorted), sorted(M.cocircuits(), key=sorted)
+            cases += [(ground, pair) for pair in [(C, D)] + _perturbed(rng, ground, C, D)]
+    cases.append((_ground(0), ([frozenset({"x"})], [frozenset({"x"})])))
+    # parallel pairs: the circuits and the cocircuits are the same pairs
+    ground = _ground(_LATTICE_MAX + 2)
+    pairs = [frozenset(ground[i:i + 2]) for i in range(0, len(ground), 2)]
+    cases += [(ground, (pairs, pairs)), (ground, (pairs, pairs[:2] + pairs[3:]))]
+    for ground, pair in cases:
+        got = _painting_violation(ground, *pair)
+        assert got == reference_painting_violation(ground, *pair), (ground, pair)
+        seen.add(got and got["axiom"])
     assert seen == {None, "M1", "M2"}
 
 

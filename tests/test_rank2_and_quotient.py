@@ -18,7 +18,7 @@ from hypermat import (
     vectors_enumerate,
 )
 
-from test_hmatroid import pairing
+from test_hmatroid import pairing, vector_perp
 
 G3 = ("1", "2", "3")
 
@@ -59,7 +59,7 @@ def test_rank2_vector_window():
     X = hvector(T2, G3, {"1": u(1, (0, 0)), "2": u(1, (0, 0)), "3": u(1, (0, 0))})
     M = hmatroid_from_circuits(T2, G3, [X])
     vs = vectors_enumerate(M, 1)
-    assert all(all(M.vector_perp(v, y) for y in M.cocircuits.reps) for v in vs)
+    assert all(all(vector_perp(M, v, y) for y in M.cocircuits.reps) for v in vs)
     # corank 1: the nine box scalings of the flat circuit, plus zero
     assert len(vs) == 10
 

@@ -26,7 +26,7 @@ from hypermat import (
     vectors_enumerate,
 )
 
-from test_hmatroid import pairing
+from test_hmatroid import pairing, vector_perp
 
 G3 = ("1", "2", "3")
 
@@ -89,7 +89,7 @@ def _u23(side):
 def _brute_force_vectors(M, window):
     box = H.elements_box(window)
     points = (HVector(H, G3, entries) for entries in itertools.product(box, repeat=len(G3)))
-    return frozenset(V for V in points if all(M.vector_perp(V, D) for D in M.cocircuits.reps))
+    return frozenset(V for V in points if all(vector_perp(M, V, D) for D in M.cocircuits.reps))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

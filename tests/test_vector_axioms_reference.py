@@ -47,6 +47,7 @@ from hypermat.vectorspace import (
     _vector_hypersum,
     _within_box,
 )
+from test_hmatroid import vector_perp
 from test_skew_products import _u23
 
 
@@ -142,7 +143,7 @@ def _reference_v3_eliminant_exists(vectors, V, W, e, window, recon, slack) -> bo
         for i, val in zip(free, picks):
             entries[i] = val
         Z = HVector(H, ground, tuple(entries))
-        if not all(recon.vector_perp(Z, Y) for Y in recon.cocircuits.reps):
+        if not all(vector_perp(recon, Z, Y) for Y in recon.cocircuits.reps):
             continue
         return not _within_box(Z, window)
     return False

@@ -31,7 +31,7 @@ from hypermat.instances import graded_rescaled, u23, windowed_instances
 from hypermat.jsonio import dumps, hmatroid_to_json
 from hypermat.vectorspace import _classes_orthogonal, _grade_spread, _vector_hypersum, check_budget
 
-from test_hmatroid import pairing
+from test_hmatroid import pairing, vector_perp
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
@@ -187,11 +187,11 @@ def test_imperfect_negative_control(sign):
     M1 = hmatroid_from_circuits(sign, G3, [hvector(sign, G3, {"1": one, "2": one, "3": one})])
     vs = vectors_enumerate(M1)
     us = covectors_enumerate(M1)
-    assert all(M1.vector_perp(v, u) for v in vs for u in us)
+    assert all(vector_perp(M1, v, u) for v in vs for u in us)
     probe = hvector(sign, G3, {"1": one})
     ok, witness = is_perfect(M1, 0, vectors=vs, covectors=frozenset({probe}))
     assert not ok
-    assert witness[1] == probe and not M1.vector_perp(witness[0], probe)
+    assert witness[1] == probe and not vector_perp(M1, witness[0], probe)
 
 
 def test_perfection_refuses_vectors_over_another_ground(u23_sign, sign):
@@ -422,7 +422,7 @@ def test_singleton_hypersums_of_vectors_are_vectors(u24_sign, stringent_sign_u23
             for W in vs:
                 total = _vector_hypersum((V, W))
                 if total is not None:
-                    assert all(M.vector_perp(total, Y) for Y in M.cocircuits.reps)
+                    assert all(vector_perp(M, total, Y) for Y in M.cocircuits.reps)
 
 
 # -- elimination and decomposition -----------------------------------------------
@@ -543,7 +543,7 @@ def test_decompose_graded_vectors_back_to_themselves(M):
 def test_decompose_rejects_non_vector(u24_sign, sign):
     one = sign.one()
     fake = hvector(sign, G4, {"1": one})
-    assert not all(u24_sign.vector_perp(fake, Y) for Y in u24_sign.cocircuits.reps)
+    assert not all(vector_perp(u24_sign, fake, Y) for Y in u24_sign.cocircuits.reps)
     assert fake not in vectors_enumerate(u24_sign, 0)
     assert circuit_decomposition(u24_sign, fake) is None
 

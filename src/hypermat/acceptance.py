@@ -291,12 +291,12 @@ def criterion_8(ctx) -> CheckRecord:
     for name, M in ctx.family() + ctx.windowed():
         w = ctx.instance_window(M)
         vs = ctx.vectors(M, w)
-        report = check_vector_axioms(vs, w, M.side, M)
+        report = check_vector_axioms(vs, w, M)
         if report:
             failures.append({"instance": name, "axioms": report[:2]})
             continue
         try:
-            rec = reconstruct_from_vectors(vs, side=M.side)
+            rec = reconstruct_from_vectors(vs)
         except HypermatError as exc:
             failures.append({"instance": name, "error": str(exc)})
             continue

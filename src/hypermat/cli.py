@@ -256,7 +256,7 @@ def _strong_duality(M):
 def _check_records(window, H, ground, vecs, side):
     """The records of ``matroid check``, one per step of the construction,
     and the matroid's JSON when every step that builds it passes."""
-    record, sig = _timed("signature (C0)-(C2)", window, signature_from_vectors, H, ground, vecs, side)
+    record, sig = _timed("signature (C0)-(C2)", window, signature_from_vectors, H, ground, vecs)
     checks = [record]
     if sig is None:
         return checks, None
@@ -289,6 +289,7 @@ def cmd_matroid(args) -> int:
         checks, result = _check_records(window, H, ground, vecs, side)
         return _emit(_report("matroid check", window, checks, result), args.out)
     M = hmatroid_from_circuits(H, ground, vecs, side)
+    # a result matroid keeps the document's side label; only dual flips it
     checks = []
     result = None
     if verb == "dual":
@@ -299,7 +300,7 @@ def cmd_matroid(args) -> int:
         if e not in M.ground:
             raise SpecError(f"unknown element {e!r}")
         out = M.delete(e) if args.delete else M.contract(e)
-        result = jsonio.hmatroid_to_json(out)
+        result = jsonio.hmatroid_to_json(dataclasses.replace(out, side=side))
         checks.append(CheckRecord("minor", "pass", None, window=window))
     elif verb == "rescale":
         rho = {
@@ -307,14 +308,14 @@ def cmd_matroid(args) -> int:
             for e, v in _json_object("--rho", args.rho).items()
         }
         try:
-            result = jsonio.hmatroid_to_json(M.rescale(rho))
+            result = jsonio.hmatroid_to_json(dataclasses.replace(M.rescale(rho), side=side))
         except InvalidInputError as exc:
             raise SpecError(f"--rho: {exc}") from exc
         checks.append(CheckRecord("rescale", "pass", None, window=window))
     elif verb == "residue":
         record, R = _timed("residue construction", window, M.residue_matroid)
         checks.append(record)
-        result = None if R is None else jsonio.hmatroid_to_json(R)
+        result = None if R is None else jsonio.hmatroid_to_json(dataclasses.replace(R, side=side))
     elif verb == "vectors":
         check_budget(M.field, M.ground, window)
         vs = vectors_enumerate(M, window) if args.enumerate else vectors_generate(M, window)
@@ -334,7 +335,7 @@ def cmd_matroid(args) -> int:
     elif verb == "vector-axioms":
         check_budget(M.field, M.ground, window)
         def run():
-            report = check_vector_axioms(vectors_enumerate(M, window), window, M.side, M)
+            report = check_vector_axioms(vectors_enumerate(M, window), window, M)
             if report:
                 raise HypermatError(f"vector axioms fail: {len(report)} violations")
         checks.append(_timed("vector-axioms", window, run)[0])
@@ -342,7 +343,7 @@ def cmd_matroid(args) -> int:
         hom = valuation_map(M.field) if args.hom == "valuation" else sign_map(M.field)
         record, image = _timed("pushforward", window, M.push_forward, hom)
         checks.append(record)
-        result = None if image is None else jsonio.hmatroid_to_json(image)
+        result = None if image is None else jsonio.hmatroid_to_json(dataclasses.replace(image, side=side))
     else:  # farkas
         parts = _json_object("--partition", args.partition)
         if not all(isinstance(v, list) and all(isinstance(e, str) for e in v) for v in parts.values()):

@@ -1,10 +1,15 @@
 """Matroids over skew hyperfields: signatures, duality, minors, residues.
 
-A circuit signature stores one normalized representative per projective
-class (the first nonzero entry in ground order is scaled to 1, on the
-signature's side).  Construction synthesizes the cocircuit signature by
-propagating orthogonality constraints along circuits meeting each cocircuit
-in two elements, then certifies 3-orthogonality of the two signatures; a
+Every H-matroid is a left matroid over H: a circuit signature stores one
+representative per class of left scalings a·X, scaled from the left so its
+first nonzero entry in ground order is 1.  The cocircuits are the circuits
+of the dual, a left matroid over H^op (``Hyperfield.op``), and a pairing
+takes the vector entry as the left factor, X_e·Y_e by ``H.mul``.  A right
+H-matroid is the left H^op-matroid with the same circuits.
+
+Construction synthesizes the cocircuit signature by propagating
+orthogonality constraints along circuits meeting each cocircuit in two
+elements, then certifies 3-orthogonality of the two signatures; a
 signature passes iff it is a matroid over the hyperfield.  Input vectors are
 validated once, in ``signature_from_vectors``; the synthesized cocircuit
 signature is built, not re-checked.
@@ -13,7 +18,7 @@ signature is built, not re-checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 
 from .errors import (
     DomainMismatchError,
@@ -54,10 +59,6 @@ class HVector:
     def scale_left(self, a: HElement) -> "HVector":
         H = self.field
         return HVector(H, self.ground, tuple(H.mul(a, x) for x in self.entries))
-
-    def scale_right(self, a: HElement) -> "HVector":
-        H = self.field
-        return HVector(H, self.ground, tuple(H.mul(x, a) for x in self.entries))
 
     def drop(self, e: str) -> "HVector":
         kept = [i for i, g in enumerate(self.ground) if g != e]
@@ -107,17 +108,18 @@ def zero_vector(field: Hyperfield, ground) -> HVector:
     return HVector(field, ground, (field.zero(),) * len(ground))
 
 
-def _check_compatible(X: HVector, Y: HVector):
-    if X.field != Y.field or X.ground != Y.ground:
+def _check_compatible(X, Y):
+    """X pairs with Y: Y lives over the opposite of X's hyperfield, on X's ground."""
+    if Y.field != X.field.op() or X.ground != Y.ground:
         raise DomainMismatchError("vectors live over different hyperfields or grounds")
 
 
 def perp(X: HVector, Y: HVector) -> bool:
-    """True iff 0 lies in the pairing of X (left factor) and Y.
+    """True iff 0 lies in the pairing of X (left factor) and Y (over H^op).
 
     Decided by a ``PairingFold`` over the meet of the supports, as every
     pairing in the package is.  Each term is ``Hyperfield.mul(x, y)``, so
-    the pairing reads the hyperfield's own product, commutative or not.
+    the pairing reads X's hyperfield's own product, commutative or not.
     """
     _check_compatible(X, Y)
     meet = _support_mask(X) & _support_mask(Y)
@@ -250,7 +252,6 @@ class CircuitSignature:
 
     field: Hyperfield
     ground: tuple[str, ...]
-    side: str  # "left" | "right"
     reps: tuple[HVector, ...]
 
     @property
@@ -261,24 +262,20 @@ class CircuitSignature:
         return {v.support: v for v in self.reps}
 
     def scalings(self, window: int) -> list[HVector]:
-        """All scalings of the representatives with scalar grades in the window box."""
+        """All left scalings of the representatives with scalar grades in the window box."""
         units = self.field.units_box(window)
-        if self.side == "left":
-            return [rep.scale_left(a) for rep in self.reps for a in units]
-        return [rep.scale_right(a) for rep in self.reps for a in units]
+        return [rep.scale_left(a) for rep in self.reps for a in units]
 
 
-def normalize_vector(vec: HVector, side: str) -> HVector:
-    """Scale so the first nonzero entry in ground order becomes 1."""
-    H = vec.field
+def normalize_vector(vec: HVector) -> HVector:
+    """Scale from the left so the first nonzero entry in ground order becomes 1."""
     for x in vec.entries:
         if not x.is_zero:
-            a = H.inv(x)
-            return vec.scale_left(a) if side == "left" else vec.scale_right(a)
+            return vec.scale_left(vec.field.inv(x))
     raise InvalidSignatureError("cannot normalize the zero vector")
 
 
-def signature_from_vectors(field, ground, vectors, side="left") -> CircuitSignature:
+def signature_from_vectors(field, ground, vectors) -> CircuitSignature:
     """Validate (C0) and (C2) and store normalized class representatives.
 
     This is where circuit vectors enter a matroid, so every entry is checked
@@ -293,7 +290,7 @@ def signature_from_vectors(field, ground, vectors, side="left") -> CircuitSignat
             raise DomainMismatchError(f"signature vector {v!r} has an entry outside {field!r}")
         if v.is_zero:
             raise InvalidSignatureError("(C0) fails: zero vector in signature", witness=v)
-        rep = normalize_vector(v, side)
+        rep = normalize_vector(v)
         old = by_support.get(rep.support)
         if old is not None and old != rep:
             raise InvalidSignatureError(
@@ -307,11 +304,7 @@ def signature_from_vectors(field, ground, vectors, side="left") -> CircuitSignat
                 "(C2) fails: comparable supports", witness=(sorted(s), sorted(t))
             )
     reps = tuple(sorted(by_support.values(), key=lambda v: v.sort_key()))
-    return CircuitSignature(field, ground, side, reps)
-
-
-def _other_side(side: str) -> str:
-    return "right" if side == "left" else "left"
+    return CircuitSignature(field, ground, reps)
 
 
 def _support_mask(vec: HVector) -> int:
@@ -326,20 +319,21 @@ def _positions(mask: int) -> list[int]:
 def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> CircuitSignature:
     """Synthesize the unique dual signature and certify 3-orthogonality.
 
-    For each cocircuit D of the underlying matroid, the entry at the least
-    element is set to 1, and each other entry f is forced from it by the
-    first circuit, in signature order, that meets D in exactly
-    {least(D), f} (found on support bitmasks).  Such a circuit exists for
-    each f in D (a matroid fact), so every entry is assigned when the
-    signature's supports are the circuits of ``underlying``, as on every
-    call in the package; an unassigned entry means they differ.  The other
+    The dual lives over H^op.  For each cocircuit D of the underlying
+    matroid, the entry at the least element e is set to 1, and each other
+    entry f is forced by the first circuit X, in signature order, that
+    meets D in exactly {e, f} (found on support bitmasks): y_f = x_f⁻¹·(−x_e),
+    by uniqueness of negation.  Such a circuit exists for each f in D (a
+    matroid fact), so every entry is assigned when the signature's supports
+    are the circuits of ``underlying``, as on every call in the package; an
+    unassigned entry means they differ.  The other
     meets are checked by 3-orthogonality, whose failure means the signature
     is not a matroid over the hyperfield.  Forced entries are products of
     units, so the supports are exactly the (distinct, incomparable)
     cocircuits and the output needs no revalidation, nor normalization (its
     least entry is 1).
     """
-    H = sig.field
+    H, Hop = sig.field, sig.field.op()
     ground = sig.ground
     circuits = [(rep.entries, _support_mask(rep)) for rep in sig.reps]
     duals = []
@@ -354,43 +348,34 @@ def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> Circu
             if m & least and m.bit_count() == 2:
                 f = (m ^ least).bit_length() - 1
                 if y[f] is None:
-                    y[f] = _forced_entry(H, sig.side, x[e], x[f])
+                    y[f] = H.mul(H.inv(x[f]), H.neg(x[e]))
         if any(v is None for v in y):
             raise NotAnHMatroidError(
                 "cocircuit propagation leaves entries unassigned", witness=sorted(D)
             )
-        duals.append(HVector(H, ground, tuple(y)))
-    out_side = _other_side(sig.side)
-    dual_sig = CircuitSignature(H, ground, out_side, tuple(sorted(duals, key=HVector.sort_key)))
+        duals.append(HVector(Hop, ground, tuple(y)))
+    dual_sig = CircuitSignature(Hop, ground, tuple(sorted(duals, key=HVector.sort_key)))
     ok, witness = perp_k(sig, dual_sig, 3)
     if not ok:
         raise NotAnHMatroidError("3-orthogonality fails; not a matroid over H", witness=witness)
     return dual_sig
 
 
-def _forced_entry(H, side, x_e, x_f):
-    # y_e = 1, and 0 in x_e*y_e + x_f*y_f (y*x on the right) pins y_f by
-    # uniqueness of negation.
-    if side == "left":
-        return H.mul(H.inv(x_f), H.neg(x_e))
-    return H.mul(H.neg(x_e), H.inv(x_f))
-
-
 def perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
     """Check X perp Y over representative pairs with support meets of size <= k.
 
     Scaling invariance of orthogonality makes representatives sufficient.
-    k=None means unrestricted (full orthogonality).  Hyperfield and ground
-    are checked once, and each pair is decided on its nonempty meet, by one
-    ``PairingFold`` for the call.
+    k=None means unrestricted (full orthogonality).  D lives over H^op and C's
+    entries are the left factors; the witness is the first failing pair (x
+    in C, y in D).  Hyperfield and ground are checked once, and each pair is
+    decided on its nonempty meet, by one ``PairingFold`` for the call.
     """
-    left, right = (C, D) if C.side == "left" else (D, C)
-    _check_compatible(left, right)
-    pairs_to_zero = PairingFold(left.field).pairs_to_zero
-    rights = [(y, y.entries, _support_mask(y)) for y in right.reps]
-    for x in left.reps:
+    _check_compatible(C, D)
+    pairs_to_zero = PairingFold(C.field).pairs_to_zero
+    ys_of = [(y, y.entries, _support_mask(y)) for y in D.reps]
+    for x in C.reps:
         xs, x_mask = x.entries, _support_mask(x)
-        for y, ys, y_mask in rights:
+        for y, ys, y_mask in ys_of:
             meet = x_mask & y_mask
             if not meet or k is not None and meet.bit_count() > k:
                 continue
@@ -401,33 +386,39 @@ def perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
 
 @dataclass(frozen=True)
 class HMatroid:
-    """Circuit and synthesized cocircuit signatures over a shared hyperfield."""
+    """A left matroid over ``field``, with its cocircuits over ``field.op()``.
+
+    ``side`` labels the JSON form and plays no part in equality: a right
+    H-matroid is the left H^op-matroid labelled "right".  Only ``dual``
+    keeps it (flipped); the other operations label their result "left".
+    """
 
     field: Hyperfield
     ground: tuple[str, ...]
     circuits: CircuitSignature
     cocircuits: CircuitSignature
     underlying: ClassicalMatroid
-    side: str = "left"
+    side: str = _field(default="left", compare=False)
 
     @property
     def corank(self) -> int:
         return self.underlying.corank
 
     def dual(self) -> "HMatroid":
+        """The left H^op-matroid whose circuits are these cocircuits."""
         return HMatroid(
-            self.field,
+            self.field.op(),
             self.ground,
             self.cocircuits,
             self.circuits,
             self.underlying.dual(),
-            _other_side(self.side),
+            "right" if self.side == "left" else "left",
         )
 
     def delete(self, e: str) -> "HMatroid":
         keep = tuple(g for g in self.ground if g != e)
         vecs = [rep.drop(e) for rep in self.circuits.reps if rep[e].is_zero]
-        return hmatroid_from_circuits(self.field, keep, vecs, self.side)
+        return hmatroid_from_circuits(self.field, keep, vecs)
 
     def contract(self, e: str) -> "HMatroid":
         keep = tuple(g for g in self.ground if g != e)
@@ -435,11 +426,12 @@ class HMatroid:
         traces = [t for t in traces if not t.is_zero]
         sups = [t.support for t in traces]
         minimal = [t for t in traces if not any(s < t.support for s in sups)]
-        return hmatroid_from_circuits(self.field, keep, minimal, self.side)
+        return hmatroid_from_circuits(self.field, keep, minimal)
 
     def rescale(self, rho: dict[str, HElement]) -> "HMatroid":
-        """Circuits pick up rho^{-1} on the circuit side, cocircuits pick up rho;
-        entries for labels outside the ground set are refused, not dropped."""
+        """Circuit entries X_e become X_e·rho_e⁻¹ (cocircuits then pick up
+        rho_e on the left); entries for labels outside the ground set are
+        refused, not dropped."""
         H = self.field
         stray = set(rho).difference(self.ground)
         if stray:
@@ -451,12 +443,9 @@ class HMatroid:
                 raise InvalidInputError("scaling vector must be nonzero everywhere")
         inv = {e: H.inv(rho[e]) for e in self.ground}
 
-        def scaled(vec):
-            if self.side == "left":
-                return HVector(H, vec.ground, tuple(H.mul(x, inv[e]) for e, x in zip(vec.ground, vec.entries)))
-            return HVector(H, vec.ground, tuple(H.mul(inv[e], x) for e, x in zip(vec.ground, vec.entries)))
-
-        return hmatroid_from_circuits(self.field, self.ground, [scaled(r) for r in self.circuits.reps], self.side)
+        scaled = [HVector(H, r.ground, tuple(H.mul(x, inv[e]) for e, x in zip(r.ground, r.entries)))
+                  for r in self.circuits.reps]
+        return hmatroid_from_circuits(self.field, self.ground, scaled)
 
     def push_forward(self, f: Homomorphism) -> "HMatroid":
         """Image matroid over the codomain; the output is revalidated."""
@@ -464,7 +453,7 @@ class HMatroid:
             raise DomainMismatchError("homomorphism domain differs from the matroid's hyperfield")
         K = f.codomain
         vecs = [HVector(K, self.ground, tuple(f.apply(x) for x in rep.entries)) for rep in self.circuits.reps]
-        return hmatroid_from_circuits(K, self.ground, vecs, self.side)
+        return hmatroid_from_circuits(K, self.ground, vecs)
 
     def residue_matroid(self) -> "HMatroid":
         return residue_matroid(self)
@@ -475,8 +464,9 @@ class HMatroid:
 
 
 def hmatroid_from_circuits(field, ground, circuit_vectors, side="left") -> HMatroid:
-    """Validated construction: signature axioms, underlying matroid, duality."""
-    sig = signature_from_vectors(field, ground, circuit_vectors, side)
+    """Validated construction: signature axioms, underlying matroid, duality.
+    ``side`` is a label: a right H-matroid is built from circuits over ``H.op()``."""
+    sig = signature_from_vectors(field, ground, circuit_vectors)
     underlying = from_circuits(ground, sig.supports)
     cocirc = dual_signature(underlying, sig)
     return HMatroid(field, tuple(ground), sig, cocirc, underlying, side)
@@ -514,33 +504,27 @@ def check_circuit_axioms(sig: CircuitSignature) -> list[dict]:
         X = by_support[s1]
         Yhat = by_support[s2]
         for e in sorted(s1 & s2):
-            Y = _align_for_elimination(H, sig.side, X, Yhat, e)
-            if not _elimination_exists(H, sig.side, circuits, X, Y, e):
+            Y = _align_for_elimination(H, X, Yhat, e)
+            if not _elimination_exists(H, circuits, X, Y, e):
                 report.append(
                     {"check": "C3", "witness": {"X": X, "Y": Y, "e": e}}
                 )
     return report
 
 
-def _align_for_elimination(H, side, X, Yhat, e):
-    """Scale Yhat so the entries at e are negatives of each other."""
-    target = H.neg(X[e])
-    if side == "left":
-        beta = H.mul(target, H.inv(Yhat[e]))
-        return Yhat.scale_left(beta)
-    beta = H.mul(H.inv(Yhat[e]), target)
-    return Yhat.scale_right(beta)
+def _align_for_elimination(H, X, Yhat, e):
+    """Scale Yhat from the left so the entries at e are negatives of each other."""
+    return Yhat.scale_left(H.mul(H.neg(X[e]), H.inv(Yhat[e])))
 
 
-def _elimination_exists(H, side, circuits, X: HVector, Y: HVector, e: str) -> bool:
+def _elimination_exists(H, circuits, X: HVector, Y: HVector, e: str) -> bool:
     """Is there a circuit Z with Z_e = 0 lying pointwise in X + Y?
 
     ``circuits`` holds ``(Z, support bitmask)`` pairs.  A finite hypersum
     at Z's first support element fixes the candidate scalars gamma, each
-    tested by membership gamma*Z_f in X_f + Y_f (Z_f*gamma on the right) at
-    the others; only a first hypersum with a down-set is intersected.
+    tested by membership gamma*Z_f in X_f + Y_f at the others; only a first
+    hypersum with a down-set is intersected.
     """
-    times = H.mul if side == "left" else lambda a, b: H.mul(b, a)
     union = _support_mask(X) | _support_mask(Y)
     sums = {f: H.hyperadd(X.entries[f], Y.entries[f]) for f in _positions(union)}
     e_bit = 1 << X.ground.index(e)
@@ -552,16 +536,13 @@ def _elimination_exists(H, side, circuits, X: HVector, Y: HVector, e: str) -> bo
         z = Z.entries
         if sums[first].below is None:
             z_inv = H.inv(z[first])
-            gammas = (times(s, z_inv) for s in sums[first].explicit if not s.is_zero)
-            if any(all(times(g, z[f]) in sums[f] for f in rest) for g in gammas):
+            gammas = (H.mul(s, z_inv) for s in sums[first].explicit if not s.is_zero)
+            if any(all(H.mul(g, z[f]) in sums[f] for f in rest) for g in gammas):
                 return True
             continue
         gamma = None
         for f in (first, *rest):
-            if side == "left":
-                cand = sums[f].scale_right(H.inv(z[f]))
-            else:
-                cand = sums[f].scale_left(H.inv(z[f]))
+            cand = sums[f].scale_right(H.inv(z[f]))
             gamma = cand if gamma is None else gamma.intersect(cand)
             if gamma.is_empty():
                 break
@@ -591,7 +572,7 @@ def check_c3prime(sig: CircuitSignature) -> list[dict]:
             X = by_support[s1]
             Yhat = by_support[s2]
             for e in sorted(s1 & s2):
-                Y = _align_for_elimination(H, sig.side, X, Yhat, e)
+                Y = _align_for_elimination(H, X, Yhat, e)
                 for f in sorted(s1):
                     if not _val_lt(Y[f], X[f]):
                         continue
@@ -613,28 +594,18 @@ def _val_lt(a: HElement, b: HElement) -> bool:
 
 def _c3prime_witness(sig, X, Y, e, f, tropical) -> bool:
     H = sig.field
+
+    def fits(z, g):
+        comp = H.compose(X[g], Y[g])
+        if tropical:
+            return z.is_zero or (not comp.is_zero and z.grade <= comp.grade)
+        return _val_lt(z, comp) or z in H.hyperadd(X[g], Y[g])
+
     for Zhat in sig.reps:
-        zsup = Zhat.support
-        if e in zsup or f not in zsup:
+        if e in Zhat.support or f not in Zhat.support:
             continue
-        if sig.side == "left":
-            gamma = H.mul(X[f], H.inv(Zhat[f]))
-            Z = Zhat.scale_left(gamma)
-        else:
-            gamma = H.mul(H.inv(Zhat[f]), X[f])
-            Z = Zhat.scale_right(gamma)
-        ok = True
-        for g in sig.ground:
-            comp = H.compose(X[g], Y[g])
-            if tropical:
-                if not (Z[g].is_zero or (not comp.is_zero and Z[g].grade <= comp.grade)):
-                    ok = False
-                    break
-            else:
-                if not (_val_lt(Z[g], comp) or Z[g] in H.hyperadd(X[g], Y[g])):
-                    ok = False
-                    break
-        if ok:
+        Z = Zhat.scale_left(H.mul(X[f], H.inv(Zhat[f])))
+        if all(fits(Z[g], g) for g in sig.ground):
             return True
     return False
 
@@ -643,13 +614,7 @@ def _c3prime_witness(sig, X, Y, e, f, tropical) -> bool:
 
 
 def _to_residue_vector(vec: HVector, R: Hyperfield) -> HVector:
-    entries = []
-    for x in vec.entries:
-        if x.is_zero:
-            entries.append(R.zero())
-        else:
-            entries.append(HElement(x.residue, ()))
-    return HVector(R, vec.ground, tuple(entries))
+    return HVector(R, vec.ground, tuple(R.zero() if x.is_zero else HElement(x.residue, ()) for x in vec.entries))
 
 
 def _residue_classes(sig: CircuitSignature, R: Hyperfield):
@@ -659,8 +624,7 @@ def _residue_classes(sig: CircuitSignature, R: Hyperfield):
     for rep in sig.reps:
         top = rep.max_grade()
         shift = HElement(H.one().residue, tuple(-t for t in top))
-        scaled = rep.scale_left(shift) if sig.side == "left" else rep.scale_right(shift)
-        flattened.append(scaled.uparrow())
+        flattened.append(rep.scale_left(shift).uparrow())
     sups = [v.support for v in flattened]
     minimal = [v for v in flattened if not any(s < v.support for s in sups)]
     return [_to_residue_vector(v, R) for v in minimal]
@@ -678,9 +642,9 @@ def residue_matroid(M: HMatroid) -> HMatroid:
         raise UnsupportedOperationError("residue matroid needs a graded catalog hyperfield")
     R = H.residue_field()
     circ0 = _residue_classes(M.circuits, R)
-    M0 = hmatroid_from_circuits(R, M.ground, circ0, M.side)
-    cocirc0 = _residue_classes(M.cocircuits, R)
-    expected = signature_from_vectors(R, M.ground, cocirc0, M.cocircuits.side)
+    M0 = hmatroid_from_circuits(R, M.ground, circ0)
+    cocirc0 = _residue_classes(M.cocircuits, R.op())
+    expected = signature_from_vectors(R.op(), M.ground, cocirc0)
     if expected != M0.cocircuits:
         raise TheoremViolationError(
             "residue cocircuits disagree with the synthesized dual signature",

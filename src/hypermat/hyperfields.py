@@ -145,6 +145,7 @@ class Hyperfield:
         "_neg",
         "_inv",
         "_stringent",
+        "_op",
         "_descriptor",
         "_hash",
     )
@@ -174,6 +175,7 @@ class Hyperfield:
         self._add = None
         self._mul = None
         self._stringent = None
+        self._op = None
         # A GF(p) residue r sorts at r - 1 (residue_sort_index): its units
         # stay a range, so membership and index are O(1) in p.  The other
         # unit sets are small enough to index outright.
@@ -320,6 +322,19 @@ class Hyperfield:
         if self._stringent is None:
             self._stringent = check_stringent(self)[0]
         return self._stringent
+
+    def op(self) -> "Hyperfield":
+        """H^op: the same sums, with a·b read as b·a.  A commutative H is its
+        own opposite; a table H with an asymmetric product gets the
+        transposed table, built once."""
+        if self._op is None:
+            mul = self._mul_table if self.kind == "quotient" else {}
+            self._op = self
+            if any(mul.get((b, a)) != v for (a, b), v in mul.items()):
+                flipped = {(b, a): v for (a, b), v in mul.items()}
+                self._op = Hyperfield("quotient", tables=(self._elements, self._add_table, flipped))
+                self._op._op = self
+        return self._op
 
     def residue_field(self) -> "Hyperfield":
         """The residue: the rank-0 hyperfield of grade-zero units plus zero."""

@@ -104,8 +104,7 @@ def _eliminates(vecs, test) -> bool:
     i, j, e, inside = test
     X = vecs[i]
     circuits = [(vecs[k], _support_mask(vecs[k])) for k in inside]
-    return _elimination_exists(X.field, "left", circuits, X,
-                               _align_for_elimination(X.field, "left", X, vecs[j], e), e)
+    return _elimination_exists(X.field, circuits, X, _align_for_elimination(X.field, X, vecs[j], e), e)
 
 
 def graded_rescaled(field: Hyperfield, matroid: ClassicalMatroid, weights: dict[str, int],

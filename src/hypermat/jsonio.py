@@ -155,9 +155,10 @@ def hvector_from_json(H: Hyperfield, ground, entries, path="$") -> HVector:
 
 
 def hmatroid_to_json(M: HMatroid) -> dict:
+    """M's document; a right-labelled M is written over the opposite of its field."""
     return {
         "schema": SCHEMA,
-        "hyperfield": hyperfield_to_json(M.field),
+        "hyperfield": hyperfield_to_json(M.field.op() if M.side == "right" else M.field),
         "ground": list(M.ground),
         "side": M.side,
         "circuits": hvectors_to_json(M.circuits.reps),
@@ -168,7 +169,8 @@ def hmatroid_to_json(M: HMatroid) -> dict:
 
 
 def hmatroid_parts_from_json(d, path="$"):
-    """``(H, ground, circuit vectors, side)`` of an H-matroid document.
+    """``(H, ground, circuit vectors, side)`` of an H-matroid document; a
+    right matroid is read as the left one over H^op, so H is the opposite.
 
     Every shape check of the document is made here; the circuit axioms are
     left to ``hmatroid_from_circuits`` or to a step-by-step check.
@@ -183,6 +185,8 @@ def hmatroid_parts_from_json(d, path="$"):
     side = d.get("side", "left")
     if side not in ("left", "right"):
         raise SpecError(f"{path}.side: expected 'left' or 'right'")
+    if side == "right":
+        H = H.op()
     vecs = [
         hvector_from_json(H, ground, entry, f"{path}.circuits[{i}]")
         for i, entry in enumerate(circuits)

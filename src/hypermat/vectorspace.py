@@ -33,7 +33,6 @@ from .hmatroid import (
     HMatroid,
     HVector,
     PairingFold,
-    _other_side,
     _support_mask,
     hmatroid_from_circuits,
     normalize_vector,
@@ -78,7 +77,7 @@ def _orthogonal_points(M: HMatroid, domains, order):
     its support is assigned, and only the candidates that close it to a
     pairing containing zero are visited there.  The pairing is decided by a
     ``PairingFold`` over the codes of the ``H.mul`` products (the vector
-    entry on the matroid's side; a zero product adds no term): at each node,
+    entry is the left factor; a zero product adds no term): at each node,
     the terms of a due cocircuit's other support coordinates are folded into
     a state, and the passing candidates of the closing coordinate, ascending,
     are looked up per tuple of due states in a memo kept for the call.  A
@@ -92,7 +91,6 @@ def _orthogonal_points(M: HMatroid, domains, order):
         return
     fold = PairingFold(H)
     moves, zero, add = fold.moves, fold.zero, fold.add
-    left = M.side == "left"
     depth = {i: d for d, i in enumerate(order)}
     closing = [[] for _ in order]
     for Y in M.cocircuits.reps:
@@ -101,13 +99,12 @@ def _orthogonal_points(M: HMatroid, domains, order):
     ids, columns = list(map(id, domains)), {}
 
     def column(j, y):
-        """The term code of each entry of domain j times y (y times it on
-        the right), shared by every coordinate with the same domain and y."""
+        """The term code of each entry of domain j times y, shared by every
+        coordinate with the same domain and y."""
         key = (ids[j], y.residue, y.grade)
         if key not in columns:
             code, mul = fold.code, H.mul
-            dom = domains[j]
-            columns[key] = [code(mul(x, y)) for x in dom] if left else [code(mul(y, x)) for x in dom]
+            columns[key] = [code(mul(x, y)) for x in domains[j]]
         return columns[key]
 
     # per depth: its due tests, as ([(j, column)] off the closing coordinate,
@@ -270,54 +267,49 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
 
     Checked on scaling classes.  Scaling the left factor of a pairing by a
     and the right factor by b turns its value S into a·S·b, and 0 ∈ S iff
-    0 ∈ a·S·b.  So the classes of the nonzero vectors (on the matroid's
-    side) are tested against those of the nonzero covectors (on the dual's
-    side), coded and normalized on ints; zero is orthogonal to everything
-    (see ``_classes_orthogonal``).  Only when a class pair fails are the
-    vectors and covectors scanned pairwise in sort order, on one
+    0 ∈ a·S·b.  So the left classes of the nonzero vectors (over H) are
+    tested against those of the nonzero covectors (over H^op, so right
+    classes in H), coded and normalized on ints; zero is orthogonal to
+    everything (see ``_classes_orthogonal``).  Only when a class pair fails
+    are the vectors and covectors scanned pairwise in sort order, on one
     ``PairingFold``, so the witness is the least failing pair.
     """
+    H = M.field
     vs = vectors_enumerate(M, window) if vectors is None else vectors
     us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
-    if any(V.field != M.field or V.ground != M.ground for V in itertools.chain(vs, us)):
+    if any(V.field != F or V.ground != M.ground for F, xs in ((H, vs), (H.op(), us)) for V in xs):
         raise DomainMismatchError("vectors live over different hyperfields or grounds")
-    if _classes_orthogonal(M.field, M.side, vs, us):
+    if _classes_orthogonal(H, vs, us):
         return True, None
-    pairs_to_zero = PairingFold(M.field).pairs_to_zero
-    left = M.side == "left"
+    # a class pair failed, so some pair of its members fails
+    pairs_to_zero = PairingFold(H).pairs_to_zero
     us = [(U, _support_mask(U)) for U in sorted(us, key=lambda u: u.sort_key())]
-    for V in sorted(vs, key=lambda v: v.sort_key()):
-        v_mask = _support_mask(V)
-        for U, u_mask in us:
-            xs, ys = (V.entries, U.entries) if left else (U.entries, V.entries)
-            if not pairs_to_zero(xs, ys, v_mask & u_mask):
-                return False, (V, U)
-    return True, None
+    return False, next((V, U) for V in sorted(vs, key=lambda v: v.sort_key()) for U, u_mask in us
+                       if not pairs_to_zero(V.entries, U.entries, _support_mask(V) & u_mask))
 
 
-def _classes_orthogonal(H: Hyperfield, side: str, vectors, covectors) -> bool:
-    """Is every vector orthogonal to every covector?
+def _classes_orthogonal(H: Hyperfield, vectors, covectors) -> bool:
+    """Is every vector (over H) orthogonal to every covector (over H^op)?
 
-    The vector is the left factor of the pairing on the left side and the
-    right factor on the right side.  Both sides are coded by one
-    ``PairingFold``, and each nonzero row is normalized on ints (its first
-    nonzero code times its inverse, on its own side), so only one row per
-    scaling class is kept.  Per covector class, the sorted vector rows are
+    The vector is the left factor of the pairing.  Both sets are coded by
+    one ``PairingFold``, and each nonzero row is normalized on ints (its
+    first nonzero code's inverse times it on the left for a vector, it times
+    that inverse on the right for a covector), so only one row per scaling
+    class is kept.  Per covector class, the sorted vector rows are
     walked once: the fold states of the prefix a row shares with the row
     before are kept, and only the rest of the row is folded, over the
     tabled ``mul`` codes of each vector entry with the covector's entries.
     """
     fold = PairingFold(H)
     moves, zero, add = fold.moves, fold.zero, fold.add
-    v_rows = sorted(_coded_classes(fold, vectors, side))
-    u_rows = sorted(_coded_classes(fold, covectors, _other_side(side)))
+    v_rows = sorted(_coded_classes(fold, vectors))
+    u_rows = sorted(_coded_classes(fold, covectors, right_factor=True))
     if not v_rows or not u_rows:
         return True
     # shared[r]: the length of the prefix row r shares with row r - 1
     shared = [0] + [next((k for k, (a, b) in enumerate(zip(v, w)) if a != b), len(v))
                     for v, w in zip(v_rows, v_rows[1:])]
     entries = range(len(fold.elements))
-    left = side == "left"
     table = {}
     n = len(v_rows[0])
     for u in u_rows:
@@ -325,7 +317,7 @@ def _classes_orthogonal(H: Hyperfield, side: str, vectors, covectors) -> bool:
         for b in u:
             col = table.get(b)
             if col is None:
-                col = table[b] = [fold.mul(a, b) if left else fold.mul(b, a) for a in entries]
+                col = table[b] = [fold.mul(a, b) for a in entries]
             columns.append(col)
         states = [0] * (n + 1)
         for v, k in zip(v_rows, shared):
@@ -339,10 +331,11 @@ def _classes_orthogonal(H: Hyperfield, side: str, vectors, covectors) -> bool:
     return True
 
 
-def _coded_classes(fold: PairingFold, vectors, side: str) -> set[tuple[int, ...]]:
-    """The coded rows of the nonzero vectors, each scaled (on ``side``) so
-    that its first nonzero entry is 1."""
-    H, left = fold.field, side == "left"
+def _coded_classes(fold: PairingFold, vectors, right_factor=False) -> set[tuple[int, ...]]:
+    """The coded rows of the nonzero vectors, each scaled so that its first
+    nonzero entry is 1: from the left, or from the right for the rows that
+    are the right factor of the fold's product."""
+    H = fold.field
     inverse = {}
     rows = set()
     for V in vectors:
@@ -353,18 +346,19 @@ def _coded_classes(fold: PairingFold, vectors, side: str) -> set[tuple[int, ...]
         b = inverse.get(a)
         if b is None:
             b = inverse[a] = fold.code(H.inv(fold.elements[a]))
-        rows.add(tuple([fold.mul(b, c) if left else fold.mul(c, b) for c in row]))
+        rows.add(tuple([fold.mul(c, b) if right_factor else fold.mul(b, c) for c in row]))
     return rows
 
 
 # -- vector axioms ----------------------------------------------------------
 
 
-def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=None) -> list[dict]:
+def check_vector_axioms(vectors, window: int = 4, matroid=None) -> list[dict]:
     """(V0), windowed (V1), (V2)'/(V2)'', and (V3) for a finite vector set.
 
-    Scalings and compositions are only required to be present when they stay
-    inside the window box.  An eliminant for (V3) must be in the set when it
+    The set is read as the vectors of a left matroid, so (V1) asks for left
+    scalings.  Scalings and compositions are only required to be present
+    when they stay inside the window box.  An eliminant for (V3) must be in the set when it
     fits the box; eliminants whose entries dip below the box are searched
     for with ``_orthogonal_points`` against cocircuits: those of ``matroid``
     when the set is known to be its windowed vector set, else those of the
@@ -396,7 +390,7 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     recon = matroid
     if recon is None and H.rank and any(not v.is_zero for v in vectors):
         try:
-            recon = reconstruct_from_vectors(vectors, side=side)
+            recon = reconstruct_from_vectors(vectors)
         except HypermatError as err:
             msg = f"no matroid rebuilt from the vectors at window {window} ({err}); pass matroid="
             raise InvalidInputError(msg) from err
@@ -404,7 +398,7 @@ def check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=No
     ordered = sorted(vectors, key=lambda v: v.sort_key())
     table = _EntryTable(ordered, window)
     rows, present = table.rows, table.present
-    scaled = table.scalings(scalars, side)
+    scaled = table.scalings(scalars)
     for V, v in zip(ordered, rows):
         for a, products in zip(scalars, scaled):
             aV = tuple([products[c] for c in v])
@@ -494,13 +488,13 @@ class _EntryTable(BoxCode):
         self._within: dict[tuple[int, int, int], list[int]] = {}
         self._indexes: dict[tuple[int, ...], dict] = {}
 
-    def scalings(self, scalars, side: str) -> list[list[int | None]]:
-        """Per scalar a, the code of a·x (x·a on the right side) for every entry
-        code x of the vectors, or None where the product leaves the window box."""
+    def scalings(self, scalars) -> list[list[int | None]]:
+        """Per scalar a, the code of a·x for every entry code x of the
+        vectors, or None where the product leaves the window box."""
         entries = range(len(self.elements))
         out = []
         for a in map(self.code, scalars):
-            products = [self.mul(a, x) if side == "left" else self.mul(x, a) for x in entries]
+            products = [self.mul(a, x) for x in entries]
             out.append([c if self.in_box[c] else None for c in products])
         return out
 
@@ -590,7 +584,8 @@ def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
 
 
 def reconstruct_from_vectors(vectors, side: str = "left") -> HMatroid:
-    """Matroid whose circuits are the minimal nonzero vectors."""
+    """Left matroid whose circuits are the minimal nonzero vectors; ``side``
+    is only its label."""
     vectors = frozenset(vectors)
     nonzero = [v for v in vectors if not v.is_zero]
     if not nonzero:
@@ -598,7 +593,7 @@ def reconstruct_from_vectors(vectors, side: str = "left") -> HMatroid:
     some = nonzero[0]
     sups = {v.support for v in nonzero}
     minimal = [v for v in nonzero if not any(s < v.support for s in sups)]
-    classes = {normalize_vector(v, side) for v in minimal}
+    classes = {normalize_vector(v) for v in minimal}
     return hmatroid_from_circuits(some.field, some.ground, sorted(classes, key=lambda v: v.sort_key()), side)
 
 
@@ -645,12 +640,9 @@ def _farkas_cocircuit(M, R, G, weak):
             continue
         m_g = max(x.grade for x in on_g)
         on_r = [x.grade for i in r_at if not (x := Y.entries[i]).is_zero]
-        if weak:
-            if on_r and max(on_r) >= m_g:
-                continue
-        else:
-            if on_r and max(on_r) > m_g:
-                continue
+        # on R, Y may not top its grade on G (nor reach it, if weak)
+        if on_r and (max(on_r) >= m_g if weak else max(on_r) > m_g):
+            continue
         # the G-sum pairs Y with 1 on G, and each term x·1 is x itself
         if zero_in_sum(H, on_g):
             continue
@@ -658,9 +650,7 @@ def _farkas_cocircuit(M, R, G, weak):
         # already zero, and Y·1 is Y: every rank-0 hit needs no scaling
         if not any(m_g):
             return Y
-        shift = HElement(one.residue, tuple(-c for c in m_g))
-        scaled = Y.scale_right(shift) if M.cocircuits.side == "right" else Y.scale_left(shift)
-        return scaled
+        return Y.scale_left(HElement(one.residue, tuple(-c for c in m_g)))
     return None
 
 

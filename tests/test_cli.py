@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -83,6 +84,19 @@ def test_matroid_check_fails_on_bad_signature(tmp_path, capsys):
     status = {c["check"]: c["status"] for c in doc["checks"]}
     assert status["cocircuit synthesis (Theorem 2)"] == "fail"
     assert status["modular elimination (C3)"] == "fail"
+
+
+def test_right_side_check_witness_pairs_a_circuit_with_a_cocircuit(tmp_path, capsys):
+    # a right matroid is checked as the left matroid over H^op, so its
+    # 3-orthogonality witness is the first failing (circuit, cocircuit) pair
+    corpus = Path(__file__).parent / "data" / "reports" / "gf3-U24-corrupt.json"
+    doc = json.loads(corpus.read_text())
+    path = tmp_path / "gf3-U24-corrupt-right.json"
+    path.write_text(json.dumps({**doc, "side": "right"}))
+    code, report = run_json(capsys, ["matroid", "check", str(path)])
+    assert code == 1
+    synthesis = {c["check"]: c for c in report["checks"]}["cocircuit synthesis (Theorem 2)"]
+    assert synthesis["witness"]["witness"] == ["(0, u(1), u(1), u(2))", "(0, u(1), u(1), u(1))"]
 
 
 def test_matroid_dual_round_trip(capsys, u23_sign_file, u23_sign):
@@ -534,5 +548,5 @@ def test_rescale_matches_the_library(tmp_path, capsys, trop_u23):
         path.write_text(dumps(hmatroid_to_json(M)))
         code, doc = run_json(capsys, ["matroid", "rescale", "--rho", rho_json, str(path)])
         assert code == 0
-        assert doc["result"] == hmatroid_to_json(M.rescale(rho))
+        assert doc["result"] == hmatroid_to_json(dataclasses.replace(M.rescale(rho), side=M.side))
         assert doc["result"] != hmatroid_to_json(M)

@@ -15,6 +15,14 @@ the same dual signatures, or raise the same exception with the same message
 and witness, and must give the same (C3) reports, modular pairs and
 ``perp_k`` verdicts and witnesses.
 
+The oracles keep the side of the earlier code: a signature over H is read
+as left or right classes, every scaling and product is taken on that side,
+and all of it stays over H.  The package stores a right H-matroid as a left
+H^op-matroid instead, so each case runs the package over H or H^op and the
+oracles over H, and the two are compared by their entries (``plain``).
+``reference_matroid`` builds a whole right or left H-matroid this way, as
+``Sided``, for the side-aware oracles of the other reference tests.
+
 The inputs are the battery's 80 family and 10 windowed instances, the
 twisted U_{2,3} of ``test_skew_products`` on both sides, and seeded GF(p)
 realizations of U_{2,4}, U_{2,5} and U_{3,6} (at p = 101 and 10007, and
@@ -27,27 +35,25 @@ elimination (``kernel_circuits``).
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from hypermat import HElement, HVector, Hyperfield
 from hypermat.acceptance import AcceptanceContext
-from hypermat.errors import HypermatError, NotAnHMatroidError
+from hypermat.errors import HypermatError, InvalidSignatureError, NotAnHMatroidError
 from hypermat.hmatroid import (
     CircuitSignature,
-    _align_for_elimination,
-    _other_side,
     check_circuit_axioms,
     dual_signature,
     modular_support_pairs,
-    normalize_vector,
     perp_k,
     signature_from_vectors,
 )
 from hypermat.instances import corrupted_signatures
 from hypermat.matroids import ClassicalMatroid, from_circuits
 
-from test_hmatroid import pairing_contains_zero
+from test_hmatroid import pairing_contains_zero, plain, retag
 from test_skew_products import H as TWISTED
 from test_skew_products import _u23 as twisted_u23
 
@@ -102,7 +108,69 @@ def uniform_realization(rng, r, n, p) -> list[tuple[int, ...]]:
             return circuits
 
 
-# -- the construction before support bitmasks ------------------------------------
+# -- the construction before support bitmasks, on either side ----------------------
+
+
+def other_side(side: str) -> str:
+    return "right" if side == "left" else "left"
+
+
+def reference_scale(V: HVector, a: HElement, side: str) -> HVector:
+    """a·V on the left side, V·a on the right."""
+    H = V.field
+    return HVector(H, V.ground, tuple(H.mul(a, x) if side == "left" else H.mul(x, a) for x in V.entries))
+
+
+def reference_normalize(V: HVector, side: str) -> HVector:
+    """V scaled on ``side`` so that its first nonzero entry is 1."""
+    return reference_scale(V, V.field.inv(next(x for x in V.entries if not x.is_zero)), side)
+
+
+def reference_pairs_to_zero(side: str, V: HVector, Y: HVector) -> bool:
+    """Is V, a vector of a matroid on ``side``, orthogonal to Y, one of its
+    dual's?  The left matroid's vector is the left factor."""
+    return pairing_contains_zero(V, Y) if side == "left" else pairing_contains_zero(Y, V)
+
+
+@dataclass(frozen=True)
+class Sided:
+    """An H-matroid on one side, as the earlier code kept it: both
+    signatures over H itself, the circuits as classes on ``side`` and the
+    cocircuits on the other side."""
+
+    field: Hyperfield
+    ground: tuple
+    side: str
+    circuits: CircuitSignature
+    cocircuits: CircuitSignature
+
+    def dual(self) -> "Sided":
+        return Sided(self.field, self.ground, other_side(self.side), self.cocircuits, self.circuits)
+
+
+def reference_signature(H, ground, vecs, side) -> CircuitSignature:
+    """The classes of ``vecs`` on ``side``, one normalized vector each;
+    InvalidSignatureError if a support carries two classes."""
+    reps = {reference_normalize(v, side) for v in vecs}
+    if len({v.support for v in reps}) < len(reps):
+        raise InvalidSignatureError("(C2) fails: support carries two classes")
+    return CircuitSignature(H, tuple(ground), tuple(sorted(reps, key=HVector.sort_key)))
+
+
+def reference_matroid(H, ground, vecs, side) -> Sided:
+    """The H-matroid on ``side`` with the classes of ``vecs`` as circuits."""
+    sig = reference_signature(H, ground, vecs, side)
+    cocircuits = reference_dual_signature(from_circuits(sig.ground, sig.supports), sig, side)
+    return Sided(H, sig.ground, side, sig, cocircuits)
+
+
+def sided(M) -> Sided:
+    """The package's left matroid M read as the matroid that its label
+    names: a right-labelled M over H^op is the right H-matroid."""
+    H = M.field if M.side == "left" else M.field.op()
+    circuits, cocircuits = (CircuitSignature(H, M.ground, tuple(retag(sig.reps, H)))
+                            for sig in (M.circuits, M.cocircuits))
+    return Sided(H, M.ground, M.side, circuits, cocircuits)
 
 
 def reference_forced_entry(H, side, x_e, x_f, y_e):
@@ -112,8 +180,11 @@ def reference_forced_entry(H, side, x_e, x_f, y_e):
     return H.mul(H.neg(H.mul(y_e, x_e)), H.inv(x_f))
 
 
-def reference_dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> CircuitSignature:
+def reference_dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature, side: str) -> CircuitSignature:
     """Synthesize the unique dual signature and certify 3-orthogonality.
+
+    ``sig`` holds classes on ``side``, and the output, also over H, holds
+    classes on the other side.
 
     For each cocircuit D of the underlying matroid, the entry at the least
     element is set to 1 and the rest are forced through circuits meeting D
@@ -124,7 +195,7 @@ def reference_dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature
     """
     H = sig.field
     ground = sig.ground
-    out_side = _other_side(sig.side)
+    out_side = other_side(side)
     cocircuit_supports = sorted(underlying.cocircuits(), key=lambda d: sorted(d))
     zero = H.zero()
     supports = [rep.support for rep in sig.reps]
@@ -144,36 +215,37 @@ def reference_dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature
                 a, b = sorted(meet, key=ground.index)
                 for e, f in ((a, b), (b, a)):
                     if entries[e] is not None and entries[f] is None:
-                        entries[f] = reference_forced_entry(H, sig.side, rep[e], rep[f], entries[e])
+                        entries[f] = reference_forced_entry(H, side, rep[e], rep[f], entries[e])
                         pending = True
         if any(v is None for v in entries.values()):
             raise NotAnHMatroidError(
                 "cocircuit propagation leaves entries unassigned", witness=sorted(D)
             )
         vec = HVector(H, ground, tuple(entries.get(e, zero) for e in ground))
-        duals.append(normalize_vector(vec, out_side))
-    dual_sig = CircuitSignature(H, ground, out_side, tuple(sorted(duals, key=HVector.sort_key)))
-    ok, witness = reference_perp_k(sig, dual_sig, 3)
+        duals.append(reference_normalize(vec, out_side))
+    dual_sig = CircuitSignature(H, ground, tuple(sorted(duals, key=HVector.sort_key)))
+    ok, witness = reference_perp_k(sig, dual_sig, side, 3)
     if not ok:
         raise NotAnHMatroidError("3-orthogonality fails; not a matroid over H", witness=witness)
     return dual_sig
 
 
-def reference_perp_k(C: CircuitSignature, D: CircuitSignature, k=None):
+def reference_perp_k(C: CircuitSignature, D: CircuitSignature, side: str, k=None):
     """Check X perp Y over representative pairs with support meets of size <= k.
 
-    Scaling invariance of orthogonality makes representatives sufficient.
-    k=None means unrestricted (full orthogonality).  Each pair is decided by
-    the ``pairing_contains_zero`` rule of the tests, not by ``perp``.
+    C holds classes on ``side``, D on the other side.  Scaling invariance of
+    orthogonality makes representatives sufficient.  k=None means
+    unrestricted (full orthogonality).  Each pair is decided by the
+    ``pairing_contains_zero`` rule of the tests, not by ``perp``, and the
+    witness is the first failing pair (x in C, y in D), in C's order.
     """
-    left, right = (C, D) if C.side == "left" else (D, C)
-    right_supports = [y.support for y in right.reps]
-    for x in left.reps:
+    d_supports = [y.support for y in D.reps]
+    for x in C.reps:
         x_support = x.support
-        for y, y_support in zip(right.reps, right_supports):
+        for y, y_support in zip(D.reps, d_supports):
             if k is not None and len(x_support & y_support) > k:
                 continue
-            if not pairing_contains_zero(x, y):
+            if not reference_pairs_to_zero(side, x, y):
                 return False, (x, y)
     return True, None
 
@@ -195,7 +267,7 @@ def reference_modular_support_pairs(supports) -> list[tuple[frozenset, frozenset
     return out
 
 
-def reference_check_circuit_axioms(sig: CircuitSignature) -> list[dict]:
+def reference_check_circuit_axioms(sig: CircuitSignature, side: str) -> list[dict]:
     """(C3), searched exactly via symbolic sets; (C0)-(C2) are refused on
     entry by ``signature_from_vectors``.
 
@@ -210,15 +282,17 @@ def reference_check_circuit_axioms(sig: CircuitSignature) -> list[dict]:
         X = by_support[s1]
         Yhat = by_support[s2]
         for e in sorted(s1 & s2):
-            Y = _align_for_elimination(H, sig.side, X, Yhat, e)
-            if not reference_elimination_exists(sig, X, Y, e):
+            # Yhat scaled on ``side`` so that the entries at e cancel
+            a = H.mul(H.neg(X[e]), H.inv(Yhat[e])) if side == "left" else H.mul(H.inv(Yhat[e]), H.neg(X[e]))
+            Y = reference_scale(Yhat, a, side)
+            if not reference_elimination_exists(sig, side, X, Y, e):
                 report.append(
                     {"check": "C3", "witness": {"X": X, "Y": Y, "e": e}}
                 )
     return report
 
 
-def reference_elimination_exists(sig: CircuitSignature, X: HVector, Y: HVector, e: str) -> bool:
+def reference_elimination_exists(sig: CircuitSignature, side: str, X: HVector, Y: HVector, e: str) -> bool:
     """Is there a circuit Z with Z_e = 0 lying pointwise in X + Y?"""
     H = sig.field
     union = X.support | Y.support
@@ -231,7 +305,7 @@ def reference_elimination_exists(sig: CircuitSignature, X: HVector, Y: HVector, 
             continue
         gamma = None
         for f in sorted(zsup, key=sig.ground.index):
-            if sig.side == "left":
+            if side == "left":
                 cand = sums[f].scale_right(H.inv(Z[f]))
             else:
                 cand = sums[f].scale_left(H.inv(Z[f]))
@@ -267,7 +341,8 @@ def _changed(rng, H, vecs, factor):
 
 def cases():
     """(name, H, ground, side, circuit vectors, unchanged vectors), where the
-    unchanged vectors are those of a changed copy's original, else None."""
+    unchanged vectors are those of a changed copy's original, else None; the
+    vectors live over H, and the package reads them over H or H^op."""
     ctx = AcceptanceContext()
     rng = random.Random(20261020)
     out = []
@@ -282,7 +357,8 @@ def cases():
         out.append((name, H, ground, "left", vecs, None))
     for side in ("left", "right"):
         for M in (twisted_u23(side), twisted_u23(side).dual()):
-            out.append((f"twisted-{side}-{M.side}", TWISTED, M.ground, M.side, M.circuits.reps, None))
+            out.append((f"twisted-{side}-{M.side}", TWISTED, M.ground, M.side,
+                        retag(M.circuits.reps, TWISTED), None))
     realized = []
     for p, r, n in [(3, 2, 4), (101, 2, 4), (101, 2, 5), (101, 3, 6),
                     (10007, 2, 4), (10007, 2, 5), (10007, 3, 6)]:
@@ -312,11 +388,17 @@ def _outcome(fn, *args):
         return type(exc), str(exc), exc.witness
 
 
+def _signature(H, ground, vecs, side):
+    """The package's signature of ``vecs`` read on ``side``: over H^op on the right."""
+    K = H if side == "left" else H.op()
+    return signature_from_vectors(K, ground, retag(vecs, K))
+
+
 def test_the_inputs_reach_every_outcome():
     assert len(CASES) == 2 * 80 + 10 + 20 + 4 + 8 * 4
     outcomes = []
     for name, H, ground, side, vecs, _ in CASES:
-        sig = signature_from_vectors(H, ground, vecs, side)
+        sig = _signature(H, ground, vecs, side)
         got = _outcome(dual_signature, from_circuits(ground, sig.supports), sig)
         outcomes.append("ok" if isinstance(got, CircuitSignature) else got[1])
     assert set(outcomes) == {"ok", "3-orthogonality fails; not a matroid over H"}
@@ -325,18 +407,22 @@ def test_the_inputs_reach_every_outcome():
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
 def test_same_construction_as_the_frozenset_construction(case):
     name, H, ground, side, vecs, unchanged = case
-    sig = signature_from_vectors(H, ground, vecs, side)
+    sig = _signature(H, ground, vecs, side)
+    ref = reference_signature(H, ground, vecs, side)
+    assert plain(sig) == plain(ref)
     underlying = from_circuits(ground, sig.supports)
-    dual = _outcome(reference_dual_signature, underlying, sig)
-    assert _outcome(dual_signature, underlying, sig) == dual
-    assert check_circuit_axioms(sig) == reference_check_circuit_axioms(sig)
+    dual = _outcome(reference_dual_signature, underlying, ref, side)
+    assert plain(_outcome(dual_signature, underlying, sig)) == plain(dual)
+    assert plain(check_circuit_axioms(sig)) == plain(reference_check_circuit_axioms(ref, side))
     supports = sorted(sig.supports, key=sorted)
     assert modular_support_pairs(supports) == reference_modular_support_pairs(supports)
     if unchanged is not None:
         # the changed signature against the dual of the unchanged one
-        original = signature_from_vectors(H, ground, unchanged, side)
-        dual = reference_dual_signature(from_circuits(ground, original.supports), original)
+        original = reference_signature(H, ground, unchanged, side)
+        dual = reference_dual_signature(from_circuits(ground, original.supports), original, side)
     if isinstance(dual, CircuitSignature):
+        # the package's dual signature lives over the opposite of sig's field
+        src_dual = CircuitSignature(sig.field.op(), ground, tuple(retag(dual.reps, sig.field.op())))
         for k in (None, 1, 2, 3):
-            assert perp_k(sig, dual, k) == reference_perp_k(sig, dual, k)
-            assert perp_k(dual, sig, k) == reference_perp_k(dual, sig, k)
+            assert plain(perp_k(sig, src_dual, k)) == plain(reference_perp_k(ref, dual, side, k))
+            assert plain(perp_k(src_dual, sig, k)) == plain(reference_perp_k(dual, ref, other_side(side), k))

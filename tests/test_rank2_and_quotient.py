@@ -18,7 +18,7 @@ from hypermat import (
     vectors_enumerate,
 )
 
-from test_hmatroid import pairing, vector_perp
+from test_hmatroid import pairing
 
 G3 = ("1", "2", "3")
 
@@ -59,7 +59,7 @@ def test_rank2_vector_window():
     X = hvector(T2, G3, {"1": u(1, (0, 0)), "2": u(1, (0, 0)), "3": u(1, (0, 0))})
     M = hmatroid_from_circuits(T2, G3, [X])
     vs = vectors_enumerate(M, 1)
-    assert all(all(vector_perp(M, v, y) for y in M.cocircuits.reps) for v in vs)
+    assert all(all(perp(v, y) for y in M.cocircuits.reps) for v in vs)
     # corank 1: the nine box scalings of the flat circuit, plus zero
     assert len(vs) == 10
 
@@ -95,12 +95,12 @@ def test_quotient_matroid_vectors_and_covectors():
 
 
 def _covectors_by_definition(M, window):
-    """Brute force: U is a covector iff every circuit representative is orthogonal
-    to it, with the circuit as the left factor on a left matroid."""
+    """Brute force: U (over H^op) is a covector iff every circuit
+    representative is orthogonal to it, with the circuit as the left factor."""
     out = set()
     for combo in itertools.product(M.field.elements_box(window), repeat=len(M.ground)):
-        U = HVector(M.field, M.ground, combo)
-        if all(perp(X, U) if M.side == "left" else perp(U, X) for X in M.circuits.reps):
+        U = HVector(M.field.op(), M.ground, combo)
+        if all(perp(X, U) for X in M.circuits.reps):
             out.add(U)
     return frozenset(out)
 

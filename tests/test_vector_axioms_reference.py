@@ -2,20 +2,24 @@
 
 ``reference_check_vector_axioms`` and ``_reference_v3_eliminant_exists``
 are the earlier ``check_vector_axioms`` and ``_v3_eliminant_exists``,
-kept verbatim as a test-only oracle: they build an ``HVector`` for every
-composition, hypersum and eliminant candidate.  The new checker must return
-the same report list, witnesses and order included, on the battery's sets
-and on seeded perturbed copies of them.
+kept as a test-only oracle: they build an ``HVector`` for every
+composition, hypersum and eliminant candidate.  They keep the side of the
+earlier code: a right vector set over H asks for right scalings, and the
+matroid beyond the box is rebuilt on that side by ``reference_matroid`` of
+``test_construction_reference``.  The new checker must return the same
+report list, witnesses and order included, on the battery's sets and on
+seeded perturbed copies of them.
 
 ``reference_table_check_vector_axioms`` and
 ``_reference_table_v3_eliminant_exists`` are the table-driven checker
 before (V3) looked its eliminants up in ``_EntryTable.index``, kept
 verbatim in the same way: per cancelling coordinate they try the all-zero
 choice, then the product of in-box hypersum members or a scan of every
-row.  The checker must return the same report on every windowed battery
+row.  It reads every set as the vectors of a left matroid, as the checker
+does.  The checker must return the same report on every windowed battery
 instance and on seeded perturbed copies, with and without the matroid, and
 likewise on the twisted U_{2,3} of ``test_skew_products``, whose hyperfield
-is not commutative, on either side.
+is not commutative, over H and over H^op.
 """
 
 import bisect
@@ -47,7 +51,7 @@ from hypermat.vectorspace import (
     _vector_hypersum,
     _within_box,
 )
-from test_hmatroid import vector_perp
+from test_construction_reference import reference_matroid, reference_pairs_to_zero, reference_scale
 from test_skew_products import _u23
 
 
@@ -61,15 +65,17 @@ def reference_check_vector_axioms(vectors, window: int = 4, side: str = "left") 
     if zero_vector(H, ground) not in vectors:
         report.append({"check": "V0", "witness": None})
     recon = None
-    if any(not v.is_zero for v in vectors):
+    nonzero = [v for v in vectors if not v.is_zero]
+    if nonzero:
+        sups = {v.support for v in nonzero}
         try:
-            recon = reconstruct_from_vectors(vectors, side=side)
+            recon = reference_matroid(H, ground, [v for v in nonzero if not any(s < v.support for s in sups)], side)
         except HypermatError:
             recon = None
     scalars = H.units_box(2 * window) if H.rank else H.units_box(0)
     for V in sorted(vectors, key=lambda v: v.sort_key()):
         for a in scalars:
-            aV = V.scale_left(a) if side == "left" else V.scale_right(a)
+            aV = reference_scale(V, a, side)
             if _within_box(aV, window) and aV not in vectors:
                 report.append({"check": "V1", "witness": {"a": a, "V": V}})
     residue = H.residue_kind
@@ -143,13 +149,13 @@ def _reference_v3_eliminant_exists(vectors, V, W, e, window, recon, slack) -> bo
         for i, val in zip(free, picks):
             entries[i] = val
         Z = HVector(H, ground, tuple(entries))
-        if not all(vector_perp(recon, Z, Y) for Y in recon.cocircuits.reps):
+        if not all(reference_pairs_to_zero(recon.side, Z, Y) for Y in recon.cocircuits.reps):
             continue
         return not _within_box(Z, window)
     return False
 
 
-def reference_table_check_vector_axioms(vectors, window: int = 4, side: str = "left", matroid=None) -> list[dict]:
+def reference_table_check_vector_axioms(vectors, window: int = 4, matroid=None) -> list[dict]:
     """(V0), windowed (V1), (V2)'/(V2)'', and (V3) for a finite vector set.
 
     Scalings and compositions are only required to be present when they stay
@@ -178,14 +184,14 @@ def reference_table_check_vector_axioms(vectors, window: int = 4, side: str = "l
     recon = matroid
     if recon is None and any(not v.is_zero for v in vectors):
         try:
-            recon = reconstruct_from_vectors(vectors, side=side)
+            recon = reconstruct_from_vectors(vectors)
         except HypermatError:
             recon = None
     scalars = H.units_box(2 * window) if H.rank else H.units_box(0)
     ordered = sorted(vectors, key=lambda v: v.sort_key())
     table = _EntryTable(ordered, window)
     rows, present = table.rows, table.present
-    scaled = table.scalings(scalars, side)
+    scaled = table.scalings(scalars)
     for V, v in zip(ordered, rows):
         for a, products in zip(scalars, scaled):
             aV = tuple([products[c] for c in v])
@@ -323,7 +329,7 @@ def _perturbed(battery_sets):
 
 def _assert_same(cases):
     for name, vs, w, side in cases:
-        assert check_vector_axioms(vs, w, side) == reference_check_vector_axioms(vs, w, side), name
+        assert check_vector_axioms(vs, w) == reference_check_vector_axioms(vs, w, side), name
 
 
 # -- differential tests ---------------------------------------------------------
@@ -337,7 +343,7 @@ def test_same_reports_on_perturbed_sets(battery_sets):
     cases = _perturbed(battery_sets)
     _assert_same(cases)
     # the perturbations reach every check, so the comparison covers each branch
-    seen = {r["check"] for name, vs, w, side in cases for r in check_vector_axioms(vs, w, side)}
+    seen = {r["check"] for name, vs, w, side in cases for r in check_vector_axioms(vs, w)}
     assert seen == {"V0", "V1", "V2'", "V2''", "V3"}
 
 
@@ -350,8 +356,9 @@ def test_same_reports_on_right_side_and_hand_made_sets(sign):
         hvector(sign, G3, {"1": one, "2": m}),
         hvector(sign, G3, {"2": m, "3": one}),
     ]
+    # over a commutative hyperfield both sides read the set alike
     for side in ("left", "right"):
-        assert check_vector_axioms(vs, 0, side) == reference_check_vector_axioms(vs, 0, side)
+        assert check_vector_axioms(vs, 0) == reference_check_vector_axioms(vs, 0, side)
     assert check_vector_axioms([], 0) == reference_check_vector_axioms([], 0)
 
 
@@ -367,7 +374,7 @@ def test_same_reports_with_a_circuit_scaling_dropped(name, window, entries):
     X = HVector(H, M.ground, tuple(H.zero() if x is None else H.unit(x[0], (x[1],)) for x in entries))
     vs = vectors_enumerate(M, window)
     assert X in vs
-    report = check_vector_axioms(vs - {X}, window, M.side)
+    report = check_vector_axioms(vs - {X}, window)
     assert report == reference_check_vector_axioms(vs - {X}, window, M.side)
     assert any(r["check"] == "V3" for r in report)
 
@@ -384,9 +391,9 @@ def windowed_sets():
     return out
 
 
-def _rebuilds(vs, side):
+def _rebuilds(vs):
     try:
-        reconstruct_from_vectors(vs, side=side)
+        reconstruct_from_vectors(vs)
     except HypermatError:
         return False
     return True
@@ -400,13 +407,13 @@ def test_same_reports_as_the_table_checker_on_windowed_sets(windowed_sets):
         cases = [(name, vs), (f"{name} -3", _dropped(rng, vs, 3)), (f"{name} +1", _with_foreign(rng, vs, w))]
         for label, s in cases:
             for matroid in (M, None):
-                if matroid is None and M.field.rank and not _rebuilds(s, M.side):
+                if matroid is None and M.field.rank and not _rebuilds(s):
                     with pytest.raises(InvalidInputError, match=f"at window {w} .*pass matroid="):
-                        check_vector_axioms(s, w, M.side, matroid)
+                        check_vector_axioms(s, w, matroid)
                     refused += 1
                     continue
-                got = check_vector_axioms(s, w, M.side, matroid)
-                want = reference_table_check_vector_axioms(s, w, M.side, matroid)
+                got = check_vector_axioms(s, w, matroid)
+                want = reference_table_check_vector_axioms(s, w, matroid)
                 assert got == want, (label, matroid is None)
                 compared += 1
                 failing += any(r["check"] == "V3" for r in got)
@@ -442,12 +449,12 @@ def test_same_reports_as_the_table_checker_over_a_skew_hyperfield(side):
     seen, compared = set(), 0
     for label, s in cases:
         for matroid in (M, None):
-            if matroid is None and not _rebuilds(s, side):
+            if matroid is None and not _rebuilds(s):
                 with pytest.raises(InvalidInputError):
-                    check_vector_axioms(s, 1, side, matroid)
+                    check_vector_axioms(s, 1, matroid)
                 continue
-            got = check_vector_axioms(s, 1, side, matroid)
-            assert got == reference_table_check_vector_axioms(s, 1, side, matroid), (label, matroid is None)
+            got = check_vector_axioms(s, 1, matroid)
+            assert got == reference_table_check_vector_axioms(s, 1, matroid), (label, matroid is None)
             seen.update(r["check"] for r in got)
             compared += 1
     assert (compared, seen) == (7, {"V1", "V2'", "V3"})

@@ -31,7 +31,7 @@ from hypermat.instances import graded_rescaled, u23, windowed_instances
 from hypermat.jsonio import dumps, hmatroid_to_json
 from hypermat.vectorspace import _classes_orthogonal, _grade_spread, _vector_hypersum, check_budget
 
-from test_hmatroid import pairing, vector_perp
+from test_hmatroid import pairing
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
@@ -187,11 +187,11 @@ def test_imperfect_negative_control(sign):
     M1 = hmatroid_from_circuits(sign, G3, [hvector(sign, G3, {"1": one, "2": one, "3": one})])
     vs = vectors_enumerate(M1)
     us = covectors_enumerate(M1)
-    assert all(vector_perp(M1, v, u) for v in vs for u in us)
+    assert all(perp(v, u) for v in vs for u in us)
     probe = hvector(sign, G3, {"1": one})
     ok, witness = is_perfect(M1, 0, vectors=vs, covectors=frozenset({probe}))
     assert not ok
-    assert witness[1] == probe and not vector_perp(M1, witness[0], probe)
+    assert witness[1] == probe and not perp(witness[0], probe)
 
 
 def test_perfection_refuses_vectors_over_another_ground(u23_sign, sign):
@@ -221,19 +221,18 @@ def _rule_case(draw):
     vector = st.tuples(*[st.sampled_from(box)] * n).map(lambda e: HVector(H, G5[:n], e))
     vs = draw(st.lists(vector, min_size=1, max_size=3))
     us = draw(st.lists(vector, min_size=1, max_size=3))
-    return H, draw(st.sampled_from(["left", "right"])), vs, us
+    return H, vs, us
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(_rule_case())
 def test_table_decision_and_perp_agree_with_pairing(case):
-    H, side, vs, us = case
-    # the vector is the left factor on the left side, the right on the right
-    oriented = (lambda V, U: (V, U)) if side == "left" else (lambda V, U: (U, V))
-    want = [pairing(*oriented(V, U)).contains_zero for V in vs for U in us]
-    assert [perp(*oriented(V, U)) for V in vs for U in us] == want
-    assert [_classes_orthogonal(H, side, [V], [U]) for V in vs for U in us] == want
-    assert _classes_orthogonal(H, side, vs, us) == all(want)
+    H, vs, us = case
+    # the vector is the left factor
+    want = [pairing(V, U).contains_zero for V in vs for U in us]
+    assert [perp(V, U) for V in vs for U in us] == want
+    assert [_classes_orthogonal(H, [V], [U]) for V in vs for U in us] == want
+    assert _classes_orthogonal(H, vs, us) == all(want)
 
 
 # -- vector axioms and reconstruction ------------------------------------------
@@ -297,7 +296,7 @@ def _krasner_u24():
 def test_vector_axioms_use_the_known_matroid_beyond_the_box(tmp_path):
     M = _krasner_u24()
     vs = vectors_enumerate(M, 1)
-    assert check_vector_axioms(vs, 1, M.side, M) == []
+    assert check_vector_axioms(vs, 1, M) == []
     path = tmp_path / "krasner-u24.json"
     path.write_text(dumps(hmatroid_to_json(M)))
     out = tmp_path / "report.json"
@@ -422,7 +421,7 @@ def test_singleton_hypersums_of_vectors_are_vectors(u24_sign, stringent_sign_u23
             for W in vs:
                 total = _vector_hypersum((V, W))
                 if total is not None:
-                    assert all(vector_perp(M, total, Y) for Y in M.cocircuits.reps)
+                    assert all(perp(total, Y) for Y in M.cocircuits.reps)
 
 
 # -- elimination and decomposition -----------------------------------------------
@@ -528,7 +527,7 @@ def test_decompose_composite_sign_vector(u24_sign):
         parts = circuit_decomposition(u24_sign, V)
         assert len(parts) == 2
         assert _vector_hypersum(parts) == V
-        assert all(normalize_vector(p, "left") in u24_sign.circuits.reps for p in parts)
+        assert all(normalize_vector(p) in u24_sign.circuits.reps for p in parts)
 
 
 @pytest.mark.parametrize("M", GRADED_SIGN)
@@ -543,7 +542,7 @@ def test_decompose_graded_vectors_back_to_themselves(M):
 def test_decompose_rejects_non_vector(u24_sign, sign):
     one = sign.one()
     fake = hvector(sign, G4, {"1": one})
-    assert not all(vector_perp(u24_sign, fake, Y) for Y in u24_sign.cocircuits.reps)
+    assert not all(perp(fake, Y) for Y in u24_sign.cocircuits.reps)
     assert fake not in vectors_enumerate(u24_sign, 0)
     assert circuit_decomposition(u24_sign, fake) is None
 

@@ -19,6 +19,7 @@ from .hmatroid import (
     residue_matroid,
     signature_from_vectors,
 )
+from .homs import valuation_map
 from .hyperfields import Hyperfield, check_stringent, validate_axioms
 from .instances import (
     all_signatures,
@@ -239,8 +240,7 @@ def criterion_7(ctx) -> CheckRecord:
         except HypermatError as exc:
             failures.append({"instance": name, "error": str(exc)})
             continue
-        valM = M.valuation_matroid()
-        val0 = residue_matroid(valM)
+        val0 = residue_matroid(M.push_forward(valuation_map(M.field)))
         if M0.underlying != val0.underlying:
             failures.append({"instance": name, "check": "valuation residue"})
         for e in M.ground:

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 import time
 
@@ -36,6 +35,7 @@ from .hmatroid import (
     dual_signature,
     hmatroid_from_circuits,
     perp_k,
+    residue_matroid,
     signature_from_vectors,
 )
 from .homs import coset_map, sign_map, valuation_map, validate_homomorphism
@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hypermat {VERSION}")
 
     def common(p):
-        p.add_argument("--window", type=int, default=None,
-                       help="grade window bound (default: HYPERMAT_WINDOW or 4)")
+        p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+                       help=f"grade window bound (default: {DEFAULT_WINDOW})")
         p.add_argument("--out", help="write the report to this path instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -119,17 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _window_of(args) -> int:
-    if args.window is not None:
-        window = args.window
-    else:
-        env = os.environ.get("HYPERMAT_WINDOW")
-        try:
-            window = int(env) if env else DEFAULT_WINDOW
-        except ValueError as exc:
-            raise SpecError(f"HYPERMAT_WINDOW: expected an integer, got {env!r}") from exc
-    if window < 0:
-        raise SpecError(f"window must be >= 0, got {window}")
-    return window
+    if args.window < 0:
+        raise SpecError(f"window must be >= 0, got {args.window}")
+    return args.window
 
 
 def _report(command, window, checks, result=None):
@@ -313,7 +305,7 @@ def cmd_matroid(args) -> int:
             raise SpecError(f"--rho: {exc}") from exc
         checks.append(CheckRecord("rescale", "pass", None, window=window))
     elif verb == "residue":
-        record, R = _timed("residue construction", window, M.residue_matroid)
+        record, R = _timed("residue construction", window, residue_matroid, M)
         checks.append(record)
         result = None if R is None else jsonio.hmatroid_to_json(dataclasses.replace(R, side=side))
     elif verb == "vectors":
@@ -363,11 +355,13 @@ def cmd_matroid(args) -> int:
 def cmd_suite(args) -> int:
     window = _window_of(args)
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             numbers = {int(s) for s in args.criteria.split(",") if s}
         except ValueError as exc:
             raise SpecError(f"--criteria: expected comma-separated numbers ({exc})") from exc
+        if not numbers:
+            raise SpecError(f"--criteria: names no criterion, got {args.criteria!r}")
         unknown = numbers - set(range(1, len(acceptance.CRITERIA) + 1))
         if unknown:
             raise SpecError(f"--criteria: no such criteria {sorted(unknown)}")

@@ -28,9 +28,9 @@ from .errors import (
     TheoremViolationError,
     UnsupportedOperationError,
 )
-from .homs import Homomorphism, valuation_map
+from .homs import Homomorphism
 from .hyperfields import BoxCode, Grade, HElement, Hyperfield, symset
-from .matroids import ClassicalMatroid, from_circuits
+from .matroids import ClassicalMatroid, _set_bits, from_circuits
 
 
 @dataclass(frozen=True)
@@ -158,23 +158,23 @@ def zero_in_sum(H: Hyperfield, terms) -> bool:
 class PairingFold(BoxCode):
     """The zero test of a pairing, one term at a time, on int codes, for one call.
 
-    A ``BoxCode`` (it keeps no in-box flags) whose codes name both entries
-    and the nonzero products of entries, the terms of a pairing; ``mul``
-    gives the code of a product, and zero (code 0) is the zero product.  A
-    state is the partial hypersum of the terms added so far, interned as an
-    int, and state 0 is the empty sum.  On the graded catalog it is the top
-    grade of the terms and the residue aggregate of the terms at that grade,
-    a count capped at 2 (Krasner), a bit per sign (sign) or the residue sum
-    mod p (field).  Over a quotient it is the ``SymbolicSet`` of
-    ``SymbolicSet.add_element``.  ``moves[s][t]`` is the state once term t
-    is added to s, filled on first use by ``add``; ``zero[s]`` tells whether
-    0 lies in the hypersum of the terms behind s (the verdict of
-    ``zero_in_sum`` on them).  Products come from ``Hyperfield.mul``, so a
-    skew product is read in the caller's order.
+    A ``BoxCode`` whose codes name both entries and the nonzero products of
+    entries, the terms of a pairing; ``mul`` gives the code of a product,
+    and zero (code 0) is the zero product.  A state is the partial hypersum
+    of the terms added so far, interned as an int, and state 0 is the empty
+    sum.  On the graded catalog it is the top grade of the terms and the
+    residue aggregate of the terms at that grade, a count capped at 2
+    (Krasner), a bit per sign (sign) or the residue sum mod p (field).  Over
+    a quotient it is the ``SymbolicSet`` of ``SymbolicSet.add_element``.
+    ``moves[s][t]`` is the state once term t is added to s, filled on first
+    use by ``add``; ``zero[s]`` tells whether 0 lies in the hypersum of the
+    terms behind s (the verdict of ``zero_in_sum`` on them).  Products come
+    from ``Hyperfield.mul``, so a skew product is read in the caller's
+    order.
     """
 
     def __init__(self, H: Hyperfield):
-        super().__init__(H, 0, [H.zero()])
+        super().__init__(H, [H.zero()])
         self.moves: list[dict[int, int]] = []
         self.zero: list[bool] = []
         self._states: list = []
@@ -190,15 +190,6 @@ class PairingFold(BoxCode):
         else:
             self._combine, self._zero_agg = (lambda agg, r: (agg + r) % p), 0
         self._intern(symset(H, [H.zero()]) if self._quotient else None)
-
-    def code(self, x: HElement) -> int:
-        """``BoxCode.code`` without the in-box flag, which a fold never reads."""
-        key = (x.residue, x.grade)
-        c = self._codes.get(key)
-        if c is None:
-            c = self._codes[key] = len(self.elements)
-            self.elements.append(x)
-        return c
 
     def pairs_to_zero(self, xs, ys, meet: int) -> bool:
         """True iff 0 lies in the sum of ``xs[i]·ys[i]`` over the set bits i
@@ -310,10 +301,6 @@ def signature_from_vectors(field, ground, vectors) -> CircuitSignature:
 def _support_mask(vec: HVector) -> int:
     """The support of ``vec`` as an int bitmask: bit i is ``vec.ground[i]``."""
     return sum(1 << i for i, x in enumerate(vec.entries) if x.residue is not None)
-
-
-def _positions(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def dual_signature(underlying: ClassicalMatroid, sig: CircuitSignature) -> CircuitSignature:
@@ -455,13 +442,6 @@ class HMatroid:
         vecs = [HVector(K, self.ground, tuple(f.apply(x) for x in rep.entries)) for rep in self.circuits.reps]
         return hmatroid_from_circuits(K, self.ground, vecs)
 
-    def residue_matroid(self) -> "HMatroid":
-        return residue_matroid(self)
-
-    def valuation_matroid(self) -> "HMatroid":
-        """The push-forward |M| along the valuation map."""
-        return self.push_forward(valuation_map(self.field))
-
 
 def hmatroid_from_circuits(field, ground, circuit_vectors, side="left") -> HMatroid:
     """Validated construction: signature axioms, underlying matroid, duality.
@@ -526,13 +506,13 @@ def _elimination_exists(H, circuits, X: HVector, Y: HVector, e: str) -> bool:
     hypersum with a down-set is intersected.
     """
     union = _support_mask(X) | _support_mask(Y)
-    sums = {f: H.hyperadd(X.entries[f], Y.entries[f]) for f in _positions(union)}
+    sums = {f: H.hyperadd(X.entries[f], Y.entries[f]) for f in _set_bits(union)}
     e_bit = 1 << X.ground.index(e)
     needed = sum(1 << f for f, s in sums.items() if not s.contains_zero) & ~e_bit
     for Z, z_mask in circuits:
         if z_mask & e_bit or z_mask & ~union or needed & ~z_mask:
             continue
-        first, *rest = _positions(z_mask)
+        first, *rest = _set_bits(z_mask)
         z = Z.entries
         if sums[first].below is None:
             z_inv = H.inv(z[first])

@@ -668,7 +668,7 @@ def validate_axioms(H: Hyperfield, window: int = 4) -> list[dict]:
     """
     check_axiom_budget(H, window)
     elems = H.elements_box(window)
-    T = BoxCode(H, window, elems)
+    T = BoxCode(H, elems)
     box = range(len(elems))
     zero, one = T.code(H.zero()), T.code(H.one())
     report = []
@@ -740,28 +740,19 @@ def validate_axioms(H: Hyperfield, window: int = 4) -> list[dict]:
     return report
 
 
-def _in_box(x: HElement, window: int) -> bool:
-    """Is x zero or a unit whose grade coordinates all lie in [-window, window]?"""
-    return x.is_zero or all(abs(c) <= window for c in x.grade)
-
-
 class BoxCode:
     """Elements coded as ints for one call, with memo tables of sums and products.
 
     The given ``elements`` get the codes ``0 .. n-1`` in order; any other
-    element gets the next code when it is first seen.  ``in_box[c]`` tells
-    whether code c lies in the window box.  The coder never builds the box
-    itself, so its size is the number of elements coded, not the size of the
-    box.  Symbolic sets are interned as ids into ``sets``, so two sets are
-    equal exactly when their ids are.  ``sum`` and ``mul`` compute each pair
-    once, on first use.
+    element gets the next code when it is first seen, so the coder's size is
+    the number of elements coded, not the size of any box.  Symbolic sets
+    are interned as ids into ``sets``, so two sets are equal exactly when
+    their ids are.  ``sum`` and ``mul`` compute each pair once, on first use.
     """
 
-    def __init__(self, H: Hyperfield, window: int, elements=()):
+    def __init__(self, H: Hyperfield, elements=()):
         self.field = H
-        self.window = window
         self.elements: list[HElement] = []
-        self.in_box: list[bool] = []
         self._codes: dict[tuple, int] = {}
         self.sets: list[SymbolicSet] = []
         self._set_ids: dict[SymbolicSet, int] = {}
@@ -777,7 +768,6 @@ class BoxCode:
         if c is None:
             c = self._codes[key] = len(self.elements)
             self.elements.append(x)
-            self.in_box.append(_in_box(x, self.window))
         return c
 
     def set_id(self, s: SymbolicSet) -> int:

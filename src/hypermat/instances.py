@@ -25,10 +25,6 @@ def u23() -> ClassicalMatroid:
     return uniform_matroid(2, GROUND3)
 
 
-def u13() -> ClassicalMatroid:
-    return uniform_matroid(1, GROUND3)
-
-
 def u24() -> ClassicalMatroid:
     return uniform_matroid(2, GROUND4)
 
@@ -38,18 +34,14 @@ def three_circuit_rank2() -> ClassicalMatroid:
     return from_circuits(GROUND4, [{"1", "2", "3"}, {"1", "2", "4"}, {"3", "4"}])
 
 
-def three_circuit_rank2_dual() -> ClassicalMatroid:
-    return three_circuit_rank2().dual()
-
-
 def perfection_family_matroids() -> list[tuple[str, ClassicalMatroid]]:
     """The |E| <= 4 family (duals included; U_{1,3} is the dual of U_{2,3})."""
     return [
         ("U23", u23()),
-        ("U13", u13()),
+        ("U13", u23().dual()),
         ("U24", u24()),
         ("P", three_circuit_rank2()),
-        ("P*", three_circuit_rank2_dual()),
+        ("P*", three_circuit_rank2().dual()),
     ]
 
 

@@ -202,9 +202,13 @@ def _ground_of(d, path):
     ground = d.get("ground")
     if not isinstance(ground, list) or not ground:
         raise SpecError(f"{path}.ground: expected a nonempty list of labels")
+    seen = set()
     for i, label in enumerate(ground):
         if type(label) is not str:
             raise SpecError(f"{path}.ground[{i}]: expected a string label, got {label!r}")
+        if label in seen:
+            raise SpecError(f"{path}.ground[{i}]: duplicate label {label!r}")
+        seen.add(label)
     return tuple(ground)
 
 

@@ -2,18 +2,18 @@
 
 Rank and bases come from exhaustive independence testing (a set is
 independent iff it contains no circuit), which is exact for |E| <= 10.
-``from_circuits`` fills one dependent-set table (s contains a circuit) for
-circuit elimination and the independent sets.
 Includes the painting-style validator and the minimalization construction
 for circuit/cocircuit family pairs.  The subset and painting scans run on
 int bitmasks over ground positions; sets go in and come out as frozensets.
 
-``_from_bases`` and the painting scan work on whole-lattice bitsets, one int
-whose bit t stands for mask t: ``_lattice(n)`` gives the bitsets of the
-supermasks and the submasks of every n-bit mask, built once per n on first
-use.  The independent sets are the OR of the bases' submask bitsets, and a
-painting is covered when its red mask lies in a circuit rest's supermask
-bitset or in the submask bitset of a cocircuit rest's complement.
+``from_circuits``, ``_from_bases`` and the painting scan work on
+whole-lattice bitsets, one int whose bit t stands for mask t: ``_lattice(n)``
+gives the bitsets of the supermasks and the submasks of every n-bit mask,
+built once per n on first use.  The dependent sets are the OR of the
+circuits' supermask bitsets, the independent sets the OR of the bases'
+submask bitsets, and a painting is covered when its red mask lies in a
+circuit rest's supermask bitset or in the submask bitset of a cocircuit
+rest's complement.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ def _labels(ground, mask: int) -> frozenset[str]:
     return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
 
 
-def _bits(mask: int) -> list[int]:
-    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def _set_bits(bitset: int):
     """The indices of the set bits, in ascending order."""
     while bitset:
@@ -55,8 +51,8 @@ def _set_bits(bitset: int):
 def _submasks(x: int) -> int:
     """The bitset of the submasks of x."""
     down = 1
-    for b in _bits(x):
-        down |= down << b
+    for i in _set_bits(x):
+        down |= down << (1 << i)
     return down
 
 
@@ -136,32 +132,24 @@ def from_circuits(ground, circuits) -> ClassicalMatroid:
                 "incomparability violated", witness=(sorted(c1), sorted(c2))
             )
     n = len(ground)
-    dependent = [False] * (1 << n)
+    up = _lattice(n)[0]
+    # bit s: mask s contains a circuit
+    dependent = 0
     for x in masks:
-        _mark_submasks(dependent, x, (1 << n) - 1 ^ x)
+        dependent |= up(x)
     # elimination is symmetric in the pair, so the first failing ordered
     # pair always comes in combinations order
     by_label = sorted(range(n), key=ground.__getitem__)
     for (c1, x1), (c2, x2) in itertools.combinations(zip(fam, masks), 2):
         for i in by_label:
-            if (x1 & x2) >> i & 1 and not dependent[(x1 | x2) ^ (1 << i)]:
+            if (x1 & x2) >> i & 1 and not dependent >> ((x1 | x2) ^ 1 << i) & 1:
                 raise InvalidCircuitsError(
                     "circuit elimination violated", witness=(sorted(c1), sorted(c2), ground[i])
                 )
-    independent = [s for s, dep in enumerate(dependent) if not dep]
+    independent = list(_set_bits(~dependent & (1 << (1 << n)) - 1))
     rank = max(s.bit_count() for s in independent)
     bases = frozenset(_labels(ground, s) for s in independent if s.bit_count() == rank)
     return ClassicalMatroid(ground, frozenset(fam), bases, rank)
-
-
-def _mark_submasks(table, base: int, free: int):
-    """Set ``table[base | t]`` for every submask t of ``free``."""
-    t = free
-    while True:
-        table[base | t] = True
-        if not t:
-            return
-        t = t - 1 & free
 
 
 def _from_bases(ground, bases) -> ClassicalMatroid:
@@ -174,12 +162,12 @@ def _from_bases(ground, bases) -> ClassicalMatroid:
     for b in masks:
         independent |= down(b)
     # the minimal dependent sets: dependent, with every one-element deletion
-    # independent; for s through x, s ^ x is s - x, so it is independent iff
-    # bit s of independent << x is set
+    # independent; for s through position i, s ^ 1 << i is s - i, so it is
+    # independent iff bit s of independent << (1 << i) is set
     full = (1 << n) - 1
     circuits = ~independent & (1 << full + 1) - 1
-    for x in _bits(full):
-        circuits &= ~up(x) | independent << x
+    for i in _set_bits(full):
+        circuits &= ~up(1 << i) | independent << (1 << i)
     circuits = frozenset(_labels(ground, s) for s in _set_bits(circuits))
     return ClassicalMatroid(tuple(ground), circuits, bases, rank)
 
@@ -187,9 +175,9 @@ def _from_bases(ground, bases) -> ClassicalMatroid:
 def _exchange_holds(masks: set[int]) -> bool:
     for b1 in masks:
         for b2 in masks:
-            ys = _bits(b2 & ~b1)
-            for x in _bits(b1 & ~b2):
-                if not any((b1 ^ x | y) in masks for y in ys):
+            ys = [1 << j for j in _set_bits(b2 & ~b1)]
+            for i in _set_bits(b1 & ~b2):
+                if not any((b1 ^ 1 << i | y) in masks for y in ys):
                     return False
     return True
 

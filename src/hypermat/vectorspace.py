@@ -39,7 +39,7 @@ from .hmatroid import (
     zero_in_sum,
     zero_vector,
 )
-from .hyperfields import BoxCode, HElement, Hyperfield, _in_box, composition
+from .hyperfields import BoxCode, HElement, Hyperfield, composition
 
 CANDIDATE_BUDGET = 10**8
 
@@ -187,8 +187,15 @@ def compose_vectors(V: HVector, W: HVector) -> HVector:
     return HVector(H, V.ground, tuple(H.compose(a, b) for a, b in zip(V.entries, W.entries)))
 
 
-def _within_box(V: HVector, window: int) -> bool:
-    return all(_in_box(x, window) for x in V.entries)
+def _in_box(x: HElement, window: int, spread: int = 0) -> bool:
+    """Is x zero or a unit whose grade coordinates all lie in
+    [-(window + spread), window]?"""
+    return x.is_zero or all(-window - spread <= c <= window for c in x.grade)
+
+
+def _within_box(V: HVector, window: int, spread: int = 0) -> bool:
+    """Is every entry of V in the window box, stretched by ``spread`` below?"""
+    return all(_in_box(x, window, spread) for x in V.entries)
 
 
 def _grade_spread(sig) -> int:
@@ -214,7 +221,7 @@ def vectors_generate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     pool = [
         v
         for v in M.circuits.scalings(window + spread)
-        if _within_box_ext(v, window, spread)
+        if _within_box(v, window, spread)
     ]
     results = set(pool)
     residue = H.residue_kind
@@ -238,15 +245,6 @@ def vectors_generate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     results = {V for V in results if _within_box(V, window)}
     results.add(zero_vector(H, M.ground))
     return frozenset(results)
-
-
-def _within_box_ext(V: HVector, window: int, spread: int) -> bool:
-    for x in V.entries:
-        if x.is_zero:
-            continue
-        if any(c > window or c < -(window + spread) for c in x.grade):
-            return False
-    return True
 
 
 def _vector_hypersum(vectors) -> HVector | None:
@@ -460,24 +458,27 @@ def check_vector_axioms(vectors, window: int = 4, matroid=None) -> list[dict]:
 class _EntryTable(BoxCode):
     """One vector set coded by a ``BoxCode``, plus entry-pair tables.
 
-    Lives for one ``check_vector_axioms`` call.  ``rows`` holds the coded
-    entries of each vector and ``present`` their set; the hypersum of codes
-    ``a, b`` is ``sets[sum(a, b)]``.  ``add_pairs`` visits every pair of
-    entries that meets at some coordinate once; those are exactly the pairs
-    that composing every two vectors computes.  Per pair ``a, b`` (codes),
-    ``sum_id[a][b]`` is ``sum(a, b)``; ``composed[a][b]`` is the code of the
-    composition when (V2') asks for it at that coordinate, that is when it
-    is inside the window box and, over a field residue, keeps the union
-    support; else None.  ``single[a][b]`` is the code of a singleton
-    hypersum, else None, and ``single_in_box[a][b]`` the same inside the
-    box, for (V2'').  These stay plain dicts because the quadratic
-    (V2')/(V2'') and (V3) loops read them.  ``matching`` indexes the rows by
-    their entries off each tuple of loose coordinates that (V3) meets.
+    Lives for one ``check_vector_axioms`` call.  ``in_box[c]`` tells whether
+    code c lies in the window box; ``code`` sets it when it makes c.  ``rows``
+    holds the coded entries of each vector and ``present`` their set; the
+    hypersum of codes ``a, b`` is ``sets[sum(a, b)]``.  ``add_pairs`` visits
+    every pair of entries that meets at some coordinate once; those are exactly
+    the pairs that composing every two vectors computes.  Per pair ``a, b``
+    (codes), ``sum_id[a][b]`` is ``sum(a, b)``; ``composed[a][b]`` is the code
+    of the composition when (V2') asks for it at that coordinate, that is when
+    it is inside the window box and, over a field residue, keeps the union
+    support; else None.  ``single[a][b]`` is the code of a singleton hypersum,
+    else None, and ``single_in_box[a][b]`` the same inside the box, for (V2'').
+    These stay plain dicts because the quadratic (V2')/(V2'') and (V3) loops
+    read them.  ``matching`` indexes the rows by their entries off each tuple
+    of loose coordinates that (V3) meets.
     """
 
     def __init__(self, ordered, window: int):
         some = ordered[0]
-        super().__init__(some.field, window, [some.field.zero()])
+        self.window = window
+        self.in_box: list[bool] = []
+        super().__init__(some.field, [some.field.zero()])
         self.zero = 0
         self.rows = [tuple(map(self.code, V.entries)) for V in ordered]
         self.present = set(self.rows)
@@ -487,6 +488,12 @@ class _EntryTable(BoxCode):
         self.composed: dict[int, dict[int, int | None]] = {}
         self._within: dict[tuple[int, int, int], list[int]] = {}
         self._indexes: dict[tuple[int, ...], dict] = {}
+
+    def code(self, x: HElement) -> int:
+        c = super().code(x)
+        if c == len(self.in_box):
+            self.in_box.append(_in_box(x, self.window))
+        return c
 
     def scalings(self, scalars) -> list[list[int | None]]:
         """Per scalar a, the code of a·x for every entry code x of the

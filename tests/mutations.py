@@ -40,8 +40,8 @@ MUTATIONS = [
     (
         "table-op-is-self",
         "src/hypermat/hyperfields.py",
-        "            if all(mul.get((b, a)) == v for (a, b), v in mul.items()):\n",
-        "            if True:\n",
+        "            if any(mul.get((b, a)) != v for (a, b), v in mul.items()):\n",
+        "            if False:\n",
         "tests/test_skew_products.py",
     ),
     (
@@ -64,6 +64,158 @@ MUTATIONS = [
         "columns[key] = [code(mul(x, y)) for x in domains[j]]",
         "columns[key] = [code(mul(y, x)) for x in domains[j]]",
         "tests/test_skew_products.py",
+    ),
+    # the pairing fold
+    (
+        "field-aggregate-without-mod-p",
+        "src/hypermat/hmatroid.py",
+        "(lambda agg, r: (agg + r) % p), 0",
+        "(lambda agg, r: agg + r), 0",
+        "tests/test_hmatroid.py",
+    ),
+    (
+        "fold-keeps-an-equal-grade-as-a-new-top",
+        "src/hypermat/hmatroid.py",
+        "elif state is None or x.grade > state[0]:",
+        "elif state is None or x.grade >= state[0]:",
+        "tests/test_hmatroid.py",
+    ),
+    (
+        "product-memo-keyed-without-y-grade",
+        "src/hypermat/hmatroid.py",
+        "key = (x.residue, x.grade, y.residue, y.grade)",
+        "key = (x.residue, x.grade, y.residue)",
+        "tests/test_hmatroid.py",
+    ),
+    (
+        "fold-drops-the-last-term",
+        "src/hypermat/hmatroid.py",
+        "        while meet:\n",
+        "        while meet & (meet - 1):\n",
+        "tests/test_hmatroid.py",
+    ),
+    # whole-lattice bitsets
+    (
+        "painting-cocircuits-up-for-down",
+        "src/hypermat/matroids.py",
+        "covered |= down(rests ^ y)",
+        "covered |= up(rests ^ y)",
+        "tests/test_matroids_reference.py",
+    ),
+    (
+        "painting-compressed-with-shift-by-i",
+        "src/hypermat/matroids.py",
+        "cg = [x & green - 1 | x >> i + 1 << i for x in cm",
+        "cg = [x & green - 1 | x >> i << i for x in cm",
+        "tests/test_matroids_reference.py",
+    ),
+    (
+        "painting-without-ground-guard",
+        "src/hypermat/matroids.py",
+        "for x in cm if x & green and x <= full]",
+        "for x in cm if x & green]",
+        "tests/test_matroids_reference.py",
+    ),
+    (
+        "wrong-down-past-lattice-max",
+        "src/hypermat/matroids.py",
+        "return (lambda x: _submasks(full ^ x) << x), _submasks",
+        "return (lambda x: _submasks(full ^ x) << x), (lambda x: _submasks(full ^ x))",
+        "tests/test_matroids_reference.py",
+    ),
+    (
+        "from-circuits-down-for-up",
+        "src/hypermat/matroids.py",
+        "up = _lattice(n)[0]",
+        "up = _lattice(n)[1]",
+        "tests/test_matroids_reference.py",
+    ),
+    (
+        "set-bits-skips-the-lowest-bit",
+        "src/hypermat/matroids.py",
+        "    while bitset:\n        low = bitset & -bitset\n",
+        "    bitset &= bitset - 1\n    while bitset:\n        low = bitset & -bitset\n",
+        "tests/test_matroids.py",
+    ),
+    # the partition dichotomy
+    (
+        "farkas-cocircuit-always-returns-y",
+        "src/hypermat/vectorspace.py",
+        "        return Y.scale_left(HElement(one.residue, tuple(-c for c in m_g)))\n",
+        "        return Y\n",
+        "tests/test_enumeration_reference.py",
+    ),
+    # the window box
+    (
+        "within-box-ignores-the-spread",
+        "src/hypermat/vectorspace.py",
+        "return all(_in_box(x, window, spread) for x in V.entries)",
+        "return all(_in_box(x, window) for x in V.entries)",
+        "tests/test_vectorspace.py",
+    ),
+    (
+        "entry-table-flags-every-code-in-the-box",
+        "src/hypermat/vectorspace.py",
+        "self.in_box.append(_in_box(x, self.window))",
+        "self.in_box.append(True)",
+        "tests/test_vector_axioms_reference.py",
+    ),
+    # each criterion's comparison skipped: its negative control turns red
+    (
+        "c1-skips-the-axiom-report",
+        "src/hypermat/acceptance.py",
+        "        if report:\n            failures.append({\"hyperfield\": name,",
+        "        if False:\n            failures.append({\"hyperfield\": name,",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c2-skips-the-stringency-law",
+        "src/hypermat/acceptance.py",
+        "if not s.is_singleton() or H.compose(a, b) != s.the_singleton():",
+        "if False:",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c5-skips-generation-against-enumeration",
+        "src/hypermat/acceptance.py",
+        "        if got != want:\n",
+        "        if False:\n",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c6-skips-the-contraction-identity",
+        "src/hypermat/acceptance.py",
+        "            if got_c != want_c:\n",
+        "            if False:\n",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c7-skips-the-worked-example",
+        "src/hypermat/acceptance.py",
+        "    if {frozenset(v.support) for v in M0.circuits.reps} != {frozenset({\"1\", \"2\"})}:\n",
+        "    if False:\n",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c8-skips-circuit-recovery",
+        "src/hypermat/acceptance.py",
+        "        if rec.circuits != M.circuits:\n",
+        "        if False:\n",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c9-skips-the-painting-verdict",
+        "src/hypermat/acceptance.py",
+        "            if not ok:\n                failures.append({\"matroid\": repr(M),",
+        "            if False:\n                failures.append({\"matroid\": repr(M),",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c11-skips-the-agreement",
+        "src/hypermat/acceptance.py",
+        "        if full != prime:\n",
+        "        if False:\n",
+        "tests/test_acceptance.py",
     ),
 ]
 

@@ -2,10 +2,28 @@
 
 import pytest
 
-from hypermat.acceptance import CRITERIA, AcceptanceContext, criterion_3, criterion_4, criterion_8, criterion_10
+from hypermat import Hyperfield, InvalidSignatureError, acceptance, hmatroid_from_circuits, hvector, symset
+from hypermat.acceptance import (
+    CRITERIA,
+    AcceptanceContext,
+    criterion_1,
+    criterion_2,
+    criterion_3,
+    criterion_4,
+    criterion_5,
+    criterion_6,
+    criterion_7,
+    criterion_8,
+    criterion_9,
+    criterion_10,
+    criterion_11,
+)
 from hypermat.hmatroid import CircuitSignature, HMatroid, HVector
+from hypermat.instances import graded_rescaled, u23
+from hypermat.matroids import ClassicalMatroid, from_circuits
 
 from test_hmatroid import plain
+from test_validate_axioms_reference import _unchecked
 
 # The work each criterion reports doing, so a faster criterion cannot pass
 # by silently checking less.
@@ -89,6 +107,35 @@ def test_c8_fails_on_a_dropped_vector():
     ])
 
 
+def test_c8_fails_when_reconstruction_fails_or_misses(monkeypatch):
+    family = dict(AcceptanceContext().family())
+    names = ["U23/sign/0", "U23/sign/1", "U24/sign/0"]
+    ctx = AcceptanceContext()
+    ctx._family, ctx._windowed = [(name, family[name]) for name in names], []
+    # the same circuits as U24/sign/0, with one cocircuit entry negated,
+    # so its enumerated vectors differ
+    M = family["U24/sign/0"]
+    Y = M.cocircuits.reps[0].entries
+    k = next(i for i, y in enumerate(Y) if i and not y.is_zero)
+    other = _with_cocircuit(M, 0, Y[:k] + (M.field.neg(Y[k]),) + Y[k + 1:])
+    assert ctx.vectors(other, 0) != ctx.vectors(M, 0)
+    rebuilt = iter([InvalidSignatureError("planted"), family["U23/sign/0"], other])
+
+    def reconstruct(vectors):
+        result = next(rebuilt)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    monkeypatch.setattr(acceptance, "reconstruct_from_vectors", reconstruct)
+    record = criterion_8(ctx)
+    assert (record.status, record.witness) == ("fail", [
+        {"instance": "U23/sign/0", "error": "planted"},
+        {"instance": "U23/sign/1", "check": "circuit recovery"},
+        {"instance": "U24/sign/0", "check": "vector set round trip"},
+    ])
+
+
 def test_c10_fails_on_a_cocircuit_replaced_by_a_unit_vector():
     # C10 reads no cached vector set, so the fault is planted in the
     # cocircuits: with (0, 0, 1·t^-1) among them, the partition R = {3},
@@ -102,3 +149,122 @@ def test_c10_fails_on_a_cocircuit_replaced_by_a_unit_vector():
         {"instance": name, "partition": {"R": ["3"], "G": ["1", "2"], "B": []},
          "error": "no dichotomy witness within window 3"},
     ])
+
+
+def test_c1_fails_on_a_bad_table_a_non_stringent_entry_and_a_stringent_quotient(monkeypatch):
+    # the Boolean table (1 + 1 = {1}) has no negative of 1; the quotient
+    # sits where a stringent entry belongs, and GF(7) where the quotient does
+    boolean = _unchecked(monkeypatch, (0, 1), {(1, 1): frozenset({1})}, {(1, 1): 1})
+    Q, F7 = Hyperfield.quotient(7, [1, 2, 4]), Hyperfield.field(7)
+    planted = {"tropical1": boolean, "sign": Q, "quotient-7-124": F7}
+    catalog = [(name, planted.get(name, H)) for name, H in acceptance._catalog()]
+    monkeypatch.setattr(acceptance, "_catalog", lambda: catalog)
+    record = criterion_1(AcceptanceContext())
+    assert (record.status, record.witness) == ("fail", [
+        {"hyperfield": "tropical1",
+         "violations": [{"check": "H1-unique-negation", "witness": {"x": boolean.one(), "candidates": []}}]},
+        {"hyperfield": "sign", "stringency-witness": (Q.unit(1), Q.unit(1))},
+        {"hyperfield": "quotient-7-124", "expected-witness": (F7.unit(1), F7.unit(1)), "got": None},
+    ])
+
+
+def test_c2_fails_on_a_quotient_that_claims_to_be_stringent(monkeypatch):
+    Q = Hyperfield.quotient(7, [1, 2, 4])
+    Q._stringent = True  # the cached verdict of check_stringent, planted wrong
+    monkeypatch.setattr(acceptance, "_catalog", lambda: [("quotient", Q), ("left out", Q)])
+    record = criterion_2(AcceptanceContext())
+    both = symset(Q, [Q.unit(1), Q.unit(3)])
+    assert (record.status, record.witness, record.detail) == ("fail", [
+        {"H": repr(Q), "a": Q.unit(1), "b": Q.unit(1), "sum": both},
+        {"H": repr(Q), "a": Q.unit(3), "b": Q.unit(3), "sum": both},
+    ], "7 pairs")
+
+
+def test_c5_fails_on_a_vector_dropped_from_the_enumeration():
+    ctx = AcceptanceContext()
+    name, M = ctx.windowed()[0]
+    T = M.field
+    V = HVector(T, M.ground, (T.unit(1, (3,)), T.unit(1, (3,)), T.unit(1, (2,))))
+    assert V in ctx.vectors(M, 3)
+    ctx._vectors[(M, 3)] = ctx.vectors(M, 3) - {V}
+    record = criterion_5(ctx)
+    assert (record.status, record.witness) == ("fail", [
+        {"instance": name, "missing": [], "extra": [repr(V)]},
+    ])
+
+
+def test_c6_fails_on_a_vector_dropped_from_a_contraction_and_a_deletion():
+    M = dict(AcceptanceContext().family())["U23/sign/0"]
+    ctx = _one_instance("U23/sign/0", M)
+    # deleting 1 leaves the free matroid, whose one vector is zero
+    K, D = M.contract("1"), M.delete("1")
+    m, z = M.field.neg(M.field.one()), M.field.zero()
+    ctx._vectors[(K, 0)] = ctx.vectors(K, 0) - {HVector(M.field, K.ground, (m, m))}
+    ctx._vectors[(D, 0)] = ctx.vectors(D, 0) - {HVector(M.field, D.ground, (z, z))}
+    record = criterion_6(ctx)
+    assert (record.status, record.witness) == ("fail", [
+        {"instance": "U23/sign/0", "op": "contract 1"},
+        {"instance": "U23/sign/0", "op": "delete 1"},
+    ])
+
+
+def test_c7_fails_on_a_quotient_instance_and_a_wrong_worked_example():
+    Q = Hyperfield.quotient(7, [1, 2, 4])
+    ground = ("1", "2", "3")
+    quotient_u23 = hmatroid_from_circuits(Q, ground, [hvector(Q, ground, dict.fromkeys(ground, Q.one()))])
+    # the worked example has weights (2, 2, 1); flat weights give other residues
+    flat = graded_rescaled(Hyperfield.tropical(1), u23(), dict.fromkeys(ground, 0))
+    ctx = AcceptanceContext()
+    ctx._windowed = [("Q-U23", quotient_u23), ("T-U23(2,2,1)", flat)]
+    record = criterion_7(ctx)
+    assert (record.status, record.witness) == ("fail", [
+        {"instance": "Q-U23", "error": "residue matroid needs a graded catalog hyperfield"},
+        {"instance": "worked example", "check": "residue circuits"},
+        {"instance": "worked example", "check": "residue cocircuits"},
+    ])
+
+
+def test_c9_fails_on_matroids_with_wrong_bases_or_a_permuted_ground(monkeypatch):
+    # circuit {1, 2} with basis {1}: the cocircuit {1} meets the circuit in
+    # one element; a matroid on ("2", "1") is not what C9 rebuilds on ("1", "2")
+    pair = frozenset({"1", "2"})
+    wrong_bases = ClassicalMatroid(("1", "2"), frozenset({pair}), frozenset({frozenset({"1"})}), 1)
+    permuted = from_circuits(("2", "1"), [pair])
+    enumerate_matroids = acceptance.enumerate_matroids
+    monkeypatch.setattr(acceptance, "enumerate_matroids", lambda ground: enumerate_matroids(ground) + (
+        [wrong_bases, permuted] if len(ground) == 2 else []))
+    record = criterion_9(AcceptanceContext())
+    assert (record.status, record.witness, record.detail) == ("fail", [
+        {"matroid": repr(wrong_bases), "witness": {"axiom": "M1", "pair": (["1", "2"], ["1"])}},
+        {"matroid": repr(permuted), "check": "fixed point"},
+    ], "500 matroids")
+
+
+class _ZeroCompose(Hyperfield):
+    """Tropical T^1 whose ``compose`` is zero on every pair, so (C3)' finds
+    no eliminant that full modular elimination does."""
+
+    def __init__(self):
+        super().__init__("krasner", rank=1)
+        self._descriptor = ("zero-compose",) + self._descriptor
+        self._hash = hash(self._descriptor)
+
+    def compose(self, a, b):
+        return self.zero()
+
+
+def test_c11_fails_on_a_corruption_that_breaks_c0_and_on_disagreeing_checkers(monkeypatch):
+    ctx = AcceptanceContext()
+    name, M = ctx.windowed()[1]
+    assert name == "T-U24(0,0,0,0)"
+    H = _ZeroCompose()
+    zero = HVector(H, M.ground, (H.zero(),) * len(M.ground))
+    cases = [("zero-vector", H, M.ground, (zero,)),
+             ("zero-compose", H, M.ground, tuple(HVector(H, M.ground, X.entries) for X in M.circuits.reps))]
+    monkeypatch.setattr(acceptance, "corrupted_signatures", lambda count: cases)
+    ctx._windowed = []
+    record = criterion_11(ctx)
+    assert (record.status, record.witness, record.detail) == ("fail", [
+        {"case": "zero-vector", "error": "corruption broke (C0)-(C2): (C0) fails: zero vector in signature"},
+        {"case": "zero-compose", "full": True, "c3prime": False},
+    ], "1 signatures")

@@ -390,6 +390,15 @@ def test_suite_criteria_validation(capsys):
     assert len(doc["checks"]) == 1
 
 
+@pytest.mark.parametrize("criteria", [",", ",,", ""])
+def test_suite_refuses_a_selection_that_names_no_criterion(capsys, criteria):
+    # an empty selection would run nothing and pass vacuously
+    assert run(["suite", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --criteria: names no criterion, got {criteria!r}\n"
+
+
 def test_rescale_rejects_zero_entries(capsys, u23_sign_file):
     code = run(["matroid", "rescale", "--rho", '{"1": "0", "2": {"r": "+"}, "3": {"r": "+"}}',
                 u23_sign_file])
@@ -417,15 +426,6 @@ def test_budget_refusal(tmp_path, capsys):
     code = run(["matroid", "vectors", "--enumerate", str(path)])
     assert code == 2
     assert "max-ground" in capsys.readouterr().err
-
-
-def test_window_env_override(capsys, u23_sign_file, monkeypatch):
-    monkeypatch.setenv("HYPERMAT_WINDOW", "2")
-    code, doc = run_json(capsys, ["matroid", "perfect", u23_sign_file])
-    assert doc["window"] == 2
-    monkeypatch.setenv("HYPERMAT_WINDOW", "two")
-    assert run(["matroid", "perfect", u23_sign_file]) == 2
-    assert _one_line_error(capsys)
 
 
 def _strip_elapsed(doc):
@@ -495,6 +495,16 @@ def test_malformed_documents_exit_2_on_every_verb(tmp_path, capsys, verb, change
         main(["matroid", *verb, str(path)])
     assert exit_info.value.code == 2
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("verb", [["check"], ["dual"], ["vectors", "--enumerate"], ["perfect"]])
+def test_duplicate_ground_labels_exit_2_from_run(tmp_path, capsys, verb):
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(_u23_sign_doc(ground=["1", "1", "2"])))
+    assert run(["matroid", *verb, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.ground[1]: duplicate label '1'\n"
 
 
 @pytest.mark.parametrize("source, argv", [

@@ -21,6 +21,7 @@ from hypermat import (
     hvector,
     perp,
     perp_k,
+    residue_matroid,
     sign_map,
     signature_from_vectors,
     table_map,
@@ -394,7 +395,7 @@ def test_uparrow_examples(tropical1):
 
 
 def test_residue_worked_example(trop_u23):
-    M0 = trop_u23.residue_matroid()
+    M0 = residue_matroid(trop_u23)
     assert {v.support for v in M0.circuits.reps} == {frozenset({"1", "2"})}
     assert {v.support for v in M0.cocircuits.reps} == {
         frozenset({"1", "2"}), frozenset({"3"})
@@ -404,12 +405,12 @@ def test_residue_worked_example(trop_u23):
 
 def test_residue_of_flat_grades_is_residue_signature(u24_sign, sign):
     # the fixture has all grades flat at rank 0, so the residue is itself
-    M0 = u24_sign.residue_matroid()
+    M0 = residue_matroid(u24_sign)
     assert M0.circuits == u24_sign.circuits
 
 
 def test_residue_keeps_signs(stringent_sign_u23, sign):
-    M0 = stringent_sign_u23.residue_matroid()
+    M0 = residue_matroid(stringent_sign_u23)
     assert M0.field == sign
     rep = M0.circuits.reps[0]
     assert rep.support == {"1", "2"}
@@ -457,8 +458,8 @@ def test_push_forward_sign_map_gf7():
 
 
 def test_residue_underlying_matches_valuation_residue(stringent_sign_u23):
-    M0 = stringent_sign_u23.residue_matroid()
-    V0 = stringent_sign_u23.valuation_matroid().residue_matroid()
+    M0 = residue_matroid(stringent_sign_u23)
+    V0 = residue_matroid(stringent_sign_u23.push_forward(valuation_map(stringent_sign_u23.field)))
     assert M0.underlying == V0.underlying
 
 

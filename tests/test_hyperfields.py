@@ -19,6 +19,7 @@ from hypermat import (
     hvector,
     symset,
     validate_axioms,
+    zero_vector,
 )
 from hypermat import jsonio
 from hypermat.hyperfields import (
@@ -28,6 +29,7 @@ from hypermat.hyperfields import (
     check_axiom_budget,
     is_prime,
 )
+from hypermat.vectorspace import _EntryTable
 
 K = Hyperfield.krasner()
 S = Hyperfield.sign()
@@ -318,21 +320,21 @@ def test_axiom_budget_admits_the_boxes_in_use():
     assert MAX_QUOTIENT_INDEX + 1 <= MAX_AXIOM_BOX
 
 
-@pytest.mark.parametrize("H", [
-    T1, Hyperfield.stringent("sign", 2), SF31, Hyperfield.quotient(7, [1, 2, 4]),
-], ids=repr)
+CODED_FIELDS = [T1, Hyperfield.stringent("sign", 2), SF31, Hyperfield.quotient(7, [1, 2, 4])]
+
+
+@pytest.mark.parametrize("H", CODED_FIELDS, ids=repr)
 def test_box_code(H):
     box = H.elements_box(1)
-    T = BoxCode(H, 1, box)
+    T = BoxCode(H, box)
     assert T.elements == box
     for x in H.elements_box(2):
-        assert T.in_box[T.code(x)] == (x in box)
+        assert T.elements[T.code(x)] == x
     assert T.elements[:len(box)] == box
     n = len(T.elements)
     if H.rank:
         outside = HElement(1, (7,) * H.rank)
         assert T.code(outside) == n and T.code(outside) == n
-        assert not T.in_box[n]
     codes = range(len(box))
     for x, y in itertools.product(codes, codes):
         assert T.sets[T.sum(x, y)] == H.hyperadd(box[x], box[y])
@@ -343,11 +345,27 @@ def test_box_code(H):
 def test_box_code_holds_only_the_elements_it_meets():
     H = Hyperfield.stringent("field", 1, p=1_000_003)
     assert H.elements_box_size(4) == 9_000_019
-    T = BoxCode(H, 4, [H.zero(), H.one()])
+    T = BoxCode(H, [H.zero(), H.one()])
     x = T.code(H.unit(2, (1,)))
     assert T.mul(1, x) == T.mul(x, 1) == x
     assert T.sets[T.sum(0, x)] == symset(H, [H.unit(2, (1,))])
-    assert len(T.elements) == len(T.in_box) == 3
+    assert len(T.elements) == 3
+
+
+@pytest.mark.parametrize("H", CODED_FIELDS, ids=repr)
+def test_entry_table_flags_the_window_box(H):
+    """The vector-axiom table flags each code in or out of its window box,
+    products included, and holds one flag per element it meets."""
+    box = H.elements_box(1)
+    T = _EntryTable([zero_vector(H, ("1",))], 1)
+    for x in H.elements_box(2):
+        assert T.in_box[T.code(x)] == (x in box)
+    if H.rank:
+        n = len(T.elements)
+        outside = HElement(1, (7,) * H.rank)
+        assert T.code(outside) == n and not T.in_box[n]
+        assert T.in_box[T.mul(n, T.code(H.one()))] is False
+    assert len(T.in_box) == len(T.elements)
 
 
 def test_check_stringent_catalog():

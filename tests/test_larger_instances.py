@@ -11,6 +11,7 @@ from hypermat import (
     is_perfect,
     perp_k,
     reconstruct_from_vectors,
+    residue_matroid,
     uniform_matroid,
     vectors_enumerate,
     vectors_generate,
@@ -79,7 +80,7 @@ def test_tropical_u25(trop_u25):
     assert vectors_generate(trop_u25, 1) == vs
     ok, witness = is_perfect(trop_u25, 1, vectors=vs)
     assert ok, witness
-    M0 = trop_u25.residue_matroid()
+    M0 = residue_matroid(trop_u25)
     # weights (1,0,2,0,1): every circuit tops out on 1, 3 or 5 alone except
     # the {1,5}-flat ones, so 1, 3, 5 become loops and 2, 4 stay free
     assert {frozenset(v.support) for v in M0.circuits.reps} == {
@@ -99,7 +100,7 @@ def test_sf31_instance(sf31_u23):
     ok, witness = is_perfect(sf31_u23, 2, vectors=vs)
     assert ok, witness
     assert check_vector_axioms(vs, 2) == []
-    M0 = sf31_u23.residue_matroid()
+    M0 = residue_matroid(sf31_u23)
     assert M0.field == Hyperfield.field(3)
     assert {frozenset(v.support) for v in M0.circuits.reps} == {frozenset({"1", "2"})}
     rep = M0.circuits.reps[0]

@@ -13,6 +13,7 @@ from hypermat import (
     hvector,
     perp,
     perp_k,
+    residue_matroid,
     validate_axioms,
     check_stringent,
     vectors_enumerate,
@@ -48,7 +49,7 @@ def test_rank2_matroid_and_residue():
     assert M.dual().dual() == M
     ok, witness = perp_k(M.circuits, M.cocircuits, None)
     assert ok, witness
-    M0 = M.residue_matroid()
+    M0 = residue_matroid(M)
     # (1,0) beats (0,1) lexicographically, so only element 1 tops out
     assert {frozenset(v.support) for v in M0.circuits.reps} == {frozenset({"1"})}
     assert M0.underlying.is_loop("1")
@@ -115,7 +116,7 @@ def test_dual_vectors_are_covectors(u23_sign, trop_u23):
 def test_vector_uparrow_lands_in_residue_vectors(stringent_sign_u23):
     # windowed vectors whose top grade is zero project into the residue space
     M = stringent_sign_u23
-    M0 = M.residue_matroid()
+    M0 = residue_matroid(M)
     R = M0.field
     residue_vectors = vectors_enumerate(M0, 0)
     for V in vectors_enumerate(M, 2):

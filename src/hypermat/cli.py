@@ -43,6 +43,7 @@ from .hyperfields import check_axiom_budget, check_stringent, validate_axioms
 from .jsonio import SCHEMA, VERSION
 from .matroids import from_circuits
 from .vectorspace import (
+    box_rows,
     check_budget,
     check_vector_axioms,
     farkas_witness,
@@ -310,12 +311,15 @@ def cmd_matroid(args) -> int:
         result = None if R is None else jsonio.hmatroid_to_json(dataclasses.replace(R, side=side))
     elif verb == "vectors":
         check_budget(M.field, M.ground, window)
-        vs = vectors_enumerate(M, window) if args.enumerate else vectors_generate(M, window)
-        ordered = sorted(vs, key=lambda v: v.sort_key())
-        result = {
-            "count": len(ordered),
-            "vectors": jsonio.hvectors_to_json(ordered),
-        }
+        if args.enumerate:
+            # the box lists elements in sort_key order, so sorted rows are sorted vectors
+            box = M.field.elements_box(window)
+            rows = sorted(box_rows(M, box))
+            shared = {c: jsonio.element_to_json(M.field, box[c]) for c in set().union(*rows)}
+            rows = [list(map(shared.__getitem__, row)) for row in rows]
+        else:
+            rows = jsonio.hvectors_to_json(sorted(vectors_generate(M, window), key=lambda v: v.sort_key()))
+        result = {"count": len(rows), "vectors": rows}
         checks.append(CheckRecord("vectors", "pass", None, window=window))
     elif verb == "perfect":
         check_budget(M.field, M.ground, window)

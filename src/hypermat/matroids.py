@@ -247,8 +247,9 @@ def minty_check(ground, circuits, cocircuits):
     Returns (True, None) or (False, witness).
     """
     ground = tuple(ground)
-    C = [frozenset(c) for c in circuits]
-    D = [frozenset(d) for d in cocircuits]
+    # scanned in a fixed order, so witnesses do not depend on set hashing
+    C = sorted(map(frozenset, circuits), key=sorted)
+    D = sorted(map(frozenset, cocircuits), key=sorted)
     for fam, name in ((C, "circuits"), (D, "cocircuits")):
         for a, b in itertools.combinations(fam, 2):
             if a <= b or b <= a:
@@ -269,8 +270,8 @@ def minty_minimalize(ground, circuits, cocircuits) -> ClassicalMatroid:
     cocircuits must be the minimal ones, so (M0)-(M2) need no second scan.
     """
     ground = tuple(ground)
-    C = [frozenset(c) for c in circuits]
-    D = [frozenset(d) for d in cocircuits]
+    C = sorted(map(frozenset, circuits), key=sorted)
+    D = sorted(map(frozenset, cocircuits), key=sorted)
     witness = _painting_violation(ground, C, D)
     if witness is not None:
         raise InvalidPairError(f"({witness['axiom']}) fails", witness=witness)

@@ -3,12 +3,15 @@
 One search, ``_orthogonal_points``, finds the points of a product of
 candidate entries that are orthogonal to every cocircuit: coordinates are
 assigned depth first, and at the coordinate that closes a cocircuit's
-support only the entries that leave zero in its pairing are visited.
-Enumeration runs it over the window box (windowed and budget-checked); the
-partition dichotomy and (V3) beyond the window box take its first point
-over their own candidates.  Generation follows the stringent fast paths
-(composition closure and singleton hypersums of scaled circuits, capped at
-corank many factors) and must agree with enumeration on the same window.
+support only the entries that leave zero in its pairing are visited.  It
+yields rows of indices into the candidates.  Enumeration runs it over the
+window box (windowed and budget-checked); perfection and ``matroid vectors
+--enumerate`` keep its rows (``box_rows``), which sort in ``sort_key``
+order.  The partition dichotomy and (V3) beyond the window box take its
+first point over their own candidates.  Generation follows the stringent
+fast paths (composition closure and singleton hypersums of scaled
+circuits, capped at corank many factors) and must agree with enumeration
+on the same window.
 Also: perfection (checked on scaling classes) and the vector axioms with
 reconstruction.  Every per-call table codes elements as a ``BoxCode``
 does; the search and the perfection check decide pairings with a
@@ -18,6 +21,7 @@ does; the search and the perfection check decide pairings with a
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -63,12 +67,24 @@ def vectors_enumerate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     """
     check_budget(M.field, M.ground, window)
     box = M.field.elements_box(window)
-    return frozenset(_orthogonal_points(M, [box] * len(M.ground), _closing_order(M)))
+    return frozenset(HVector(M.field, M.ground, tuple([box[c] for c in row])) for row in box_rows(M, box))
+
+
+def box_rows(M: HMatroid, box):
+    """The vectors of M in the window ``box``, as rows of indices into it."""
+    return _orthogonal_points(M, [box] * len(M.ground), _closing_order(M))
+
+
+def _first_point(M: HMatroid, domains, order) -> HVector | None:
+    """The first point ``_orthogonal_points`` finds, or None."""
+    row = next(_orthogonal_points(M, domains, order), None)
+    return None if row is None else HVector(M.field, M.ground, tuple([dom[c] for dom, c in zip(domains, row)]))
 
 
 def _orthogonal_points(M: HMatroid, domains, order):
     """Each point of the product of ``domains`` (candidate entries per
-    coordinate) that is orthogonal to every cocircuit representative of M.
+    coordinate) that is orthogonal to every cocircuit representative of M,
+    as the row of its indices into the domains, in ground order.
 
     Coordinates are assigned depth first in ``order``, as indices into their
     domains, so points come out in lexicographic order over ``order``.  A
@@ -82,12 +98,12 @@ def _orthogonal_points(M: HMatroid, domains, order):
     a state, and the passing candidates of the closing coordinate, ascending,
     are looked up per tuple of due states in a memo kept for the call.  A
     depth's term columns (per domain and cocircuit entry, shared) are built
-    on its first visit.  An ``HVector`` is built only for each point found.
-    Coordinates in no cocircuit support (the loops) are never tested.
+    on its first visit.  Coordinates in no cocircuit support (the loops) are
+    never tested.
     """
     H, ground, n = M.field, M.ground, len(order)
     if not n:
-        yield HVector(H, ground, ())
+        yield ()
         return
     fold = PairingFold(H)
     moves, zero, add = fold.moves, fold.zero, fold.add
@@ -144,6 +160,10 @@ def _orthogonal_points(M: HMatroid, domains, order):
                 memo[key] = cands
             lists[d] = memo[key]
             ends[d], pos[d] = len(lists[d]), 0
+            if d + 1 == n:  # the last coordinate: every candidate closes a point
+                for codes[i] in lists[d]:
+                    yield tuple(codes)
+                pos[d] = ends[d]
         p = pos[d]
         if p == ends[d]:
             lists[d] = None
@@ -151,10 +171,7 @@ def _orthogonal_points(M: HMatroid, domains, order):
             continue
         pos[d] = p + 1
         codes[order[d]] = lists[d][p]
-        if d + 1 < n:
-            d += 1
-        else:
-            yield HVector(H, ground, tuple([dom[c] for dom, c in zip(domains, codes)]))
+        d += 1
 
 
 def _closing_order(M: HMatroid) -> list[int]:
@@ -268,84 +285,102 @@ def is_perfect(M: HMatroid, window: int = 4, vectors=None, covectors=None):
     0 ∈ a·S·b.  So the left classes of the nonzero vectors (over H) are
     tested against those of the nonzero covectors (over H^op, so right
     classes in H), coded and normalized on ints; zero is orthogonal to
-    everything (see ``_classes_orthogonal``).  Only when a class pair fails
-    are the vectors and covectors scanned pairwise in sort order, on one
-    ``PairingFold``, so the witness is the least failing pair.
+    everything (see ``_classes_orthogonal``).  A set not given is the
+    ``box_rows`` of M or of its dual: the window box is coded first, so a
+    box index is its own code and no vector is built.  Only when a class
+    pair fails are the vectors and covectors scanned pairwise in sort
+    order, on one ``PairingFold``, so the witness is the least failing pair.
     """
     H = M.field
-    vs = vectors_enumerate(M, window) if vectors is None else vectors
-    us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
-    if any(V.field != F or V.ground != M.ground for F, xs in ((H, vs), (H.op(), us)) for V in xs):
+    if any(V.field != F or V.ground != M.ground
+           for F, xs in ((H, vectors), (H.op(), covectors)) if xs is not None for V in xs):
         raise DomainMismatchError("vectors live over different hyperfields or grounds")
-    if _classes_orthogonal(H, vs, us):
+    fold = PairingFold(H)
+    if vectors is None or covectors is None:
+        check_budget(H, M.ground, window)
+        box = H.elements_box(window)
+        for x in box:
+            fold.code(x)
+    code = lambda xs: [tuple(map(fold.code, V.entries)) for V in xs]
+    v_rows = box_rows(M, box) if vectors is None else code(vectors)
+    u_rows = box_rows(M.dual(), box) if covectors is None else code(covectors)
+    if _classes_orthogonal(fold, v_rows, u_rows):
         return True, None
     # a class pair failed, so some pair of its members fails
+    vs = vectors_enumerate(M, window) if vectors is None else vectors
+    us = vectors_enumerate(M.dual(), window) if covectors is None else covectors
     pairs_to_zero = PairingFold(H).pairs_to_zero
     us = [(U, _support_mask(U)) for U in sorted(us, key=lambda u: u.sort_key())]
     return False, next((V, U) for V in sorted(vs, key=lambda v: v.sort_key()) for U, u_mask in us
                        if not pairs_to_zero(V.entries, U.entries, _support_mask(V) & u_mask))
 
 
-def _classes_orthogonal(H: Hyperfield, vectors, covectors) -> bool:
+def _classes_orthogonal(fold: PairingFold, vectors, covectors) -> bool:
     """Is every vector (over H) orthogonal to every covector (over H^op)?
 
-    The vector is the left factor of the pairing.  Both sets are coded by
-    one ``PairingFold``, and each nonzero row is normalized on ints (its
+    Both are given as rows of ``fold`` codes, and the vector is the left
+    factor of the pairing.  Each nonzero row is normalized on ints (its
     first nonzero code's inverse times it on the left for a vector, it times
     that inverse on the right for a covector), so only one row per scaling
-    class is kept.  Per covector class, the sorted vector rows are
-    walked once: the fold states of the prefix a row shares with the row
-    before are kept, and only the rest of the row is folded, over the
-    tabled ``mul`` codes of each vector entry with the covector's entries.
+    class is kept.  The sorted vector rows form a trie, held level by
+    level.  The sorted covector rows are walked in order, and each keeps,
+    per level, the fold state of every vector node on it; only the levels
+    below the prefix a covector shares with the one before are stepped
+    again, from their parents' states, over the tabled ``mul`` codes of
+    each vector entry with the covector's entry.  So a prefix shared on
+    either side is folded once.
     """
-    fold = PairingFold(H)
     moves, zero, add = fold.moves, fold.zero, fold.add
-    v_rows = sorted(_coded_classes(fold, vectors))
+    levels = _trie_levels(sorted(_coded_classes(fold, vectors)))
     u_rows = sorted(_coded_classes(fold, covectors, right_factor=True))
-    if not v_rows or not u_rows:
-        return True
-    # shared[r]: the length of the prefix row r shares with row r - 1
-    shared = [0] + [next((k for k, (a, b) in enumerate(zip(v, w)) if a != b), len(v))
-                    for v, w in zip(v_rows, v_rows[1:])]
     entries = range(len(fold.elements))
     table = {}
-    n = len(v_rows[0])
+    states = [[0]] + [None] * len(levels)  # per level: the state of each vector node on it
+    last = ()  # the covector before; rows are distinct, so they differ somewhere
     for u in u_rows:
-        columns = []
-        for b in u:
-            col = table.get(b)
+        for k in range(next((j for j, (a, b) in enumerate(zip(u, last)) if a != b), 0), len(levels)):
+            col = table.get(u[k])
             if col is None:
-                col = table[b] = [fold.mul(a, b) for a in entries]
-            columns.append(col)
-        states = [0] * (n + 1)
-        for v, k in zip(v_rows, shared):
-            s = states[k]
-            for k in range(k, n):
-                t = columns[k][v[k]]
-                row = moves[s]
-                s = states[k + 1] = row[t] if t in row else add(s, t)
-            if not zero[s]:
-                return False
+                col = table[u[k]] = [fold.mul(a, u[k]) for a in entries]
+            above = states[k]
+            states[k + 1] = [row[t] if (t := col[a]) in (row := moves[above[p]]) else add(above[p], t)
+                             for p, a in levels[k]]
+        if not all(map(zero.__getitem__, states[-1])):
+            return False
+        last = u
     return True
 
 
-def _coded_classes(fold: PairingFold, vectors, right_factor=False) -> set[tuple[int, ...]]:
-    """The coded rows of the nonzero vectors, each scaled so that its first
-    nonzero entry is 1: from the left, or from the right for the rows that
-    are the right factor of the fold's product."""
+def _trie_levels(rows) -> list[list[tuple[int, int]]]:
+    """The trie of the sorted rows, level by level: per node, the position
+    of its parent on the level above and its code.  Empty without rows."""
+    levels = [[] for _ in rows[0]] if rows else []
+    last = ()
+    for v in rows:
+        for k in range(next((j for j, (a, b) in enumerate(zip(v, last)) if a != b), 0), len(v)):
+            levels[k].append((len(levels[k - 1]) - 1 if k else 0, v[k]))
+        last = v
+    return levels
+
+
+def _coded_classes(fold: PairingFold, rows, right_factor=False) -> set[tuple[int, ...]]:
+    """The nonzero rows of codes, each scaled so that its first nonzero
+    entry is 1: from the left, or from the right for the rows that are the
+    right factor of the fold's product.  Per first nonzero code, a table
+    gives the scaled code of each entry code, filled on first use."""
     H = fold.field
-    inverse = {}
-    rows = set()
-    for V in vectors:
-        row = tuple(map(fold.code, V.entries))
+    tables = {}
+    classes = set()
+    for row in rows:
         a = next((c for c in row if c), 0)
         if not a:
             continue
-        b = inverse.get(a)
-        if b is None:
-            b = inverse[a] = fold.code(H.inv(fold.elements[a]))
-        rows.add(tuple([fold.mul(c, b) if right_factor else fold.mul(b, c) for c in row]))
-    return rows
+        scaled = tables.get(a)
+        if scaled is None:
+            b = fold.code(H.inv(fold.elements[a]))
+            scaled = tables[a] = functools.cache(lambda c, b=b: fold.mul(c, b) if right_factor else fold.mul(b, c))
+        classes.add(tuple(map(scaled, row)))
+    return classes
 
 
 # -- vector axioms ----------------------------------------------------------
@@ -586,7 +621,7 @@ def _v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
     for i in free:
         domains[i] = [elements[c] for c in table.within(*pairs[i], slack)]
     order = [i for i in range(len(fixed)) if i not in free] + free
-    Z = next(_orthogonal_points(recon, domains, order), None)
+    Z = _first_point(recon, domains, order)
     return Z is not None and not _within_box(Z, table.window)
 
 
@@ -676,4 +711,4 @@ def _farkas_vector(M, R, G, window, weak):
     ground = M.ground
     domains = [r_vals if e in R else [H.one()] if e in G else [zero] for e in ground]
     order = [i for i, e in enumerate(ground) if e not in R] + [ground.index(e) for e in sorted(R)]
-    return next(_orthogonal_points(M, domains, order), None)
+    return _first_point(M, domains, order)

@@ -59,11 +59,33 @@ MUTATIONS = [
         "tests/test_skew_products.py",
     ),
     (
+        "covector-tables-normalized-from-the-left",
+        "src/hypermat/vectorspace.py",
+        "_coded_classes(fold, covectors, right_factor=True)",
+        "_coded_classes(fold, covectors)",
+        "tests/test_skew_products.py",
+    ),
+    (
         "orthogonal-points-multiply-y-by-x",
         "src/hypermat/vectorspace.py",
         "columns[key] = [code(mul(x, y)) for x in domains[j]]",
         "columns[key] = [code(mul(y, x)) for x in domains[j]]",
         "tests/test_skew_products.py",
+    ),
+    # perfection and enumeration on box rows
+    (
+        "perfect-row-path-skips-the-covectors",
+        "src/hypermat/vectorspace.py",
+        "    if _classes_orthogonal(fold, v_rows, u_rows):\n",
+        "    if covectors is None or _classes_orthogonal(fold, v_rows, u_rows):\n",
+        "tests/test_enumeration_reference.py",
+    ),
+    (
+        "box-rows-sorted-in-reverse",
+        "src/hypermat/cli.py",
+        "rows = sorted(box_rows(M, box))",
+        "rows = sorted(box_rows(M, box), reverse=True)",
+        "tests/test_report_corpus.py",
     ),
     # the pairing fold
     (
@@ -194,6 +216,34 @@ MUTATIONS = [
         "src/hypermat/acceptance.py",
         "    if {frozenset(v.support) for v in M0.circuits.reps} != {frozenset({\"1\", \"2\"})}:\n",
         "    if False:\n",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c7-skips-the-valuation-residue",
+        "src/hypermat/acceptance.py",
+        "        if M0.underlying != val0.underlying:\n",
+        "        if False:\n",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c7-skips-contraction-commutation",
+        "src/hypermat/acceptance.py",
+        "if residue_matroid(M.contract(e)) != M0.contract(e):",
+        "if False:",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c7-skips-deletion-commutation",
+        "src/hypermat/acceptance.py",
+        "if residue_matroid(M.delete(e)) != M0.delete(e):",
+        "if False:",
+        "tests/test_acceptance.py",
+    ),
+    (
+        "c7-skips-lemma-14",
+        "src/hypermat/acceptance.py",
+        "            if not found:\n",
+        "            if False:\n",
         "tests/test_acceptance.py",
     ),
     (

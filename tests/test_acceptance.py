@@ -18,7 +18,7 @@ from hypermat.acceptance import (
     criterion_10,
     criterion_11,
 )
-from hypermat.hmatroid import CircuitSignature, HMatroid, HVector
+from hypermat.hmatroid import CircuitSignature, HMatroid, HVector, residue_matroid
 from hypermat.instances import graded_rescaled, u23
 from hypermat.matroids import ClassicalMatroid, from_circuits
 
@@ -221,6 +221,53 @@ def test_c7_fails_on_a_quotient_instance_and_a_wrong_worked_example():
         {"instance": "Q-U23", "error": "residue matroid needs a graded catalog hyperfield"},
         {"instance": "worked example", "check": "residue circuits"},
         {"instance": "worked example", "check": "residue cocircuits"},
+    ])
+
+
+def _c7_on_the_worked_example(monkeypatch, wrong):
+    """C7 on the worked example alone, with ``residue_matroid`` patched to
+    answer ``wrong(M, N)`` for the matroid N, or N's residue where that is
+    None; M is the worked example."""
+    M = dict(AcceptanceContext().windowed())["T-U23(2,2,1)"]
+    monkeypatch.setattr(acceptance, "residue_matroid", lambda N: wrong(M, N) or residue_matroid(N))
+    ctx = AcceptanceContext()
+    ctx._windowed = [("T-U23(2,2,1)", M)]
+    return criterion_7(ctx)
+
+
+# (name, the matroid whose residue comes out dualized, the check that fails)
+C7_FAULTS = [
+    ("valuation-residue", lambda M, N: N is not M and N.ground == M.ground, "valuation residue"),
+    ("contraction", lambda M, N: N == M.contract("1"), "contract 1 commutes"),
+    ("deletion", lambda M, N: N == M.delete("2"), "delete 2 commutes"),
+]
+
+
+@pytest.mark.parametrize("wrong_on, check", [f[1:] for f in C7_FAULTS], ids=[f[0] for f in C7_FAULTS])
+def test_c7_fails_when_a_residue_disagrees(monkeypatch, wrong_on, check):
+    # the residues of the worked example's push-forward, of its contraction
+    # by 1 and of its deletion of 2 are not self-dual
+    record = _c7_on_the_worked_example(
+        monkeypatch, lambda M, N: residue_matroid(N).dual() if wrong_on(M, N) else None)
+    assert (record.status, record.witness) == ("fail", [{"instance": "T-U23(2,2,1)", "check": check}])
+
+
+def test_c7_fails_when_no_circuit_extends_into_a_spanning_set(monkeypatch):
+    # the residue of U_{2,3} with flat weights, and its minors, in place of
+    # the worked example's: they agree under the valuation and under minors,
+    # but no circuit of the worked example tops out on {1, 2, 3}
+    W = residue_matroid(graded_rescaled(Hyperfield.tropical(1), u23(), dict.fromkeys(("1", "2", "3"), 0)))
+
+    def wrong(M, N):
+        if N.ground == M.ground:
+            return W
+        e = next(e for e in M.ground if e not in N.ground)
+        return W.contract(e) if N == M.contract(e) else W.delete(e)
+
+    record = _c7_on_the_worked_example(monkeypatch, wrong)
+    assert (record.status, record.witness) == ("fail", [
+        {"instance": "T-U23(2,2,1)", "check": f"extend ['1', '2', '3'] into {S}"}
+        for S in (["1", "2"], ["1", "3"], ["2", "3"])
     ])
 
 

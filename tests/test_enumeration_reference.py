@@ -47,6 +47,7 @@ from hypermat import (
 from hypermat.acceptance import AcceptanceContext
 from hypermat.vectorspace import _farkas_cocircuit, _farkas_vector, check_budget
 
+from test_acceptance import _with_cocircuit
 from test_construction_reference import Sided, other_side, reference_pairs_to_zero, reference_scale, sided
 from test_hmatroid import plain, retag
 from test_skew_products import _u23 as twisted_u23
@@ -192,6 +193,22 @@ def test_same_witness_with_a_foreign_vector_or_covector(battery):
             failing += not got[0]
     # the witness path is exercised, not only the verdict
     assert failing > len(battery)
+
+
+def test_same_witness_without_sets_on_planted_cocircuits():
+    """Perfection on box rows, with no sets given, falls back to the pair
+    scan on the same witness.  Each family instance is rebuilt through the
+    raw constructor with one cocircuit entry negated, so its vectors and its
+    dual's need not be orthogonal."""
+    failing = 0
+    for name, M in AcceptanceContext().family():
+        Y = M.cocircuits.reps[0].entries
+        k = next(i for i, y in enumerate(Y) if i and not y.is_zero)
+        planted = _with_cocircuit(M, 0, Y[:k] + (M.field.neg(Y[k]),) + Y[k + 1:])
+        got = is_perfect(planted, 0)
+        assert plain(got) == _reference_is_perfect(planted, 0), name
+        failing += not got[0]
+    assert failing
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -92,6 +92,18 @@ def test_minty_check_m1_violation():
     assert witness["axiom"] == "M1"
 
 
+def test_minty_witness_does_not_depend_on_the_family_order():
+    # each of the cocircuits {1} and {2} meets the circuit {1, 2} once; the
+    # families are scanned in sorted order, so {1} is named either way
+    C, D = [{"1", "2"}], [{"1"}, {"2"}]
+    want = {"axiom": "M1", "pair": (["1", "2"], ["1"])}
+    for cocircuits in (D, D[::-1]):
+        assert minty_check(("1", "2"), C, cocircuits) == (False, want)
+        with pytest.raises(InvalidPairError) as err:
+            minty_minimalize(("1", "2"), C, cocircuits)
+        assert err.value.witness == want
+
+
 def test_minty_free_matroid():
     ok, witness = minty_check(("1", "2"), [], [{"1"}, {"2"}])
     assert ok

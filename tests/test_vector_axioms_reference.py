@@ -46,8 +46,8 @@ from hypermat.acceptance import AcceptanceContext
 from hypermat.errors import HypermatError
 from hypermat.vectorspace import (
     _EntryTable,
+    _first_point,
     _grade_spread,
-    _orthogonal_points,
     _vector_hypersum,
     _within_box,
 )
@@ -235,7 +235,7 @@ def _reference_table_v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
 
     True if the set holds an eliminant (zero at ei, inside the pointwise
     hypersum), or if the first eliminant of ``recon`` that
-    ``_orthogonal_points`` finds among the hypersum members within
+    ``_first_point`` finds among the hypersum members within
     ``slack`` leaves the window box, so the set could not hold it.
     """
     zero, elements = table.zero, table.elements
@@ -272,7 +272,7 @@ def _reference_table_v3_eliminant_exists(table, v, w, ei, recon, slack) -> bool:
     for i in free:
         domains[i] = [elements[c] for c in table.within(*pairs[i], slack)]
     order = [i for i in range(len(base)) if i not in free] + free
-    Z = next(_orthogonal_points(recon, domains, order), None)
+    Z = _first_point(recon, domains, order)
     return Z is not None and not _within_box(Z, table.window)
 
 

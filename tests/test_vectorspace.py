@@ -25,13 +25,15 @@ from hypermat import (
     vectors_generate,
     zero_vector,
 )
+from hypermat.acceptance import _catalog
 from hypermat.cli import run
-from hypermat.hmatroid import normalize_vector, perp
+from hypermat.hmatroid import PairingFold, normalize_vector, perp
 from hypermat.instances import graded_rescaled, u23, windowed_instances
 from hypermat.jsonio import dumps, hmatroid_to_json
 from hypermat.vectorspace import _classes_orthogonal, _grade_spread, _vector_hypersum, check_budget
 
 from test_hmatroid import pairing
+from test_skew_products import S3
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
@@ -39,6 +41,17 @@ G5 = ("1", "2", "3", "4", "5")
 
 
 # -- enumeration --------------------------------------------------------------
+
+
+BOX_FIELDS = _catalog() + [("S3", S3), ("S3-op", S3.op())]
+
+
+@pytest.mark.parametrize("name, H", BOX_FIELDS, ids=[name for name, _ in BOX_FIELDS])
+def test_the_window_box_is_in_sort_order(name, H):
+    # sorted box rows are sorted vectors only if the box itself is sorted
+    for w in range(3):
+        box = H.elements_box(w)
+        assert box == sorted(box, key=H.sort_key)
 
 
 def test_u23_sign_vector_and_covector_counts(u23_sign):
@@ -231,8 +244,14 @@ def test_table_decision_and_perp_agree_with_pairing(case):
     # the vector is the left factor
     want = [pairing(V, U).contains_zero for V in vs for U in us]
     assert [perp(V, U) for V in vs for U in us] == want
-    assert [_classes_orthogonal(H, [V], [U]) for V in vs for U in us] == want
-    assert _classes_orthogonal(H, vs, us) == all(want)
+    assert [_orthogonal_sets(H, [V], [U]) for V in vs for U in us] == want
+    assert _orthogonal_sets(H, vs, us) == all(want)
+
+
+def _orthogonal_sets(H, vs, us):
+    """``_classes_orthogonal`` on the rows of vs and us, coded by one fold."""
+    fold = PairingFold(H)
+    return _classes_orthogonal(fold, *([tuple(map(fold.code, V.entries)) for V in xs] for xs in (vs, us)))
 
 
 # -- vector axioms and reconstruction ------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .homs import Homomorphism
-from .hyperfields import BoxCode, Grade, HElement, Hyperfield, symset
+from .hyperfields import BoxCode, Grade, HElement, Hyperfield
 from .matroids import ClassicalMatroid, _set_bits, from_circuits
 
 
@@ -126,33 +126,32 @@ def perp(X: HVector, Y: HVector) -> bool:
     return PairingFold(X.field).pairs_to_zero(X.entries, Y.entries, meet)
 
 
-def zero_in_sum(H: Hyperfield, terms) -> bool:
-    """True iff 0 lies in the hypersum of ``terms``, a list of units.
+_EMPTY_SUM = frozenset({None})
 
-    Over a quotient the hypersum is computed.  On the graded catalog, zero
-    is in a hypersum of units iff the residue-level sum of the top-grade
-    terms contains zero: at least two of them (Krasner), both signs (sign),
-    or a sum divisible by p (field).  No terms means the empty sum {0}.
-    The rule of the Farkas cocircuit test, whose G-sum is no pairing;
-    ``PairingFold`` applies it to pairings one term at a time.
+
+def _top_sum(H: Hyperfield, rs: frozenset, r) -> frozenset:
+    """The residue hypersum ``rs + r`` by ``Hyperfield.residue_hyperadd``,
+    with None standing for zero, so ``{None}`` is the empty sum."""
+    out = set()
+    for a in rs:
+        out.update((r,) if a is None else H.residue_hyperadd(a, r))
+    return frozenset(out)
+
+
+def zero_in_sum(H: Hyperfield, terms) -> bool:
+    """True iff 0 lies in the hypersum of ``terms``, a list of units: iff it
+    lies in the residue hypersum of the top-grade terms, since every
+    hyperfield here is a residue extended by an ordered group (or a rank-0
+    quotient).  No terms is the empty sum {0}.  The rule of the Farkas G-sum,
+    which is no pairing; ``PairingFold`` folds ``_top_sum`` one term at a time.
     """
     if len(terms) < 2:
         return not terms  # a single unit is not zero
-    if H.kind == "quotient":
-        return H.hyperadd_multi(terms).contains_zero
-    top, residues = terms[0].grade, []
+    top, rs = max(t.grade for t in terms), _EMPTY_SUM
     for t in terms:
-        g = t.grade
-        if g > top:
-            top, residues = g, [t.residue]
-        elif g == top:
-            residues.append(t.residue)
-    kind = H.residue_kind
-    if kind == "krasner":
-        return len(residues) >= 2
-    if kind == "sign":
-        return 1 in residues and -1 in residues
-    return sum(residues) % H.p == 0
+        if t.grade == top:
+            rs = _top_sum(H, rs, t.residue)
+    return None in rs
 
 
 class PairingFold(BoxCode):
@@ -161,35 +160,22 @@ class PairingFold(BoxCode):
     A ``BoxCode`` whose codes name both entries and the nonzero products of
     entries, the terms of a pairing; ``mul`` gives the code of a product,
     and zero (code 0) is the zero product.  A state is the partial hypersum
-    of the terms added so far, interned as an int, and state 0 is the empty
-    sum.  On the graded catalog it is the top grade of the terms and the
-    residue aggregate of the terms at that grade, a count capped at 2
-    (Krasner), a bit per sign (sign) or the residue sum mod p (field).  Over
-    a quotient it is the ``SymbolicSet`` of ``SymbolicSet.add_element``.
-    ``moves[s][t]`` is the state once term t is added to s, filled on first
-    use by ``add``; ``zero[s]`` tells whether 0 lies in the hypersum of the
-    terms behind s (the verdict of ``zero_in_sum`` on them).  Products come
-    from ``Hyperfield.mul``, so a skew product is read in the caller's
-    order.
+    of the terms added so far: their top grade and the residue hypersum of
+    the terms at that grade (``_top_sum``), interned as a set id of the
+    ``BoxCode``; the fold never calls ``BoxCode.sum``, so no other set takes
+    an id.  State 0 is the empty sum.  ``moves[s][t]`` is the state once
+    term t is added to s, filled on first use by ``add``; ``zero[s]`` tells
+    whether 0 lies in the hypersum of the terms behind s (the verdict of
+    ``zero_in_sum`` on them).  Products come from ``Hyperfield.mul``, so a
+    skew product is read in the caller's order.
     """
 
     def __init__(self, H: Hyperfield):
         super().__init__(H, [H.zero()])
-        self.moves: list[dict[int, int]] = []
-        self.zero: list[bool] = []
-        self._states: list = []
-        self._state_ids: dict = {}
+        self.set_id((None, _EMPTY_SUM))
+        self.moves: list[dict[int, int]] = [{0: 0}]
+        self.zero: list[bool] = [True]
         self._terms: dict[tuple, int] = {}
-        self._quotient = H.kind == "quotient"
-        # how a top-grade residue r joins the aggregate, and the aggregate that holds zero
-        p = H.p
-        if H.residue_kind == "krasner":
-            self._combine, self._zero_agg = (lambda agg, r: min(agg + 1, 2)), 2
-        elif H.residue_kind == "sign":
-            self._combine, self._zero_agg = (lambda agg, r: agg | (1 if r == 1 else 2)), 3
-        else:
-            self._combine, self._zero_agg = (lambda agg, r: (agg + r) % p), 0
-        self._intern(symset(H, [H.zero()]) if self._quotient else None)
 
     def pairs_to_zero(self, xs, ys, meet: int) -> bool:
         """True iff 0 lies in the sum of ``xs[i]·ys[i]`` over the set bits i
@@ -209,31 +195,20 @@ class PairingFold(BoxCode):
             s = row[t] if t in row else self.add(s, t)
         return self.zero[s]
 
-    def _intern(self, state) -> int:
-        s = self._state_ids.get(state)
-        if s is None:
-            s = self._state_ids[state] = len(self._states)
-            self._states.append(state)
-            self.moves.append({0: s})
-            if state is None or self._quotient:
-                self.zero.append(state is None or state.contains_zero)
-            else:
-                self.zero.append(state[1] == self._zero_agg)
-        return s
-
     def add(self, s: int, t: int) -> int:
         """The state once the term of code t is added to state s."""
         nxt = self.moves[s].get(t)
         if nxt is not None:
             return nxt
-        state, x = self._states[s], self.elements[t]
-        if self._quotient:
-            state = state.add_element(x)
-        elif state is None or x.grade > state[0]:
-            state = x.grade, self._combine(0, x.residue)
-        elif x.grade == state[0]:
-            state = state[0], self._combine(state[1], x.residue)
-        nxt = self.moves[s][t] = self._intern(state)
+        (top, rs), x = self.sets[s], self.elements[t]
+        if top is None or x.grade > top:
+            top, rs = x.grade, frozenset((x.residue,))
+        elif x.grade == top:
+            rs = _top_sum(self.field, rs, x.residue)
+        nxt = self.moves[s][t] = self.set_id((top, rs))
+        if nxt == len(self.moves):
+            self.moves.append({0: nxt})
+            self.zero.append(None in rs)
         return nxt
 
 

@@ -75,6 +75,10 @@ MAX_QUOTIENT_INDEX = 32
 # catalog boxes take under a second on the VM above.
 MAX_AXIOM_BOX = 64
 
+# Largest power that a budget check computes: a count past it is refused as
+# "more than 10^30", so a large grade rank costs no big-int power.
+COUNT_CAP = 10**30
+
 
 # The first 12 primes: a Miller-Rabin test with these bases is exact below
 # 3.3 * 10**24, which covers every modulus below 2**64.
@@ -113,6 +117,19 @@ def legendre_symbol(a: int, p: int) -> int:
     """Quadratic residue symbol for a not divisible by the odd prime p."""
     s = pow(a % p, (p - 1) // 2, p)
     return 1 if s == 1 else -1
+
+
+def capped_power(base: int, exp: int) -> int | None:
+    """``base ** exp``, or None when it is more than ``COUNT_CAP``; a power
+    of more than twice the cap's bits is never computed."""
+    if exp * (base.bit_length() - 1) > COUNT_CAP.bit_length():
+        return None
+    power = base**exp
+    return power if power <= COUNT_CAP else None
+
+
+def count_text(n: int | None) -> str:
+    return "more than 10^30" if n is None else str(n)
 
 
 class Hyperfield:
@@ -488,9 +505,11 @@ class Hyperfield:
     def elements_box(self, window: int) -> list[HElement]:
         return [self.zero()] + self.units_box(window)
 
-    def elements_box_size(self, window: int) -> int:
-        """``len(self.elements_box(window))``, computed without building the box."""
-        return 1 + len(self._units) * (2 * window + 1) ** self.rank
+    def elements_box_size(self, window: int) -> int | None:
+        """``len(self.elements_box(window))``, computed without building the
+        box, or None when its grades alone are more than ``COUNT_CAP``."""
+        grades = capped_power(2 * window + 1, self.rank)
+        return None if grades is None else 1 + len(self._units) * grades
 
     def sort_key(self, x: HElement):
         if x.is_zero:
@@ -644,9 +663,9 @@ def check_axiom_budget(H: Hyperfield, window: int) -> int:
     """The size of the window box; ResourceLimitError if ``validate_axioms``
     would refuse it."""
     size = H.elements_box_size(window)
-    if size > MAX_AXIOM_BOX:
+    if size is None or size > MAX_AXIOM_BOX:
         raise ResourceLimitError(
-            f"axiom check of {H!r} at window {window} covers {size} elements; "
+            f"axiom check of {H!r} at window {window} covers {count_text(size)} elements; "
             f"at most {MAX_AXIOM_BOX} are supported"
         )
     return size

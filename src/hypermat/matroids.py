@@ -115,8 +115,6 @@ class ClassicalMatroid:
 def from_circuits(ground, circuits) -> ClassicalMatroid:
     """Validated matroid from its circuit family."""
     ground = tuple(ground)
-    if len(set(ground)) != len(ground):
-        raise InvalidCircuitsError("ground set labels must be distinct")
     # scanned in a fixed order, so witnesses do not depend on set hashing
     fam = sorted({frozenset(c) for c in circuits}, key=sorted)
     eset = frozenset(ground)

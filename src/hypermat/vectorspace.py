@@ -43,17 +43,19 @@ from .hmatroid import (
     zero_in_sum,
     zero_vector,
 )
-from .hyperfields import BoxCode, HElement, Hyperfield, composition
+from .hyperfields import BoxCode, HElement, Hyperfield, capped_power, composition, count_text
 
 CANDIDATE_BUDGET = 10**8
 
 
 def check_budget(field: Hyperfield, ground, window: int):
+    """The number of candidates, |box|^|E|; ResourceLimitError past
+    ``CANDIDATE_BUDGET``, with no power past ``COUNT_CAP`` computed."""
     n = field.elements_box_size(window)
-    total = n ** len(tuple(ground))
-    if total > CANDIDATE_BUDGET:
+    total = None if n is None else capped_power(n, len(tuple(ground)))
+    if total is None or total > CANDIDATE_BUDGET:
         raise ResourceLimitError(
-            f"enumeration of {total} candidates exceeds the budget of {CANDIDATE_BUDGET}"
+            f"enumeration of {count_text(total)} candidates exceeds the budget of {CANDIDATE_BUDGET}"
         )
     return total
 
@@ -501,12 +503,12 @@ class _EntryTable(BoxCode):
     the pairs that composing every two vectors computes.  Per pair ``a, b``
     (codes), ``sum_id[a][b]`` is ``sum(a, b)``; ``composed[a][b]`` is the code
     of the composition when (V2') asks for it at that coordinate, that is when
-    it is inside the window box and, over a field residue, keeps the union
-    support; else None.  ``single[a][b]`` is the code of a singleton hypersum,
-    else None, and ``single_in_box[a][b]`` the same inside the box, for (V2'').
-    These stay plain dicts because the quadratic (V2')/(V2'') and (V3) loops
-    read them.  ``matching`` indexes the rows by their entries off each tuple
-    of loose coordinates that (V3) meets.
+    it is inside the window box and keeps the union support (always, over a
+    Krasner or sign residue); else None.  ``single[a][b]`` is the code of a
+    singleton hypersum, else None, and ``single_in_box[a][b]`` the same inside
+    the box, for (V2'').  These stay plain dicts because the quadratic
+    (V2')/(V2'') and (V3) loops read them.  ``matching`` indexes the rows by
+    their entries off each tuple of loose coordinates that (V3) meets.
     """
 
     def __init__(self, ordered, window: int):
@@ -542,7 +544,6 @@ class _EntryTable(BoxCode):
 
     def add_pairs(self):
         H = self.field
-        closed_supports = H.residue_kind in ("krasner", "sign")
         checked = False
         for column in zip(*self.rows):
             met = sorted(set(column))
@@ -567,7 +568,7 @@ class _EntryTable(BoxCode):
                     checked = True
                     keeps = not xy.is_zero or (x.is_zero and y.is_zero)
                     c = self.code(xy)
-                    composed[b] = c if (closed_supports or keeps) and self.in_box[c] else None
+                    composed[b] = c if keeps and self.in_box[c] else None
 
     def matching(self, fixed) -> list[tuple[int, ...]]:
         """The rows with a zero entry (the only possible eliminants) that equal

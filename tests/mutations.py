@@ -90,16 +90,23 @@ MUTATIONS = [
     # the pairing fold
     (
         "field-aggregate-without-mod-p",
-        "src/hypermat/hmatroid.py",
-        "(lambda agg, r: (agg + r) % p), 0",
-        "(lambda agg, r: agg + r), 0",
+        "src/hypermat/hyperfields.py",
+        "t = (r + s) % self.p",
+        "t = r + s",
         "tests/test_hmatroid.py",
     ),
     (
         "fold-keeps-an-equal-grade-as-a-new-top",
         "src/hypermat/hmatroid.py",
-        "elif state is None or x.grade > state[0]:",
-        "elif state is None or x.grade >= state[0]:",
+        "if top is None or x.grade > top:",
+        "if top is None or x.grade >= top:",
+        "tests/test_hmatroid.py",
+    ),
+    (
+        "top-sum-drops-the-empty-sum",
+        "src/hypermat/hmatroid.py",
+        "(r,) if a is None",
+        "() if a is None",
         "tests/test_hmatroid.py",
     ),
     (
@@ -180,6 +187,13 @@ MUTATIONS = [
         "src/hypermat/vectorspace.py",
         "self.in_box.append(_in_box(x, self.window))",
         "self.in_box.append(True)",
+        "tests/test_vector_axioms_reference.py",
+    ),
+    (
+        "entry-table-keeps-a-collapsed-composition",
+        "src/hypermat/vectorspace.py",
+        "keeps = not xy.is_zero or (x.is_zero and y.is_zero)",
+        "keeps = True",
         "tests/test_vector_axioms_reference.py",
     ),
     # each criterion's comparison skipped: its negative control turns red

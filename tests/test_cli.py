@@ -11,8 +11,10 @@ import pytest
 import hypermat
 from hypermat import Hyperfield, hmatroid_from_circuits, hvector
 from hypermat.cli import main, run
-from hypermat.errors import NotAnHMatroidError
+from hypermat.errors import NotAnHMatroidError, ResourceLimitError
+from hypermat.hyperfields import check_axiom_budget
 from hypermat.jsonio import dumps, hmatroid_to_json
+from hypermat.vectorspace import check_budget
 
 G3 = ("1", "2", "3")
 
@@ -231,6 +233,32 @@ def test_check_hyperfield_refuses_a_box_over_the_axiom_budget(tmp_path, capsys, 
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err.startswith("error: axiom check of") and err.count("\n") == 1
+
+
+def _tropical_u12_doc(rank):
+    grade = {"g": [0] * rank}
+    return {"hyperfield": {"kind": "tropical", "rank": rank}, "ground": ["1", "2"],
+            "circuits": [[grade, grade]]}
+
+
+@pytest.mark.parametrize("verb", [["check-hyperfield"], ["matroid", "vectors", "--enumerate"]])
+def test_budgets_refuse_a_large_grade_rank_in_one_line(tmp_path, capsys, verb):
+    # a box of 9^5000 elements: its count has more digits than int() will print
+    doc = _tropical_u12_doc(5000)
+    path = tmp_path / "rank5000.json"
+    path.write_text(json.dumps(doc["hyperfield"] if verb == ["check-hyperfield"] else doc))
+    assert run([*verb, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "more than 10^30" in err
+
+
+def test_budgets_refuse_a_huge_grade_rank_at_once(deadline):
+    H = Hyperfield.tropical(10**7)
+    with deadline(5):
+        for check in (lambda: check_axiom_budget(H, 1), lambda: check_budget(H, G3, 1)):
+            with pytest.raises(ResourceLimitError, match=r"more than 10\^30"):
+                check()
 
 
 def test_exit_code_2_on_bool_residue(tmp_path, capsys):

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .homs import Homomorphism
-from .hyperfields import BoxCode, Grade, HElement, Hyperfield
+from .hyperfields import BoxCode, HElement, Hyperfield
 from .matroids import ClassicalMatroid, _set_bits, from_circuits
 
 
@@ -76,10 +76,6 @@ class HVector:
             self.ground,
             tuple(x if (not x.is_zero and x.grade == top) else H.zero() for x in self.entries),
         )
-
-    def max_grade(self) -> Grade | None:
-        grades = [x.grade for x in self.entries if not x.is_zero]
-        return max(grades) if grades else None
 
     def sort_key(self):
         return tuple(self.field.sort_key(x) for x in self.entries)
@@ -138,22 +134,6 @@ def _top_sum(H: Hyperfield, rs: frozenset, r) -> frozenset:
     return frozenset(out)
 
 
-def zero_in_sum(H: Hyperfield, terms) -> bool:
-    """True iff 0 lies in the hypersum of ``terms``, a list of units: iff it
-    lies in the residue hypersum of the top-grade terms, since every
-    hyperfield here is a residue extended by an ordered group (or a rank-0
-    quotient).  No terms is the empty sum {0}.  The rule of the Farkas G-sum,
-    which is no pairing; ``PairingFold`` folds ``_top_sum`` one term at a time.
-    """
-    if len(terms) < 2:
-        return not terms  # a single unit is not zero
-    top, rs = max(t.grade for t in terms), _EMPTY_SUM
-    for t in terms:
-        if t.grade == top:
-            rs = _top_sum(H, rs, t.residue)
-    return None in rs
-
-
 class PairingFold(BoxCode):
     """The zero test of a pairing, one term at a time, on int codes, for one call.
 
@@ -165,9 +145,8 @@ class PairingFold(BoxCode):
     ``BoxCode``; the fold never calls ``BoxCode.sum``, so no other set takes
     an id.  State 0 is the empty sum.  ``moves[s][t]`` is the state once
     term t is added to s, filled on first use by ``add``; ``zero[s]`` tells
-    whether 0 lies in the hypersum of the terms behind s (the verdict of
-    ``zero_in_sum`` on them).  Products come from ``Hyperfield.mul``, so a
-    skew product is read in the caller's order.
+    whether 0 lies in the hypersum of the terms behind s.  Products come
+    from ``Hyperfield.mul``, so a skew product is read in the caller's order.
     """
 
     def __init__(self, H: Hyperfield):
@@ -573,13 +552,11 @@ def _to_residue_vector(vec: HVector, R: Hyperfield) -> HVector:
 
 
 def _residue_classes(sig: CircuitSignature, R: Hyperfield):
-    """Minimal-support uparrows of max-grade-0 rescaled classes, over R."""
-    H = sig.field
-    flattened = []
-    for rep in sig.reps:
-        top = rep.max_grade()
-        shift = HElement(H.one().residue, tuple(-t for t in top))
-        flattened.append(rep.scale_left(shift).uparrow())
+    """Minimal-support uparrows of the classes, over R.  Scaling a class to
+    top grade 0 first would change nothing: it multiplies the top-grade
+    entries by one residue unit (1, or ±1 under a twisted product), and
+    ``signature_from_vectors`` normalizes the classes once grades are gone."""
+    flattened = [rep.uparrow() for rep in sig.reps]
     sups = [v.support for v in flattened]
     minimal = [v for v in flattened if not any(s < v.support for s in sups)]
     return [_to_residue_vector(v, R) for v in minimal]
@@ -589,8 +566,7 @@ def residue_matroid(M: HMatroid) -> HMatroid:
     """The matroid over the residue hyperfield induced by the top grades.
 
     Validated along the way: the synthesized cocircuits must coincide with
-    the minimal uparrows of M's cocircuits, and the underlying matroid must
-    equal the residue of the valuated push-forward.
+    the minimal uparrows of M's cocircuits.
     """
     H = M.field
     if H.kind == "quotient":
@@ -604,11 +580,5 @@ def residue_matroid(M: HMatroid) -> HMatroid:
         raise TheoremViolationError(
             "residue cocircuits disagree with the synthesized dual signature",
             witness=(expected, M0.cocircuits),
-        )
-    val_supports = frozenset(v.support for v in _residue_classes(M.circuits, Hyperfield.krasner()))
-    if M0.underlying.circuits != val_supports:
-        raise TheoremViolationError(
-            "residue underlying matroid differs from the valuation residue",
-            witness=(M0.underlying.circuits, val_supports),
         )
     return M0

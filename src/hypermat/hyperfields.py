@@ -484,10 +484,14 @@ class Hyperfield:
             acc = acc.add_element(x)
         return acc
 
-    def compose(self, a: HElement, b: HElement) -> HElement:
-        """Single-valued surrogate for hyperaddition on a stringent hyperfield."""
+    def require_stringent(self):
+        """Refuse a hyperfield that is not stringent, where compose is undefined."""
         if not self.is_stringent:
             raise UnsupportedOperationError(f"{self!r} is not stringent; compose undefined")
+
+    def compose(self, a: HElement, b: HElement) -> HElement:
+        """Single-valued surrogate for hyperaddition on a stringent hyperfield."""
+        self.require_stringent()
         return composition(a, self.hyperadd(a, b))
 
     # -- enumeration -----------------------------------------------------

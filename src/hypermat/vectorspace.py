@@ -34,13 +34,14 @@ from .errors import (
     TheoremViolationError,
 )
 from .hmatroid import (
+    _EMPTY_SUM,
     HMatroid,
     HVector,
     PairingFold,
     _support_mask,
+    _top_sum,
     hmatroid_from_circuits,
     normalize_vector,
-    zero_in_sum,
     zero_vector,
 )
 from .hyperfields import BoxCode, HElement, Hyperfield, capped_power, composition, count_text
@@ -48,14 +49,14 @@ from .hyperfields import BoxCode, HElement, Hyperfield, capped_power, compositio
 CANDIDATE_BUDGET = 10**8
 
 
-def check_budget(field: Hyperfield, ground, window: int):
+def check_budget(field: Hyperfield, ground, window: int, task: str = "enumeration"):
     """The number of candidates, |box|^|E|; ResourceLimitError past
     ``CANDIDATE_BUDGET``, with no power past ``COUNT_CAP`` computed."""
     n = field.elements_box_size(window)
     total = None if n is None else capped_power(n, len(tuple(ground)))
     if total is None or total > CANDIDATE_BUDGET:
         raise ResourceLimitError(
-            f"enumeration of {count_text(total)} candidates exceeds the budget of {CANDIDATE_BUDGET}"
+            f"{task} of {count_text(total)} candidates exceeds the budget of {CANDIDATE_BUDGET}"
         )
     return total
 
@@ -233,10 +234,13 @@ def vectors_generate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     Krasner and sign residues, where composition never shrinks supports;
     for field residues only support-preserving compositions), together with
     all singleton iterated hypersums, then filters to the window box.
+    Stringent only; the budget bounds the box stretched by the grade spread.
     """
     H = M.field
+    H.require_stringent()
     r_star = M.corank
     spread = _grade_spread(M.circuits)
+    check_budget(H, M.ground, window + spread, "generation")
     pool = [
         v
         for v in M.circuits.scalings(window + spread)
@@ -399,7 +403,8 @@ def check_vector_axioms(vectors, window: int = 4, matroid=None) -> list[dict]:
     when the set is known to be its windowed vector set, else those of the
     matroid rebuilt from the set, which raises InvalidInputError if that
     fails (say, the window is narrower than the circuits' grade spread).
-    At rank 0 nothing leaves the box, so no matroid is read or rebuilt.
+    At rank 0 nothing leaves the box, so no matroid is read or rebuilt.  A
+    hyperfield that is not stringent is refused.
 
     Entries are coded by a ``BoxCode`` (see ``_EntryTable``), so each
     hypersum and product of two entries is computed once.  (V2')/(V2'') map
@@ -419,6 +424,7 @@ def check_vector_axioms(vectors, window: int = 4, matroid=None) -> list[dict]:
     H, ground = some.field, some.ground
     if any(V.field != H or V.ground != ground for V in vectors):
         raise DomainMismatchError("vectors live over different hyperfields or grounds")
+    H.require_stringent()
     report = []
     if zero_vector(H, ground) not in vectors:
         report.append({"check": "V0", "witness": None})
@@ -543,8 +549,6 @@ class _EntryTable(BoxCode):
         return out
 
     def add_pairs(self):
-        H = self.field
-        checked = False
         for column in zip(*self.rows):
             met = sorted(set(column))
             for a in met:
@@ -561,11 +565,8 @@ class _EntryTable(BoxCode):
                     elt = s.the_singleton()
                     single[b] = c = None if elt is None else self.code(elt)
                     single_in_box[b] = c if c is not None and self.in_box[c] else None
-                    # the first pair goes through H.compose, which refuses a
-                    # hyperfield that is not stringent
                     y = self.elements[b]
-                    xy = composition(x, s) if checked else H.compose(x, y)
-                    checked = True
+                    xy = composition(x, s)
                     keeps = not xy.is_zero or (x.is_zero and y.is_zero)
                     c = self.code(xy)
                     composed[b] = c if keeps and self.in_box[c] else None
@@ -686,9 +687,13 @@ def _farkas_cocircuit(M, R, G, weak):
         # on R, Y may not top its grade on G (nor reach it, if weak)
         if on_r and (max(on_r) >= m_g if weak else max(on_r) > m_g):
             continue
-        # the G-sum pairs Y with 1 on G, and each term x·1 is x itself
-        if zero_in_sum(H, on_g):
-            continue
+        # the G-sum (Y paired with 1 on G) holds 0 iff its top-grade residues do
+        if len(on_g) > 1:
+            rs = _EMPTY_SUM
+            for r in [x.residue for x in on_g if x.grade == m_g]:
+                rs = _top_sum(H, rs, r)
+            if None in rs:
+                continue
         # the shift to top grade zero on G is the unit 1 when that grade is
         # already zero, and Y·1 is Y: every rank-0 hit needs no scaling
         if not any(m_g):

@@ -174,6 +174,36 @@ MUTATIONS = [
         "        return Y\n",
         "tests/test_enumeration_reference.py",
     ),
+    (
+        "farkas-g-sum-folds-every-grade",
+        "src/hypermat/vectorspace.py",
+        "[x.residue for x in on_g if x.grade == m_g]",
+        "[x.residue for x in on_g]",
+        "tests/test_enumeration_reference.py",
+    ),
+    # the residue matroid
+    (
+        "residue-classes-skip-the-uparrow",
+        "src/hypermat/hmatroid.py",
+        "flattened = [rep.uparrow() for rep in sig.reps]",
+        "flattened = list(sig.reps)",
+        "tests/test_hmatroid.py",
+    ),
+    # generation's entry checks
+    (
+        "generate-skips-the-stringency-refusal",
+        "src/hypermat/vectorspace.py",
+        "    H.require_stringent()\n    r_star = M.corank\n",
+        "    r_star = M.corank\n",
+        "tests/test_cli.py",
+    ),
+    (
+        "generate-skips-the-spread-budget",
+        "src/hypermat/vectorspace.py",
+        "    check_budget(H, M.ground, window + spread, \"generation\")\n",
+        "",
+        "tests/test_cli.py",
+    ),
     # the window box
     (
         "within-box-ignores-the-spread",

@@ -379,17 +379,41 @@ def test_non_string_ground_labels_exit_2(tmp_path, capsys, ground, bad):
 
 
 def test_vectors_generate_over_non_stringent_hyperfield_exits_2(tmp_path, capsys):
-    doc = {"hyperfield": {"kind": "quotient", "p": 7, "subgroup": [1, 2, 4]},
-           "ground": list(G3),
-           "circuits": [[{"r": 1}, {"r": 3}, "0"], [{"r": 1}, "0", {"r": 3}], ["0", {"r": 1}, {"r": 3}]]}
-    path = tmp_path / "quot-u13.json"
+    # U_{1,3} has corank 2, so generation composes circuits; U_{2,3} has one
+    # circuit and corank 1, so generation composes nothing and only the
+    # refusal on entry stops it
+    refusal = "error: Hyperfield.quotient(7,[1, 2, 4]) is not stringent; compose undefined\n"
+    for name, circuits in (
+        ("u13", [[{"r": 1}, {"r": 3}, "0"], [{"r": 1}, "0", {"r": 3}], ["0", {"r": 1}, {"r": 3}]]),
+        ("u23", [[{"r": 1}, {"r": 1}, {"r": 1}]]),
+    ):
+        doc = {"hyperfield": {"kind": "quotient", "p": 7, "subgroup": [1, 2, 4]},
+               "ground": list(G3), "circuits": circuits}
+        path = tmp_path / f"quot-{name}.json"
+        path.write_text(json.dumps(doc))
+        assert run(["matroid", "vectors", "--generate", "--window", "0", str(path)]) == 2, name
+        assert capsys.readouterr().err == refusal, name
+        with pytest.raises(SystemExit) as exit_info:
+            main(["matroid", "vectors", "--generate", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == refusal, name
+
+
+def test_vectors_generate_budgets_the_box_stretched_by_the_grade_spread(tmp_path, capsys, deadline):
+    """A tropical U_{2,4} whose circuits span 3,000 grades passes ``check``;
+    generating its vectors at window 1 scales circuits into the window box
+    stretched by that spread, which the budget refuses at once."""
+    g0, g1 = {"g": [0]}, {"g": [3000]}
+    doc = {"hyperfield": {"kind": "tropical", "rank": 1}, "ground": ["1", "2", "3", "4"],
+           "circuits": [["0", g0, g0, g1], [g0, "0", g0, g1], [g0, g0, "0", g1], [g0, g0, g0, "0"]]}
+    path = tmp_path / "spread.json"
     path.write_text(json.dumps(doc))
-    assert run(["matroid", "vectors", "--generate", str(path)]) == 2
-    assert _one_line_error(capsys)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["matroid", "vectors", "--generate", str(path)])
-    assert exit_info.value.code == 2
-    assert _one_line_error(capsys)
+    assert run(["matroid", "check", str(path)]) == 0
+    capsys.readouterr()
+    with deadline(10):
+        assert run(["matroid", "vectors", "--generate", "--window", "1", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: generation of ") and err.count("\n") == 1
 
 
 def test_jobs_flag_is_gone(u23_sign_file):

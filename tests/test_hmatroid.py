@@ -29,8 +29,8 @@ from hypermat import (
     valuation_map,
 )
 from hypermat.acceptance import AcceptanceContext
-from hypermat.hmatroid import PairingFold, zero_in_sum
-from hypermat.instances import graded_rescaled
+from hypermat.hmatroid import PairingFold
+from hypermat.instances import graded_rescaled, windowed_instances
 
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
@@ -163,21 +163,22 @@ FOLD_FIELDS = {
 @pytest.mark.parametrize("name", FOLD_FIELDS)
 def test_pairing_fold_agrees_with_zero_in_sum(name):
     """Every term list of length <= 4 over the window-1 box (zero included,
-    which the fold skips and ``zero_in_sum`` never sees), against the
-    symbolic hypersum, which does not go through their shared ``_top_sum``."""
+    which the fold skips), against the symbolic hypersum, which does not go
+    through the fold's ``_top_sum``.  The Farkas G-sum folds ``_top_sum``
+    too; ``test_enumeration_reference`` checks it by its own route."""
     H = FOLD_FIELDS[name]()
     fold = PairingFold(H)
     box = H.elements_box(1)
     codes = [fold.code(x) for x in box]
     states = {(): 0}
-    assert fold.zero[0] and zero_in_sum(H, [])
+    assert fold.zero[0]
     for _ in range(4):
         longer = {}
         for prefix, s in states.items():
             for i, c in enumerate(codes):
                 t = longer[prefix + (i,)] = fold.add(s, c)
                 terms = [box[k] for k in prefix + (i,) if not box[k].is_zero]
-                assert fold.zero[t] == zero_in_sum(H, terms) == H.hyperadd_multi(terms).contains_zero, terms
+                assert fold.zero[t] == H.hyperadd_multi(terms).contains_zero, terms
         states = longer
 
 
@@ -416,6 +417,35 @@ def test_residue_keeps_signs(stringent_sign_u23, sign):
     rep = M0.circuits.reps[0]
     assert rep.support == {"1", "2"}
     assert rep["1"] == sign.one() and rep["2"] == sign.one()
+
+
+def reference_residue_signatures(M):
+    """The residue circuits and cocircuits as they were first built: each
+    class scaled from the left to top grade 0, then its uparrow, minimal
+    supports kept, entries read as residues."""
+
+    def classes(sig, R):
+        H = sig.field
+        ups = []
+        for rep in sig.reps:
+            top = max(x.grade for x in rep.entries if not x.is_zero)
+            ups.append(rep.scale_left(HElement(H.one().residue, tuple(-c for c in top))).uparrow())
+        minimal = [v for v in ups if not any(w.support < v.support for w in ups)]
+        return [HVector(R, v.ground, tuple(R.zero() if x.is_zero else HElement(x.residue, ()) for x in v.entries))
+                for v in minimal]
+
+    R = M.field.residue_field()
+    return (signature_from_vectors(R, M.ground, classes(M.circuits, R)),
+            signature_from_vectors(R.op(), M.ground, classes(M.cocircuits, R.op())))
+
+
+def test_residue_matroid_agrees_with_the_scaled_classes():
+    # every windowed instance, its dual and its single-element minors, built
+    # in the test rather than at collection, so a broken fold fails this test
+    for name, M in windowed_instances():
+        for N in [M, M.dual(), *(N for e in M.ground for N in (M.delete(e), M.contract(e)))]:
+            M0 = residue_matroid(N)
+            assert (M0.circuits, M0.cocircuits) == reference_residue_signatures(N), (name, N)
 
 
 def test_strat_orth_grading_property():

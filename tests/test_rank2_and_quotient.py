@@ -120,7 +120,7 @@ def test_vector_uparrow_lands_in_residue_vectors(stringent_sign_u23):
     R = M0.field
     residue_vectors = vectors_enumerate(M0, 0)
     for V in vectors_enumerate(M, 2):
-        if V.is_zero or V.max_grade() != (0,):
+        if V.is_zero or max(x.grade for x in V.entries if not x.is_zero) != (0,):
             continue
         up = V.uparrow()
         proj = HVector(R, M.ground, tuple(

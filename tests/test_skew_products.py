@@ -35,11 +35,12 @@ from hypermat import (
     hvector,
     is_perfect,
     perp,
+    residue_matroid,
     validate_axioms,
     vectors_enumerate,
 )
 
-from test_hmatroid import pairing, plain, retag
+from test_hmatroid import pairing, plain, reference_residue_signatures, retag
 
 G3 = ("1", "2", "3")
 
@@ -163,6 +164,29 @@ def test_u23_over_the_twisted_hyperfield(side):
     vs = vectors_enumerate(M, 1)
     assert check_vector_axioms(vs, 1, M) == []
     assert vs == _brute_force_vectors(M, 1)
+
+
+@pytest.mark.parametrize("F", [H, H.op()], ids=["twisted", "twisted-op"])
+def test_residue_matroid_of_seeded_twisted_signatures(F):
+    """Seeded U_{2,3} and U_{3,4} signatures and their duals.  Scaling a
+    class to top grade 0 flips the sign of its top-grade residues when the
+    cocycle is odd; the residue matroid must be the same without it."""
+    rng = random.Random(f"residue {F!r}")
+    units = F.units_box(2)
+    flipped = 0
+    for n in (3, 4) * 20:
+        ground = tuple(str(i + 1) for i in range(n))
+        M = hmatroid_from_circuits(F, ground, [HVector(F, ground, (F.one(), *rng.choices(units, k=n - 1)))])
+        for N in (M, M.dual()):
+            M0 = residue_matroid(N)
+            assert (M0.circuits, M0.cocircuits) == reference_residue_signatures(N), N
+            K = N.field
+            for rep in N.circuits.reps:
+                top = max(x.grade for x in rep.entries if not x.is_zero)
+                shift = K.unit(1, tuple(-c for c in top))
+                flipped += any(not x.is_zero and x.grade == top and K.mul(shift, x).residue != x.residue
+                               for x in rep.entries)
+    assert flipped
 
 
 def _route_cases():

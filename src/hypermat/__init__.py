@@ -43,7 +43,6 @@ from .hyperfields import (
     Hyperfield,
     SymbolicSet,
     check_stringent,
-    symset,
     validate_axioms,
 )
 from .jsonio import VERSION as __version__

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .homs import Homomorphism
-from .hyperfields import BoxCode, HElement, Hyperfield
+from .hyperfields import _ZERO_SUM, BoxCode, HElement, Hyperfield, add_term
 from .matroids import ClassicalMatroid, _set_bits, from_circuits
 
 
@@ -122,36 +122,24 @@ def perp(X: HVector, Y: HVector) -> bool:
     return PairingFold(X.field).pairs_to_zero(X.entries, Y.entries, meet)
 
 
-_EMPTY_SUM = frozenset({None})
-
-
-def _top_sum(H: Hyperfield, rs: frozenset, r) -> frozenset:
-    """The residue hypersum ``rs + r`` by ``Hyperfield.residue_hyperadd``,
-    with None standing for zero, so ``{None}`` is the empty sum."""
-    out = set()
-    for a in rs:
-        out.update((r,) if a is None else H.residue_hyperadd(a, r))
-    return frozenset(out)
-
-
 class PairingFold(BoxCode):
     """The zero test of a pairing, one term at a time, on int codes, for one call.
 
     A ``BoxCode`` whose codes name both entries and the nonzero products of
     entries, the terms of a pairing; ``mul`` gives the code of a product,
     and zero (code 0) is the zero product.  A state is the partial hypersum
-    of the terms added so far: their top grade and the residue hypersum of
-    the terms at that grade (``_top_sum``), interned as a set id of the
-    ``BoxCode``; the fold never calls ``BoxCode.sum``, so no other set takes
-    an id.  State 0 is the empty sum.  ``moves[s][t]`` is the state once
-    term t is added to s, filled on first use by ``add``; ``zero[s]`` tells
-    whether 0 lies in the hypersum of the terms behind s.  Products come
-    from ``Hyperfield.mul``, so a skew product is read in the caller's order.
+    of the terms added so far: the ``(top, residues)`` pair of a
+    ``SymbolicSet``, stepped by ``hyperfields.add_term`` and interned as a
+    plain tuple by the ``BoxCode``; the fold never calls ``BoxCode.sum``, so
+    no other set takes an id.  State 0 is the empty sum.  ``moves[s][t]`` is
+    the state once term t is added to s, filled on first use by ``add``;
+    ``zero[s]`` tells whether 0 lies in the hypersum of the terms behind s.
+    Products come from ``Hyperfield.mul``, in the caller's order.
     """
 
     def __init__(self, H: Hyperfield):
         super().__init__(H, [H.zero()])
-        self.set_id((None, _EMPTY_SUM))
+        self.set_id((None, _ZERO_SUM))
         self.moves: list[dict[int, int]] = [{0: 0}]
         self.zero: list[bool] = [True]
         self._terms: dict[tuple, int] = {}
@@ -179,15 +167,11 @@ class PairingFold(BoxCode):
         nxt = self.moves[s].get(t)
         if nxt is not None:
             return nxt
-        (top, rs), x = self.sets[s], self.elements[t]
-        if top is None or x.grade > top:
-            top, rs = x.grade, frozenset((x.residue,))
-        elif x.grade == top:
-            rs = _top_sum(self.field, rs, x.residue)
-        nxt = self.moves[s][t] = self.set_id((top, rs))
+        pair = add_term(self.field, *self.sets[s], self.elements[t])
+        nxt = self.moves[s][t] = self.set_id(pair)
         if nxt == len(self.moves):
             self.moves.append({0: nxt})
-            self.zero.append(None in rs)
+            self.zero.append(None in pair[1])
         return nxt
 
 
@@ -457,7 +441,7 @@ def _elimination_exists(H, circuits, X: HVector, Y: HVector, e: str) -> bool:
     ``circuits`` holds ``(Z, support bitmask)`` pairs.  A finite hypersum
     at Z's first support element fixes the candidate scalars gamma, each
     tested by membership gamma*Z_f in X_f + Y_f at the others; only a first
-    hypersum with a down-set is intersected.
+    hypersum with a down-set (0 in it, at rank > 0) is intersected.
     """
     union = _support_mask(X) | _support_mask(Y)
     sums = {f: H.hyperadd(X.entries[f], Y.entries[f]) for f in _set_bits(union)}
@@ -468,9 +452,10 @@ def _elimination_exists(H, circuits, X: HVector, Y: HVector, e: str) -> bool:
             continue
         first, *rest = _set_bits(z_mask)
         z = Z.entries
-        if sums[first].below is None:
+        s = sums[first]
+        if None not in s.residues or not H.rank:
             z_inv = H.inv(z[first])
-            gammas = (H.mul(s, z_inv) for s in sums[first].explicit if not s.is_zero)
+            gammas = (H.mul(HElement(r, s.top), z_inv) for r in s.residues if r is not None)
             if any(all(H.mul(g, z[f]) in sums[f] for f in rest) for g in gammas):
                 return True
             continue

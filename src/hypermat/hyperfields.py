@@ -1,10 +1,10 @@
 """Exact arithmetic for (skew) hyperfields.
 
 Elements are either zero or a unit carrying a residue part and a grade in the
-ordered group Z^k under lexicographic comparison.  Hyperaddition returns a
-symbolic set: a finite explicit part plus at most one "every unit of grade
-below g" down-set.  Membership, intersection and equality of such sets are
-exact; only full enumeration needs a caller-supplied grade window.
+ordered group Z^k under lexicographic comparison.  A hypersum is a symbolic
+set: a top grade and the residue hypersum there, built one term at a time by
+``add_term``.  Membership, intersection and equality of such sets are exact;
+only full enumeration needs a caller-supplied grade window.
 
 The catalog covers the Krasner hyperfield, the sign hyperfield, prime fields
 GF(p), the tropical hyperfield over Z^k, stringent extensions of sign or
@@ -63,6 +63,7 @@ class HElement:
 
 
 _ZERO = HElement(None, ())
+_ZERO_SUM = frozenset({None})  # the residues of {0}, the sum of no terms
 
 # Most cosets a quotient hyperfield may have.  Its tables have one entry per
 # pair of elements and construction checks the axioms on every triple, so
@@ -463,26 +464,14 @@ class Hyperfield:
         return HElement(self.residue_neg(a.residue), a.grade)
 
     def hyperadd(self, a: HElement, b: HElement) -> "SymbolicSet":
-        if a.is_zero:
-            return symset(self, [b])
-        if b.is_zero:
-            return symset(self, [a])
-        if a.grade > b.grade:
-            return symset(self, [a])
-        if a.grade < b.grade:
-            return symset(self, [b])
-        rs = self.residue_hyperadd(a.residue, b.residue)
-        units = [HElement(t, a.grade) for t in rs if t is not None]
-        if None not in rs:
-            return symset(self, units)
-        return symset(self, units + [self.zero()], below=a.grade)
+        return SymbolicSet(self, *add_term(self, *add_term(self, None, _ZERO_SUM, a), b))
 
     def hyperadd_multi(self, xs) -> "SymbolicSet":
         """Left fold of hyperaddition over a list; empty input gives {0}."""
-        acc = symset(self, [self.zero()])
+        top, rs = None, _ZERO_SUM
         for x in xs:
-            acc = acc.add_element(x)
-        return acc
+            top, rs = add_term(self, top, rs, x)
+        return SymbolicSet(self, top, rs)
 
     def require_stringent(self):
         """Refuse a hyperfield that is not stringent, where compose is undefined."""
@@ -521,116 +510,127 @@ class Hyperfield:
         return (1, x.grade, self.residue_sort_index(x.residue))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicSet:
-    """A hypersum value: finite explicit part plus an optional down-set.
+    """A hypersum value: the top grade of its units and the residues there.
 
-    ``below = g`` means every unit of grade strictly below g is a member.
-    Normal form: no explicit unit lies inside the down-set, and rank-0
-    hyperfields never carry a down-set.
+    None in ``residues`` stands for zero and, at rank > 0, for every unit
+    below ``top`` too.  ``top`` is None exactly when no unit is a member:
+    ``{0}``, or the empty value (no residues) that ``intersect`` makes.
+    Every hypersum has this form, and these operations give equal sets
+    equal values.
     """
 
     field: Hyperfield
-    explicit: frozenset
-    below: Grade | None = None
+    top: Grade | None
+    residues: frozenset
 
     def __contains__(self, x: HElement) -> bool:
-        if x in self.explicit:
-            return True
-        return self.below is not None and not x.is_zero and x.grade < self.below
+        top, rs = self.top, self.residues
+        if x.residue is None:
+            return None in rs
+        if top is None or x.grade > top:
+            return False
+        return x.residue in rs if x.grade == top else None in rs
 
     @property
     def contains_zero(self) -> bool:
-        return self.field.zero() in self.explicit
+        return None in self.residues
 
     def is_singleton(self) -> bool:
-        return self.below is None and len(self.explicit) == 1
+        return len(self.residues) == 1 and (self.top is None or None not in self.residues)
 
     def the_singleton(self) -> HElement | None:
-        if self.is_singleton():
-            return next(iter(self.explicit))
-        return None
+        if not self.is_singleton():
+            return None
+        (r,) = self.residues
+        return _ZERO if r is None else HElement(r, self.top)
 
     def is_empty(self) -> bool:
-        return not self.explicit and self.below is None
+        return not self.residues
 
     def has_nonzero(self) -> bool:
-        if self.below is not None:
-            return True
-        return any(not x.is_zero for x in self.explicit)
+        return self.top is not None
 
     def intersect(self, other: "SymbolicSet") -> "SymbolicSet":
-        exp = set(self.explicit & other.explicit)
-        exp.update(x for x in self.explicit if x in other)
-        exp.update(x for x in other.explicit if x in self)
-        below = None
-        if self.below is not None and other.below is not None:
-            below = min(self.below, other.below)
-        return symset(self.field, exp, below)
+        H = self.field
+        if self.top == other.top:
+            return SymbolicSet(H, *_normal(H, self.top, self.residues & other.residues))
+        low_first = other.top is not None and (self.top is None or self.top < other.top)
+        lo, hi = (self, other) if low_first else (other, self)
+        # lo lies below hi's top: inside its down-set, or apart from hi
+        return lo if None in hi.residues else SymbolicSet(H, None, frozenset())
 
     def is_subset(self, other: "SymbolicSet") -> bool:
-        if any(x not in other for x in self.explicit):
-            return False
-        if self.below is None:
-            return True
-        return other.below is not None and self.below <= other.below
+        return self.intersect(other) == self
 
     def add_element(self, x: HElement) -> "SymbolicSet":
         """Lifted hyperaddition with the singleton {x}."""
-        H = self.field
-        if x.is_zero:
-            return self
-        parts = [H.hyperadd(s, x) for s in self.explicit]
-        below = None
-        explicit = set()
-        for p in parts:
-            explicit |= p.explicit
-            below = _max_below(below, p.below)
-        if self.below is not None:
-            # down-set vs single unit: absorbed by x unless x sits inside it
-            if x.grade >= self.below:
-                explicit.add(x)
-            else:
-                explicit.add(H.zero())
-                below = _max_below(below, self.below)
-        return symset(H, explicit, below)
+        return SymbolicSet(self.field, *add_term(self.field, self.top, self.residues, x))
 
     def scale_left(self, a: HElement) -> "SymbolicSet":
-        H = self.field
-        if a.is_zero:
-            raise DomainMismatchError("scaling by zero collapses the set")
-        exp = {H.mul(a, x) for x in self.explicit}
-        below = grade_add(a.grade, self.below) if self.below is not None else None
-        return symset(H, exp, below)
+        return self._scaled(a, lambda x: self.field.mul(a, x))
 
     def scale_right(self, a: HElement) -> "SymbolicSet":
-        H = self.field
+        return self._scaled(a, lambda x: self.field.mul(x, a))
+
+    def _scaled(self, a: HElement, times) -> "SymbolicSet":
         if a.is_zero:
             raise DomainMismatchError("scaling by zero collapses the set")
-        exp = {H.mul(x, a) for x in self.explicit}
-        below = grade_add(self.below, a.grade) if self.below is not None else None
-        return symset(H, exp, below)
+        if self.top is None:
+            return self
+        rs = frozenset(None if r is None else times(HElement(r, self.top)).residue for r in self.residues)
+        return SymbolicSet(self.field, grade_add(a.grade, self.top), rs)
+
+    def _top_units(self) -> list[HElement]:
+        key = self.field.residue_sort_index
+        return [HElement(r, self.top) for r in sorted(self.residues - _ZERO_SUM, key=key)]
 
     def elements_within(self, window: int) -> list[HElement]:
-        """All members whose grades lie in the window box (exact on that box)."""
-        H = self.field
-        box = set(H.grades_box(window)) if H.rank else {()}
-        out = [x for x in self.explicit if x.is_zero or x.grade in box]
-        if self.below is not None:
-            for g in box:
-                if g < self.below:
-                    out.extend(HElement(r, g) for r in H.residue_units())
-        seen = sorted(set(out), key=H.sort_key)
-        return seen
-
-    def sorted_explicit(self) -> list[HElement]:
-        return sorted(self.explicit, key=self.field.sort_key)
+        """All members whose grades lie in the window box, in sort order
+        (exact on that box)."""
+        H, top = self.field, self.top
+        out = [_ZERO] if None in self.residues else []
+        if top is None:
+            return out
+        grades = list(H.grades_box(window))
+        if None in self.residues:
+            out += [HElement(r, g) for g in grades if g < top for r in H.residue_units()]
+        return out + self._top_units() if top in grades else out
 
     def __repr__(self):
-        items = ",".join(map(repr, self.sorted_explicit()))
-        if self.below is None:
-            return "{" + items + "}"
-        return "{" + items + f"}}∪(<{self.below})"
+        zero = [_ZERO] if None in self.residues else []
+        text = "{" + ",".join(map(repr, zero + self._top_units())) + "}"
+        if zero and self.field.rank and self.top is not None:
+            text += f"∪(<{self.top})"
+        return text
+
+
+def _normal(H: Hyperfield, top: Grade | None, rs: frozenset) -> tuple:
+    """``(top, rs)``, with top None when no unit is left: rs has no residue
+    but None, and no down-set either (rank 0, or rs empty)."""
+    return (None if rs <= _ZERO_SUM and not (H.rank and rs) else top), rs
+
+
+def add_term(H: Hyperfield, top: Grade | None, residues: frozenset, x: HElement) -> tuple:
+    """The ``(top, residues)`` of a ``SymbolicSet`` once the term x is added.
+
+    A zero term changes nothing.  A term above the top grade is the new
+    sum (the empty value stays empty); one at the top grade adds its
+    residue to the residue hypersum (``Hyperfield.residue_hyperadd``, with
+    None for zero); one below the top is absorbed.
+    """
+    r = x.residue
+    if r is None:
+        return top, residues
+    if top is None or x.grade > top:
+        return (x.grade, frozenset((r,))) if residues else (None, residues)
+    if x.grade < top:
+        return top, residues
+    out = set()
+    for a in residues:
+        out.update((r,) if a is None else H.residue_hyperadd(a, r))
+    return _normal(H, top, frozenset(out))
 
 
 def composition(a: HElement, s: SymbolicSet) -> HElement:
@@ -640,24 +640,6 @@ def composition(a: HElement, s: SymbolicSet) -> HElement:
         return elt
     # a = -b: keep a for Krasner/sign residues, collapse to 0 over a field.
     return a if a in s else s.field.zero()
-
-
-def _max_below(a: Grade | None, b: Grade | None) -> Grade | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-def symset(field: Hyperfield, explicit, below: Grade | None = None) -> SymbolicSet:
-    """Normalized symbolic set: explicit units inside the down-set are dropped."""
-    if below is not None and field.rank == 0:
-        below = None
-    exp = frozenset(
-        x for x in explicit if below is None or x.is_zero or not (x.grade < below)
-    )
-    return SymbolicSet(field, exp, below)
 
 
 # -- axiom validation ------------------------------------------------------
@@ -709,7 +691,7 @@ def validate_axioms(H: Hyperfield, window: int = 4) -> list[dict]:
     units = [x for x in box if not elems[x].is_zero]
     neg_of = {}
     for x in box:
-        if pair[x][zero] != T.set_id(symset(H, [elems[x]])):
+        if pair[x][zero] != T.set_id(H.hyperadd_multi([elems[x]])):
             fail("H0-zero-law", x=elems[x])
         negs = [y for y in box if member[pair[x][y]][zero]]
         if len(negs) != 1:

@@ -34,12 +34,10 @@ from .errors import (
     TheoremViolationError,
 )
 from .hmatroid import (
-    _EMPTY_SUM,
     HMatroid,
     HVector,
     PairingFold,
     _support_mask,
-    _top_sum,
     hmatroid_from_circuits,
     normalize_vector,
     zero_vector,
@@ -687,13 +685,9 @@ def _farkas_cocircuit(M, R, G, weak):
         # on R, Y may not top its grade on G (nor reach it, if weak)
         if on_r and (max(on_r) >= m_g if weak else max(on_r) > m_g):
             continue
-        # the G-sum (Y paired with 1 on G) holds 0 iff its top-grade residues do
-        if len(on_g) > 1:
-            rs = _EMPTY_SUM
-            for r in [x.residue for x in on_g if x.grade == m_g]:
-                rs = _top_sum(H, rs, r)
-            if None in rs:
-                continue
+        # the G-sum (Y paired with 1 on G) must not hold 0
+        if len(on_g) > 1 and H.hyperadd_multi(on_g).contains_zero:
+            continue
         # the shift to top grade zero on G is the unit 1 when that grade is
         # already zero, and Y·1 is Y: every rank-0 hit needs no scaling
         if not any(m_g):

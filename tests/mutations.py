@@ -97,14 +97,14 @@ MUTATIONS = [
     ),
     (
         "fold-keeps-an-equal-grade-as-a-new-top",
-        "src/hypermat/hmatroid.py",
-        "if top is None or x.grade > top:",
-        "if top is None or x.grade >= top:",
+        "src/hypermat/hyperfields.py",
+        "    if top is None or x.grade > top:\n        return (x.grade,",
+        "    if top is None or x.grade >= top:\n        return (x.grade,",
         "tests/test_hmatroid.py",
     ),
     (
         "top-sum-drops-the-empty-sum",
-        "src/hypermat/hmatroid.py",
+        "src/hypermat/hyperfields.py",
         "(r,) if a is None",
         "() if a is None",
         "tests/test_hmatroid.py",
@@ -176,10 +176,25 @@ MUTATIONS = [
     ),
     (
         "farkas-g-sum-folds-every-grade",
-        "src/hypermat/vectorspace.py",
-        "[x.residue for x in on_g if x.grade == m_g]",
-        "[x.residue for x in on_g]",
+        "src/hypermat/hyperfields.py",
+        "    if x.grade < top:\n        return top, residues\n",
+        "",
         "tests/test_enumeration_reference.py",
+    ),
+    # the symbolic set
+    (
+        "downset-skips-lower-grades",
+        "src/hypermat/hyperfields.py",
+        "return x.residue in rs if x.grade == top else None in rs",
+        "return x.residue in rs if x.grade == top else False",
+        "tests/test_symbolic_oracle.py",
+    ),
+    (
+        "intersect-keeps-the-low-set-without-zero",
+        "src/hypermat/hyperfields.py",
+        "return lo if None in hi.residues else SymbolicSet(H, None, frozenset())",
+        "return lo",
+        "tests/test_symbolic_oracle.py",
     ),
     # the residue matroid
     (

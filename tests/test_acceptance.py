@@ -2,7 +2,7 @@
 
 import pytest
 
-from hypermat import Hyperfield, InvalidSignatureError, acceptance, hmatroid_from_circuits, hvector, symset
+from hypermat import Hyperfield, InvalidSignatureError, SymbolicSet, acceptance, hmatroid_from_circuits, hvector
 from hypermat.acceptance import (
     CRITERIA,
     AcceptanceContext,
@@ -173,11 +173,13 @@ def test_c2_fails_on_a_quotient_that_claims_to_be_stringent(monkeypatch):
     Q._stringent = True  # the cached verdict of check_stringent, planted wrong
     monkeypatch.setattr(acceptance, "_catalog", lambda: [("quotient", Q), ("left out", Q)])
     record = criterion_2(AcceptanceContext())
-    both = symset(Q, [Q.unit(1), Q.unit(3)])
+    both = SymbolicSet(Q, (), frozenset({1, 3}))
     assert (record.status, record.witness, record.detail) == ("fail", [
         {"H": repr(Q), "a": Q.unit(1), "b": Q.unit(1), "sum": both},
         {"H": repr(Q), "a": Q.unit(3), "b": Q.unit(3), "sum": both},
     ], "7 pairs")
+    # the report writes the sum through repr
+    assert record.to_json()["witness"][0]["sum"] == "{u(1),u(3)}"
 
 
 def test_c5_fails_on_a_vector_dropped_from_the_enumeration():

@@ -32,6 +32,8 @@ from hypermat.acceptance import AcceptanceContext
 from hypermat.hmatroid import PairingFold
 from hypermat.instances import graded_rescaled, windowed_instances
 
+from test_symbolic_oracle import naive_add
+
 G3 = ("1", "2", "3")
 G4 = ("1", "2", "3", "4")
 
@@ -163,22 +165,28 @@ FOLD_FIELDS = {
 @pytest.mark.parametrize("name", FOLD_FIELDS)
 def test_pairing_fold_agrees_with_zero_in_sum(name):
     """Every term list of length <= 4 over the window-1 box (zero included,
-    which the fold skips), against the symbolic hypersum, which does not go
-    through the fold's ``_top_sum``.  The Farkas G-sum folds ``_top_sum``
-    too; ``test_enumeration_reference`` checks it by its own route."""
+    which the fold skips), against the element sets of the symbolic oracle,
+    folded along the same prefix tree; they share no code with
+    ``add_term``.  Truncating those sets to the terms' box loses no member
+    that a later term or the zero test reads.  The Farkas G-sum folds
+    ``add_term`` too; ``test_enumeration_reference`` checks it by its own
+    route."""
     H = FOLD_FIELDS[name]()
     fold = PairingFold(H)
     box = H.elements_box(1)
     codes = [fold.code(x) for x in box]
-    states = {(): 0}
+    states = {(): (0, frozenset({H.zero()}))}
     assert fold.zero[0]
+    memo = {}
     for _ in range(4):
         longer = {}
-        for prefix, s in states.items():
+        for prefix, (s, members) in states.items():
             for i, c in enumerate(codes):
-                t = longer[prefix + (i,)] = fold.add(s, c)
-                terms = [box[k] for k in prefix + (i,) if not box[k].is_zero]
-                assert fold.zero[t] == H.hyperadd_multi(terms).contains_zero, terms
+                if (members, i) not in memo:
+                    memo[members, i] = frozenset(naive_add(H, members, box[i], margin=1))
+                t, want = fold.add(s, c), memo[members, i]
+                longer[prefix + (i,)] = (t, want)
+                assert fold.zero[t] == (H.zero() in want), [box[k] for k in prefix + (i,)]
         states = longer
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hypermat import (
@@ -73,3 +75,23 @@ def test_table_map_identity_embedding():
     S = Hyperfield.sign()
     f = table_map(S, S, {1: 1, -1: -1})
     assert validate_homomorphism(f) == []
+
+
+def test_sign_swap_fails_only_the_product_checks():
+    S = Hyperfield.sign()
+    report = validate_homomorphism(table_map(S, S, {1: -1, -1: 1}))
+    assert report[0] == {"check": "one-preserved", "witness": {}}
+    assert [r["check"] for r in report[1:]] == ["multiplicative"] * 4
+    assert {(r["witness"]["x"], r["witness"]["y"]) for r in report[1:]} == set(
+        itertools.product(S.units_box(0), repeat=2)
+    )
+
+
+def test_graded_sign_map_fails_only_hypersum_compatibility():
+    """The graded sums go through ``apply_set`` and ``is_subset``: 1 + 2 = 3
+    over GF(7) maps two residues to a non-residue at every grade."""
+    H = Hyperfield.stringent("field", 1, p=7)
+    report = validate_homomorphism(sign_map(H), 1)
+    assert len(report) == 36
+    assert {r["check"] for r in report} == {"hypersum-compatible"}
+    assert {"x": H.unit(1, (-1,)), "y": H.unit(2, (-1,))} == report[0]["witness"]

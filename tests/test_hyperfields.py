@@ -13,11 +13,11 @@ from hypermat import (
     InvalidHyperfieldError,
     InvalidSubgroupError,
     ResourceLimitError,
+    SymbolicSet,
     UnsupportedOperationError,
     check_stringent,
     hmatroid_from_circuits,
     hvector,
-    symset,
     validate_axioms,
     zero_vector,
 )
@@ -97,8 +97,8 @@ def test_domain_mismatch_rejected():
 
 def test_krasner_one_plus_one():
     s = K.hyperadd(K.one(), K.one())
-    assert set(s.explicit) == {K.zero(), K.one()}
-    assert s.below is None
+    assert (s.top, s.residues) == ((), frozenset({None, 1}))
+    assert s.elements_within(0) == [K.zero(), K.one()]
 
 
 def test_sign_sums():
@@ -125,7 +125,7 @@ def test_tropical_equal_grades_downset():
 def test_stringent_sign_cancellation():
     p2, m2 = SS1.unit(1, (2,)), SS1.unit(-1, (2,))
     s = SS1.hyperadd(p2, m2)
-    assert s.contains_zero and s.below == (2,)
+    assert (s.top, s.residues) == ((2,), frozenset({None, 1, -1}))
     for g in (-5, 0, 1):
         assert SS1.unit(1, (g,)) in s and SS1.unit(-1, (g,)) in s
     assert p2 in s and m2 in s
@@ -138,7 +138,7 @@ def test_hyperadd_multi_examples():
     assert S.hyperadd_multi([one]).the_singleton() == one
     assert S.hyperadd_multi([]).the_singleton() == S.zero()
     s = SF31.hyperadd_multi([SF31.unit(1, (0,)), SF31.unit(2, (0,))])
-    assert s.contains_zero and s.below == (0,)
+    assert (s.top, s.residues) == ((0,), frozenset({None}))
     assert SF31.unit(2, (-1,)) in s
     assert SF31.unit(1, (0,)) not in s
 
@@ -148,10 +148,11 @@ def test_grade_bound_of_hypersums():
         for a, b in itertools.product(H.units_box(2), repeat=2):
             s = H.hyperadd(a, b)
             top = max(a.grade, b.grade)
-            assert all(x.is_zero or x.grade <= top for x in s.explicit)
+            assert s.top == top
+            members = s.elements_within(3)
+            assert all(x.is_zero or x.grade <= top for x in members)
             if not s.contains_zero:
-                assert s.below is None
-                assert all(x.grade == top for x in s.explicit)
+                assert all(x.grade == top for x in members)
 
 
 # -- negation and membership -------------------------------------------------
@@ -348,7 +349,7 @@ def test_box_code_holds_only_the_elements_it_meets():
     T = BoxCode(H, [H.zero(), H.one()])
     x = T.code(H.unit(2, (1,)))
     assert T.mul(1, x) == T.mul(x, 1) == x
-    assert T.sets[T.sum(0, x)] == symset(H, [H.unit(2, (1,))])
+    assert T.sets[T.sum(0, x)] == SymbolicSet(H, (1,), frozenset({2}))
     assert len(T.elements) == 3
 
 
@@ -575,9 +576,10 @@ def test_sort_indices_and_tables_match_linear_scans():
 
 
 def test_symbolic_set_normalization():
-    low = T1.unit(1, (-2,))
-    s = symset(T1, [low, T1.zero()], below=(0,))
-    assert low not in s.explicit
+    low, top = T1.unit(1, (-2,)), T1.unit(1, (0,))
+    s = T1.hyperadd(top, top).add_element(low)
+    assert (s.top, s.residues) == ((0,), frozenset({None, 1}))
+    assert s == T1.hyperadd(top, top)
     assert low in s
 
 
@@ -587,14 +589,26 @@ def test_symbolic_intersection():
     s1 = T1.hyperadd(a, a)
     s2 = T1.hyperadd(b, b)
     inter = s1.intersect(s2)
-    assert inter.below == (3,)
+    assert inter == s1 and (inter.top, inter.residues) == ((3,), frozenset({None, 1}))
     assert a in inter and b not in inter
 
 
 def test_symbolic_set_equality_is_normal_form():
-    s1 = symset(T1, [T1.zero(), T1.unit(1, (1,))], below=(2,))
-    s2 = symset(T1, [T1.zero()], below=(2,))
-    assert s1 == s2
+    top = T1.unit(1, (2,))
+    assert T1.hyperadd(top, top).add_element(T1.unit(1, (1,))) == T1.hyperadd(top, top)
+    F5 = Hyperfield.field(5)
+    assert F5.hyperadd(F5.unit(2), F5.unit(3)) == F5.hyperadd(F5.zero(), F5.zero())
+
+
+def test_symbolic_set_repr():
+    top = T1.unit(1, (2,))
+    assert repr(T1.hyperadd(top, top)) == "{0,u(1,2)}∪(<(2,))"
+    assert repr(SF31.hyperadd(SF31.unit(1, (0,)), SF31.unit(2, (0,)))) == "{0}∪(<(0,))"
+    assert repr(S.hyperadd(S.one(), S.neg(S.one()))) == "{0,u(1),u(-1)}"
+    assert repr(T1.hyperadd(top, T1.zero())) == "{u(1,2)}"
+    assert repr(S.hyperadd(S.zero(), S.zero())) == "{0}"
+    p, q = SS1.unit(1, (2,)), SS1.unit(1, (3,))
+    assert repr(SS1.hyperadd(p, p).intersect(SS1.hyperadd(q, q))) == "{}"
 
 
 elements_strategy = st.sampled_from(SS1.elements_box(3))

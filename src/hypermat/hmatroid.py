@@ -236,6 +236,12 @@ def signature_from_vectors(field, ground, vectors) -> CircuitSignature:
     return CircuitSignature(field, ground, reps)
 
 
+def minimal_members(vectors) -> list[HVector]:
+    """The vectors whose support strictly contains no other's, in order."""
+    sups = [v.support for v in vectors]
+    return [v for v, s in zip(vectors, sups) if not any(t < s for t in sups)]
+
+
 def _support_mask(vec: HVector) -> int:
     """The support of ``vec`` as an int bitmask: bit i is ``vec.ground[i]``."""
     return sum(1 << i for i, x in enumerate(vec.entries) if x.residue is not None)
@@ -348,10 +354,7 @@ class HMatroid:
     def contract(self, e: str) -> "HMatroid":
         keep = tuple(g for g in self.ground if g != e)
         traces = [rep.drop(e) for rep in self.circuits.reps]
-        traces = [t for t in traces if not t.is_zero]
-        sups = [t.support for t in traces]
-        minimal = [t for t in traces if not any(s < t.support for s in sups)]
-        return hmatroid_from_circuits(self.field, keep, minimal)
+        return hmatroid_from_circuits(self.field, keep, minimal_members([t for t in traces if not t.is_zero]))
 
     def rescale(self, rho: dict[str, HElement]) -> "HMatroid":
         """Circuit entries X_e become X_e·rho_e⁻¹ (cocircuits then pick up
@@ -542,9 +545,7 @@ def _residue_classes(sig: CircuitSignature, R: Hyperfield):
     entries by one residue unit (1, or ±1 under a twisted product), and
     ``signature_from_vectors`` normalizes the classes once grades are gone."""
     flattened = [rep.uparrow() for rep in sig.reps]
-    sups = [v.support for v in flattened]
-    minimal = [v for v in flattened if not any(s < v.support for s in sups)]
-    return [_to_residue_vector(v, R) for v in minimal]
+    return [_to_residue_vector(v, R) for v in minimal_members(flattened)]
 
 
 def residue_matroid(M: HMatroid) -> HMatroid:

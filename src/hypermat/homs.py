@@ -64,12 +64,8 @@ def table_map(domain: Hyperfield, codomain: Hyperfield, mapping) -> Homomorphism
 def coset_map(p: int, subgroup) -> Homomorphism:
     """The canonical map GF(p) -> GF(p)/G sending r to its coset label."""
     cod = Hyperfield.quotient(p, subgroup)
-    dom = Hyperfield.field(p)
-    label_of = {}
-    for lab in cod.residue_units():
-        for g in cod.subgroup:
-            label_of[(lab * g) % p] = lab
-    return table_map(dom, cod, label_of)
+    label_of = {lab * g % p: lab for lab in cod.residue_units() for g in cod.subgroup}
+    return table_map(Hyperfield.field(p), cod, label_of)
 
 
 def validate_homomorphism(f: Homomorphism, window: int = 4) -> list[dict]:

@@ -9,6 +9,10 @@ only full enumeration needs a caller-supplied grade window.
 The catalog covers the Krasner hyperfield, the sign hyperfield, prime fields
 GF(p), the tropical hyperfield over Z^k, stringent extensions of sign or
 field residues by Z^k, and finite quotient hyperfields given by tables.
+A table hyperfield keeps each table once, over every pair of elements: the
+entries with a zero operand follow from x + 0 = {x} and x·0 = 0·x = 0, and
+a given one that disagrees is refused, so equal tables give equal
+hyperfields.  Construction checks the axioms on every triple of elements.
 
 Membership is checked once, where elements enter: ``Hyperfield.unit``,
 ``hvector``, the JSON reader, and matroid construction and rescaling all
@@ -143,7 +147,8 @@ class Hyperfield:
     and ``"stringent"`` otherwise.  A residue ``"quotient"`` is a finite
     hyperfield read from ``tables = (elements, add, mul)`` at rank 0, with
     0 the zero and 1 the unit and an entry for each pair of units in both
-    tables (``quotient`` builds them).  Every parameter is checked here.
+    tables; entries with a zero operand may be left out (``quotient``
+    builds them all).  Every parameter is checked here.
     Instances are immutable and hashable; all operations are pure.
     """
 
@@ -156,8 +161,6 @@ class Hyperfield:
         "_units",
         "_unit_index",
         "_elements",
-        "_add",
-        "_mul",
         "_add_table",
         "_mul_table",
         "_neg",
@@ -190,8 +193,6 @@ class Hyperfield:
         self.rank = rank
         self.subgroup = tuple(sorted(subgroup)) if subgroup else None
         self._elements = None
-        self._add = None
-        self._mul = None
         self._stringent = None
         self._op = None
         # A GF(p) residue r sorts at r - 1 (residue_sort_index): its units
@@ -204,7 +205,8 @@ class Hyperfield:
         else:
             self._units = (1,) if residue == "krasner" else (1, -1)
         self._unit_index = None if residue == "field" else {r: i for i, r in enumerate(self._units)}
-        self._descriptor = (self.kind, self.p, self.rank, self.subgroup, self._elements, self._add, self._mul)
+        tables = (self._add_table, self._mul_table) if residue == "quotient" else ()
+        self._descriptor = (self.kind, self.p, self.rank, self.subgroup, *(frozenset(t.items()) for t in tables))
         self._hash = hash(self._descriptor)
         if residue == "quotient":
             report = validate_axioms(self)
@@ -257,57 +259,40 @@ class Hyperfield:
                 f"quotient of GF({p}) by a subgroup of order {len(G)} has {index} cosets; "
                 f"at most {MAX_QUOTIENT_INDEX} are supported"
             )
-        cosets = {}
-        for r in range(1, p):
-            cosets.setdefault(frozenset((r * g) % p for g in G), None)
-        labels = {}
-        for coset in cosets:
-            labels[min(coset)] = coset
-        elements = (0,) + tuple(sorted(labels))
-        coset_of = {0: frozenset({0})}
-        coset_of.update({lab: labels[lab] for lab in labels})
-        label_of = {}
-        for lab, coset in coset_of.items():
-            for r in coset:
-                label_of[r] = lab
-        add = {}
-        for a, b in itertools.product(elements, elements):
-            sums = {(x + y) % p for x in coset_of[a] for y in coset_of[b]}
-            add[(a, b)] = frozenset(t for t in elements if coset_of[t] <= sums)
-        mul = {(a, b): label_of[(a * b) % p] if a and b else 0 for a in elements for b in elements}
-        tables = (elements, add, mul)
-        return cls("quotient", p=p, subgroup=G, tables=tables)
+        # the label of a coset is its least member; 0 is its own
+        label_of = {r: min(r * g % p for g in G) for r in range(p)}
+        elements = tuple(sorted(set(label_of.values())))
+        # aG + bG = G(a + bG), so it holds the cosets of the labels of a + bG
+        add = {(a, b): frozenset(label_of[(a + b * h) % p] for h in G) for a in elements for b in elements}
+        mul = {(a, b): label_of[a * b % p] for a in elements for b in elements}
+        return cls("quotient", p=p, subgroup=G, tables=(elements, add, mul))
 
     def _init_tables(self, tables):
+        """Each table once, a dict over all pairs of elements (see the module docstring)."""
         elements, add, mul = tables
         if 0 not in elements or 1 not in elements:
             raise InvalidHyperfieldError("tables must contain 0 and 1")
-        self._elements = tuple(sorted(elements))
+        self._elements = elements = tuple(sorted(elements))
+        self._units = units = tuple(a for a in elements if a != 0)
         labels = set(elements)
-        for (a, b), v in add.items():
-            if not labels.issuperset((a, b, *v)):
-                raise InvalidHyperfieldError(f"table entry {a} + {b} names a label outside the elements")
-        for (a, b), v in mul.items():
-            if not labels.issuperset((a, b, v)):
-                raise InvalidHyperfieldError(f"table entry {a} * {b} names a label outside the elements")
-        self._units = units = tuple(a for a in self._elements if a != 0)
+        # ``a or b`` is the nonzero operand, if any
+        self._add_table = {(a, b): frozenset({a or b}) for a in elements for b in elements if not (a and b)}
+        self._mul_table = dict.fromkeys(self._add_table, 0)
+        for op, given, table, law in (("+", add, self._add_table, "x + 0 = 0 + x = {x}"),
+                                      ("*", mul, self._mul_table, "x * 0 = 0 * x = 0")):
+            for (a, b), v in given.items():
+                v = frozenset(v) if op == "+" else v
+                if not labels.issuperset((a, b, *(v if op == "+" else (v,)))):
+                    raise InvalidHyperfieldError(f"table entry {a} {op} {b} names a label outside the elements")
+                if table.setdefault((a, b), v) != v:
+                    raise InvalidHyperfieldError(f"table entry {a} {op} {b} breaks {law}")
         for a, b in itertools.product(units, units):
-            for op, table in (("+", add), ("*", mul)):
+            for op, table in (("+", self._add_table), ("*", self._mul_table)):
                 if (a, b) not in table:
                     raise InvalidHyperfieldError(f"no table entry for {a} {op} {b}")
-        self._add = tuple(sorted((a, b, tuple(sorted(v))) for (a, b), v in add.items()))
-        self._mul = tuple(sorted((a, b, v) for (a, b), v in mul.items()))
-        self._add_table = {(a, b): frozenset(v) for a, b, v in self._add}
-        self._mul_table = {(a, b): v for a, b, v in self._mul}
-        # hyperadd never reads an entry with a zero operand, so negatives
-        # are read from the unit pairs alone
-        self._neg = {}
-        self._inv = {}
-        for a in units:
-            negs = [b for b in units if 0 in self._add_table[a, b]]
-            self._neg[a] = negs[0] if len(negs) == 1 else None
-            invs = [b for b in units if self._mul_table[a, b] == 1]
-            self._inv[a] = invs[0] if len(invs) == 1 else None
+        # total, since validate_axioms requires one negative and one inverse per unit
+        self._neg = {a: b for a in units for b in units if 0 in self._add_table[a, b]}
+        self._inv = {a: b for a in units for b in units if self._mul_table[a, b] == 1}
 
     # -- identity -----------------------------------------------------
 
@@ -414,10 +399,7 @@ class Hyperfield:
             return r
         if kind == "field":
             return pow(r, self.p - 2, self.p)
-        inv = self._inv.get(r)
-        if inv is None:
-            raise DomainMismatchError(f"{r} has no multiplicative inverse")
-        return inv
+        return self._inv[r]
 
     def residue_neg(self, r):
         kind = self.residue_kind
@@ -427,10 +409,7 @@ class Hyperfield:
             return -r
         if kind == "field":
             return (self.p - r) % self.p
-        neg = self._neg.get(r)
-        if neg is None:
-            raise DomainMismatchError(f"{r} has no unique additive inverse")
-        return neg
+        return self._neg[r]
 
     def residue_hyperadd(self, r, s) -> frozenset:
         """Hypersum of two residue units; None in the result stands for zero."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -39,23 +40,27 @@ from .hmatroid import (
     PairingFold,
     _support_mask,
     hmatroid_from_circuits,
+    minimal_members,
     normalize_vector,
     zero_vector,
 )
-from .hyperfields import BoxCode, HElement, Hyperfield, capped_power, composition, count_text
+from .hyperfields import COUNT_CAP, BoxCode, HElement, Hyperfield, capped_power, composition, count_text
 
 CANDIDATE_BUDGET = 10**8
 
 
-def check_budget(field: Hyperfield, ground, window: int, task: str = "enumeration"):
+def check_budget(field: Hyperfield, ground, window: int):
     """The number of candidates, |box|^|E|; ResourceLimitError past
     ``CANDIDATE_BUDGET``, with no power past ``COUNT_CAP`` computed."""
     n = field.elements_box_size(window)
-    total = None if n is None else capped_power(n, len(tuple(ground)))
+    return _within_budget(None if n is None else capped_power(n, len(tuple(ground))), "enumeration")
+
+
+def _within_budget(total: int | None, task: str) -> int:
+    """``total``; ResourceLimitError when it is over ``CANDIDATE_BUDGET``
+    or None, which stands for more than ``COUNT_CAP``."""
     if total is None or total > CANDIDATE_BUDGET:
-        raise ResourceLimitError(
-            f"{task} of {count_text(total)} candidates exceeds the budget of {CANDIDATE_BUDGET}"
-        )
+        raise ResourceLimitError(f"{task} of {count_text(total)} candidates exceeds the budget of {CANDIDATE_BUDGET}")
     return total
 
 
@@ -228,44 +233,49 @@ def _grade_spread(sig) -> int:
 def vectors_generate(M: HMatroid, window: int = 4) -> frozenset[HVector]:
     """Stringent fast path for the vector set.
 
-    Builds all compositions of at most corank many scaled circuits (for
-    Krasner and sign residues, where composition never shrinks supports;
-    for field residues only support-preserving compositions), together with
-    all singleton iterated hypersums, then filters to the window box.
-    Stringent only; the budget bounds the box stretched by the grade spread.
+    One pass combines up to corank many scaled circuits of the window box
+    stretched below by their grade spread: singleton hypersums over a field
+    residue, layered compositions over any other (Krasner, sign, or a
+    stringent quotient, of rank 0).  The other pass would add nothing new
+    or nothing true: over a sign residue a singleton hypersum of scaled
+    circuits has agreeing top-grade terms, so it is their composition; over
+    a field residue a composition that keeps the union of the supports is
+    the singleton hypersum of its factors, and one that cancels an entry
+    need not be a vector.  The results are filtered to the window box;
+    ``_generation_work`` bounds the pass.
     """
     H = M.field
     H.require_stringent()
-    r_star = M.corank
     spread = _grade_spread(M.circuits)
-    check_budget(H, M.ground, window + spread, "generation")
-    pool = [
-        v
-        for v in M.circuits.scalings(window + spread)
-        if _within_box(v, window, spread)
-    ]
-    results = set(pool)
-    residue = H.residue_kind
-    closed_supports = residue in ("krasner", "sign")
-    layer = set(pool)
-    for _ in range(max(r_star - 1, 0)):
-        new = set()
-        for V in layer:
-            for W in pool:
-                VW = compose_vectors(V, W)
-                if closed_supports or VW.support == V.support | W.support:
-                    new.add(VW)
-        layer = new - results
-        results |= layer
-    if residue in ("sign", "field"):
-        for size in range(2, r_star + 1):
-            for combo in itertools.combinations_with_replacement(pool, size):
-                total = _vector_hypersum(combo)
-                if total is not None:
-                    results.add(total)
+    compose = H.residue_kind != "field"
+    _within_budget(_generation_work(M, window + spread, compose), "generation")
+    pool = [v for v in M.circuits.scalings(window + spread) if _within_box(v, window, spread)]
+    results, layer = set(pool), set(pool)
+    for k in range(2, M.corank + 1):
+        if compose:
+            layer = {compose_vectors(V, W) for V in layer for W in pool} - results
+            results |= layer
+        else:
+            sums = map(_vector_hypersum, itertools.combinations_with_replacement(pool, k))
+            results.update(V for V in sums if V is not None)
     results = {V for V in results if _within_box(V, window)}
     results.add(zero_vector(H, M.ground))
     return frozenset(results)
+
+
+def _generation_work(M: HMatroid, window: int, compose: bool) -> int | None:
+    """The candidates of generation's pass over S = circuit classes × units of
+    the window box: S + S²·(corank − 1) compositions, or S plus C(S+k−1, k)
+    k-multisets to sum for k = 2 .. corank; None once past ``COUNT_CAP``."""
+    units = M.field.elements_box_size(window)
+    if units is None:
+        return None
+    size = total = len(M.circuits.reps) * (units - 1)
+    for k in range(2, M.corank + 1):
+        if total > COUNT_CAP:
+            return None
+        total += size * size if compose else math.comb(size + k - 1, k)
+    return total if total <= COUNT_CAP else None
 
 
 def _vector_hypersum(vectors) -> HVector | None:
@@ -632,11 +642,8 @@ def reconstruct_from_vectors(vectors, side: str = "left") -> HMatroid:
     nonzero = [v for v in vectors if not v.is_zero]
     if not nonzero:
         raise InvalidSignatureError("no nonzero vectors to reconstruct from")
-    some = nonzero[0]
-    sups = {v.support for v in nonzero}
-    minimal = [v for v in nonzero if not any(s < v.support for s in sups)]
-    classes = {normalize_vector(v) for v in minimal}
-    return hmatroid_from_circuits(some.field, some.ground, sorted(classes, key=lambda v: v.sort_key()), side)
+    classes = {normalize_vector(v) for v in minimal_members(nonzero)}
+    return hmatroid_from_circuits(nonzero[0].field, nonzero[0].ground, sorted(classes, key=HVector.sort_key), side)
 
 
 # -- partition dichotomy ----------------------------------------------------

@@ -208,16 +208,46 @@ MUTATIONS = [
     (
         "generate-skips-the-stringency-refusal",
         "src/hypermat/vectorspace.py",
-        "    H.require_stringent()\n    r_star = M.corank\n",
-        "    r_star = M.corank\n",
+        "    H.require_stringent()\n    spread = _grade_spread(M.circuits)\n",
+        "    spread = _grade_spread(M.circuits)\n",
         "tests/test_cli.py",
     ),
     (
         "generate-skips-the-spread-budget",
         "src/hypermat/vectorspace.py",
-        "    check_budget(H, M.ground, window + spread, \"generation\")\n",
+        "    _within_budget(_generation_work(M, window + spread, compose), \"generation\")\n",
         "",
         "tests/test_cli.py",
+    ),
+    (
+        "generate-composes-over-a-field-residue",
+        "src/hypermat/vectorspace.py",
+        "compose = H.residue_kind != \"field\"",
+        "compose = True",
+        "tests/test_vectorspace.py",
+    ),
+    # one refusal rule in the CLI
+    (
+        "timed-swallows-budget-refusals",
+        "src/hypermat/cli.py",
+        "    except (UnsupportedOperationError, ResourceLimitError):\n",
+        "    except UnsupportedOperationError:\n",
+        "tests/test_cli.py",
+    ),
+    # the table hyperfield's zero laws and the minimal-support rule
+    (
+        "tables-skip-the-zero-law",
+        "src/hypermat/hyperfields.py",
+        "if table.setdefault((a, b), v) != v:",
+        "if table.__setitem__((a, b), v):",
+        "tests/test_hyperfields.py",
+    ),
+    (
+        "minimal-members-keep-equal-supports",
+        "src/hypermat/hmatroid.py",
+        "if not any(t < s for t in sups)",
+        "if not any(t <= s for t in sups)",
+        "tests/test_hmatroid.py",
     ),
     # the window box
     (

@@ -241,7 +241,8 @@ def _tropical_u12_doc(rank):
             "circuits": [[grade, grade]]}
 
 
-@pytest.mark.parametrize("verb", [["check-hyperfield"], ["matroid", "vectors", "--enumerate"]])
+@pytest.mark.parametrize("verb", [["check-hyperfield"], ["matroid", "vectors", "--enumerate"],
+                                  ["matroid", "perfect"], ["matroid", "vector-axioms"]])
 def test_budgets_refuse_a_large_grade_rank_in_one_line(tmp_path, capsys, verb):
     # a box of 9^5000 elements: its count has more digits than int() will print
     doc = _tropical_u12_doc(5000)
@@ -403,17 +404,37 @@ def test_vectors_generate_budgets_the_box_stretched_by_the_grade_spread(tmp_path
     """A tropical U_{2,4} whose circuits span 3,000 grades passes ``check``;
     generating its vectors at window 1 scales circuits into the window box
     stretched by that spread, which the budget refuses at once."""
-    g0, g1 = {"g": [0]}, {"g": [3000]}
-    doc = {"hyperfield": {"kind": "tropical", "rank": 1}, "ground": ["1", "2", "3", "4"],
-           "circuits": [["0", g0, g0, g1], [g0, "0", g0, g1], [g0, g0, "0", g1], [g0, g0, g0, "0"]]}
     path = tmp_path / "spread.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_spread_doc(3000)))
     assert run(["matroid", "check", str(path)]) == 0
     capsys.readouterr()
     with deadline(10):
         assert run(["matroid", "vectors", "--generate", "--window", "1", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: generation of ") and err.count("\n") == 1
+
+
+def _spread_doc(top):
+    """A tropical U_{2,4} whose circuits have grades 0 and ``top``."""
+    g0, g1 = {"g": [0]}, {"g": [top]}
+    return {"hyperfield": {"kind": "tropical", "rank": 1}, "ground": ["1", "2", "3", "4"],
+            "circuits": [["0", g0, g0, g1], [g0, "0", g0, g1], [g0, g0, "0", g1], [g0, g0, g0, "0"]]}
+
+
+def test_vectors_generate_budgets_the_pass_not_the_stretched_box(tmp_path, capsys, deadline):
+    # spread 49 at window 1: S = 4 circuit classes × 101 scalars = 404, and
+    # the corank-2 pass composes S + S² = 163,620 candidates, while the
+    # stretched box has 102^4 points; spread 3,000 gives S = 24,012
+    path = tmp_path / "spread49.json"
+    path.write_text(json.dumps(_spread_doc(49)))
+    code, generated = run_json(capsys, ["matroid", "vectors", "--generate", "--window", "1", str(path)])
+    assert code == 0
+    assert run_json(capsys, ["matroid", "vectors", "--enumerate", "--window", "1", str(path)]) == (0, generated)
+    path.write_text(json.dumps(_spread_doc(3000)))
+    with deadline(10):
+        assert run(["matroid", "vectors", "--generate", "--window", "1", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: generation of 576600156 candidates exceeds the budget of 100000000\n"
 
 
 def test_jobs_flag_is_gone(u23_sign_file):

@@ -13,6 +13,7 @@ from hypermat import (
     InvalidInputError,
     InvalidSignatureError,
     NotAnHMatroidError,
+    UnsupportedOperationError,
     check_c3prime,
     check_circuit_axioms,
     dual_signature,
@@ -21,12 +22,14 @@ from hypermat import (
     hvector,
     perp,
     perp_k,
+    reconstruct_from_vectors,
     residue_matroid,
     sign_map,
     signature_from_vectors,
     table_map,
     uniform_matroid,
     valuation_map,
+    zero_vector,
 )
 from hypermat.acceptance import AcceptanceContext
 from hypermat.hmatroid import PairingFold
@@ -103,6 +106,24 @@ def test_hvector_refuses_keys_outside_the_ground_set(sign):
 
 
 # -- pairing and orthogonality ----------------------------------------------
+
+
+@pytest.mark.parametrize("error, match, call", [
+    (DomainMismatchError, "entry count", lambda M: HVector(M.field, M.ground, ())),
+    (DomainMismatchError, "different hyperfields or grounds",
+     lambda M: perp(M.circuits.reps[0], M.circuits.reps[0].drop("1"))),
+    (DomainMismatchError, "wrong ground", lambda M: signature_from_vectors(M.field, G4, M.circuits.reps)),
+    (DomainMismatchError, "domain differs", lambda M: M.push_forward(valuation_map(Hyperfield.stringent("sign", 1)))),
+    (UnsupportedOperationError, "Krasner or sign residue",
+     lambda M: check_c3prime(signature_from_vectors(Hyperfield.field(3), M.ground, []))),
+    (InvalidSignatureError, "no nonzero vectors", lambda M: reconstruct_from_vectors([zero_vector(M.field, M.ground)])),
+    (DomainMismatchError, "no table image",
+     lambda M: table_map(Hyperfield.field(3), Hyperfield.krasner(), {1: 1}).apply(Hyperfield.field(3).unit(2))),
+], ids=["vector-length", "perp-ground", "signature-ground", "push-forward-domain", "c3prime-residue",
+        "reconstruct-from-zero", "table-image"])
+def test_entry_guards_refuse_mismatched_inputs(u23_sign, error, match, call):
+    with pytest.raises(error, match=match):
+        call(u23_sign)
 
 
 def test_disjoint_supports_are_orthogonal(sign):

@@ -44,8 +44,9 @@ SF31 = Hyperfield.stringent("field", 1, p=3)
 def from_tables(elements, add, mul) -> Hyperfield:
     """A finite hyperfield from explicit tables; element 0 is zero, 1 the unit.
 
-    Every pair of units needs an entry in both tables; entries with a zero
-    operand may be left out, since nothing reads them.
+    Every pair of units needs an entry in both tables.  Entries with a zero
+    operand may be left out: they follow from x + 0 = {x} and x·0 = 0·x = 0,
+    and one given otherwise is refused.
     """
     return Hyperfield("quotient", tables=(tuple(elements), add, mul))
 
@@ -260,15 +261,42 @@ def test_corrupted_table_reports_empty_hypersum():
 
 
 def test_negatives_ignore_table_entries_with_a_zero_operand():
-    # GF(3)'s tables with a stray 0 in 1 + 0, an entry hyperadd never reads
-    elements = (0, 1, 2)
-    add = {(a, b): {(a + b) % 3} for a in elements for b in elements}
-    add[1, 2] = add[2, 1] = {0}
+    # GF(3)'s tables with a stray 0 in 1 + 0: the zero law fixes that
+    # entry, so it is refused by name; without it each unit has one negative
+    elements, add, mul = _gf3_tables()
     add[1, 0] = {0, 1}
-    mul = {(a, b): a * b % 3 for a in elements for b in elements}
+    with pytest.raises(InvalidHyperfieldError, match=r"^table entry 1 \+ 0 breaks x \+ 0 = 0 \+ x = \{x\}$"):
+        from_tables(elements, add, mul)
+    del add[1, 0]
     H = from_tables(elements, add, mul)
     assert H.neg(H.unit(1)) == H.unit(2)
     assert H.neg(H.unit(2)) == H.unit(1)
+
+
+@pytest.mark.parametrize("op, law", [("+", r"x \+ 0 = 0 \+ x = \{x\}"), ("*", r"x \* 0 = 0 \* x = 0")])
+def test_tables_refuse_a_zero_operand_entry_that_breaks_the_zero_law(op, law):
+    # Krasner's tables with 0 + 1 = {0}, or with 0 * 1 = 1: neither entry
+    # is read by an operation, so construction is where they are refused
+    elements = (0, 1)
+    add = {(a, b): {a or b} for a in elements for b in elements}
+    add[1, 1] = {0, 1}
+    mul = {(a, b): a * b for a in elements for b in elements}
+    if op == "+":
+        add[0, 1] = {0}
+    else:
+        mul[0, 1] = 1
+    with pytest.raises(InvalidHyperfieldError, match=rf"^table entry 0 \{op} 1 breaks {law}$"):
+        from_tables(elements, add, mul)
+
+
+def test_tables_with_and_without_zero_rows_build_equal_hyperfields():
+    elements, add, mul = _gf3_tables()
+    H = from_tables(elements, add, mul)
+    bare = from_tables(elements, *({k: v for k, v in t.items() if 0 not in k} for t in (add, mul)))
+    assert H == bare and hash(H) == hash(bare)
+    # the sign hyperfield on the same labels (2 is -1) is another hyperfield
+    sign_add = {**add, (1, 1): {1}, (2, 2): {2}, (1, 2): {0, 1, 2}, (2, 1): {0, 1, 2}}
+    assert from_tables(elements, sign_add, mul) != H
 
 
 def _gf3_tables():
@@ -562,10 +590,9 @@ def test_sort_indices_and_tables_match_linear_scans():
         assert tuple(H.residue_units()) == units
         for r in units:
             assert H.residue_sort_index(r) == units.index(r)
-    for a, b, v in Q._add:
-        assert Q._add_table[a, b] == frozenset(v)
-    for a, b, v in Q._mul:
-        assert Q._mul_table[a, b] == v
+    # each table is kept once, with an entry for every pair of elements
+    pairs = set(itertools.product(Q._elements, repeat=2))
+    assert set(Q._add_table) == set(Q._mul_table) == pairs
     elements, add, mul = Q._elements, dict(Q._add_table), Q._mul_table
     del add[1, 3]
     with pytest.raises(InvalidHyperfieldError, match=r"no table entry for 1 \+ 3"):

@@ -16,6 +16,7 @@ from hypermat import (
     minty_minimalize,
     uniform_matroid,
 )
+from hypermat import matroids
 from hypermat.instances import graded_rescaled
 from hypermat.matroids import _LATTICE_MAX, _lattice
 
@@ -90,6 +91,20 @@ def test_minty_check_m1_violation():
     ok, witness = minty_check(("1", "2", "3"), [{"1", "2"}], [{"2", "3"}])
     assert not ok
     assert witness["axiom"] == "M1"
+
+
+def test_minty_check_m0_violation():
+    ok, witness = minty_check(("1", "2"), [{"1"}, {"1", "2"}], [{"2"}])
+    assert (ok, witness) == (False, {"axiom": "M0", "family": "circuits", "pair": (["1"], ["1", "2"])})
+
+
+def test_minty_minimalize_refuses_a_matroid_whose_cocircuits_differ(monkeypatch):
+    # no pair that passes (M1) and (M2) reaches this check; a wrong matroid
+    # from ``from_circuits`` stands in for a fault there
+    wrong = uniform_matroid(1, ("1", "2"))
+    monkeypatch.setattr(matroids, "from_circuits", lambda ground, circuits: wrong)
+    with pytest.raises(InvalidPairError, match="minimal cocircuits disagree"):
+        minty_minimalize(("1", "2"), [], [{"1"}, {"2"}])
 
 
 def test_minty_witness_does_not_depend_on_the_family_order():

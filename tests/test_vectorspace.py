@@ -169,6 +169,25 @@ def test_generate_equals_enumerate_field_residue():
     assert vectors_generate(M, 0) == vectors_enumerate(M, 0)
 
 
+def test_generate_equals_enumerate_on_a_valued_field_residue():
+    # U_{2,4} over GF(3)·Z, the valued image of the columns (1,0), (0,1),
+    # (1,1), (1,t) over GF(3)((t)) with t of grade -1; no rescaling of a
+    # flat signature, so composing pool vectors over its field residue
+    # cancels entries into ten non-vectors at window 1 that summing avoids
+    H = Hyperfield.stringent("field", 1, p=3)
+    u = H.unit
+    vecs = [
+        hvector(H, G4, {"2": u(1, (0,)), "3": u(2, (0,)), "4": u(1, (0,))}),
+        hvector(H, G4, {"1": u(1, (0,)), "3": u(1, (-1,)), "4": u(2, (0,))}),
+        hvector(H, G4, {"1": u(1, (0,)), "2": u(1, (-1,)), "4": u(2, (0,))}),
+        hvector(H, G4, {"1": u(1, (0,)), "2": u(1, (0,)), "3": u(2, (0,))}),
+    ]
+    M = hmatroid_from_circuits(H, G4, vecs)
+    assert M.corank == 2
+    for w in (1, 2):
+        assert vectors_generate(M, w) == vectors_enumerate(M, w)
+
+
 def test_tropical_u23_vectors_are_scaled_circuits(trop_u23):
     # corank 1: within the window the vectors are the scaled circuits plus 0
     vs = vectors_enumerate(trop_u23, 3)
